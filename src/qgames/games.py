@@ -20,24 +20,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import kron, require_unitary
+from .linalg import kron
 from .states import (
     PureState,
     SystemShape,
-    add_noise,
     apply_local_pure,
-    basis_state,
-    conjugate_density,
-    expectation,
+    check_fidelity,
     ghz,
     labels,
-    outcome_probabilities,
-    pure_to_density,
 )
 from .strategies import classical_set, pauli
 
@@ -50,7 +46,11 @@ ATOL_PAYOFF = 1e-9
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A game: shape, protocol flags, and the exact classical payoff table."""
+    """A game: shape, protocol flags, and the exact classical payoff table.
+
+    ``payoffs`` and ``outcome_labels`` are filled on first use, not at
+    construction, so building a game stays as cheap as building its table.
+    """
 
     name: str
     shape: SystemShape
@@ -66,6 +66,20 @@ class GameSpec:
         for label, row in self.payoff_table.items():
             if len(row) != self.shape.n:
                 raise ValueError(f"payoff row for {label!r} has {len(row)} entries")
+
+    @cached_property
+    def outcome_labels(self) -> tuple[str, ...]:
+        """Basis labels in index order."""
+        return tuple(labels(self.shape))
+
+    @cached_property
+    def payoffs(self) -> np.ndarray:
+        """Read-only (n, D) float payoffs: row i-1 is player i, columns index order."""
+        table = np.array(
+            [[float(v) for v in self.payoff_table[label]] for label in self.outcome_labels]
+        ).T.copy()
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -136,12 +150,13 @@ def game_by_name(name: str, n: int | None = None) -> GameSpec:
 
 
 def payoff_diagonal(game: GameSpec, player: int) -> np.ndarray:
-    """Player's classical payoffs along the computational basis, index order."""
+    """Player's classical payoffs along the computational basis, index order.
+
+    A read-only row of ``game.payoffs``.
+    """
     if not 1 <= player <= game.shape.n:
         raise ValueError(f"player {player} out of range 1..{game.shape.n}")
-    return np.array(
-        [float(game.payoff_table[label][player - 1]) for label in labels(game.shape)]
-    )
+    return game.payoffs[player - 1]
 
 
 def payoff_operator(game: GameSpec, player: int) -> np.ndarray:
@@ -161,25 +176,19 @@ def entangler() -> np.ndarray:
     return (kron(eye, eye) + 1j * kron(flip, flip)) / math.sqrt(2)
 
 
+def resource_state(game: GameSpec) -> PureState:
+    """The shared state the local moves act on: J|00> for the dilemma, GHZ otherwise."""
+    if game.use_entangler_pair:
+        return PureState(game.shape, entangler()[:, 0])
+    return ghz(game.shape)
+
+
 def play_pd(u_alice, u_bob, strict: bool = True) -> PureState:
     """Final state J-dagger (U_B (x) U_A) J |00> of the dilemma protocol."""
-    alice = require_unitary(u_alice, strict=strict, name="Alice's operator")
-    bob = require_unitary(u_bob, strict=strict, name="Bob's operator")
-    if alice.shape != (2, 2) or bob.shape != (2, 2):
-        raise ValueError("dilemma strategies must be 2x2 operators")
     j = entangler()
     shape = SystemShape(2, 2)
-    state = basis_state(shape, (0, 0)).amplitudes
-    final = j.conj().T @ (kron(bob, alice) @ (j @ state))
-    return PureState(shape, final)
-
-
-def _report_from_density(game: GameSpec, rho, fidelity: float) -> PayoffReport:
-    payoffs = tuple(
-        expectation(rho, payoff_operator(game, player))
-        for player in range(1, game.shape.n + 1)
-    )
-    return PayoffReport(payoffs, outcome_probabilities(rho), float(fidelity))
+    moved = apply_local_pure([u_bob, u_alice], PureState(shape, j[:, 0]), strict=strict)
+    return PureState(shape, j.conj().T @ moved.amplitudes)
 
 
 def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
@@ -188,7 +197,9 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
 
     For the dilemma the entangler pair wraps the moves and the simulation is
     pure (fidelity must be 1).  The GHZ games mix the shared state with white
-    noise at the given fidelity before the moves are applied.
+    noise at the given fidelity.  White noise commutes with the local
+    unitaries, so the outcome distribution is f |psi|^2 + (1 - f)/D, computed
+    on the state vector; no density matrix is built.
     """
     n = game.shape.n
     if len(ops) != n:
@@ -196,11 +207,14 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
     if game.use_entangler_pair:
         if fidelity != 1.0:
             raise ValueError("the dilemma protocol is pure; fidelity must be 1")
+        f = 1.0
         final = play_pd(u_alice=ops[1], u_bob=ops[0], strict=strict)
-        return _report_from_density(game, pure_to_density(final), 1.0)
-    rho_in = add_noise(ghz(game.shape), fidelity)
-    rho_fin = conjugate_density(ops, rho_in, strict=strict)
-    return _report_from_density(game, rho_fin, fidelity)
+    else:
+        f = check_fidelity(fidelity)
+        final = apply_local_pure(ops, ghz(game.shape), strict=strict)
+    probs = f * np.abs(final.amplitudes) ** 2 + (1.0 - f) / game.shape.dim
+    payoffs = tuple((game.payoffs @ probs).tolist())
+    return PayoffReport(payoffs, dict(zip(game.outcome_labels, probs.tolist())), f)
 
 
 def play_symmetric(game: GameSpec, op, fidelity: float = 1.0,
@@ -265,9 +279,3 @@ def game_to_json(game: GameSpec) -> dict:
         "d": game.shape.d,
         "payoffs": payoffs,
     }
-
-
-def apply_classical_profile(game: GameSpec, ks: Sequence[int]) -> PureState:
-    """Classical powers applied to the game's shared state (no entangler)."""
-    operators = classical_set(game.shape.d)
-    return apply_local_pure([operators[k] for k in ks], ghz(game.shape))

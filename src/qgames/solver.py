@@ -8,9 +8,13 @@ configured grid resolution directly.
 
 Payoff evaluation for a unilateral deviation is reduced once per search to a
 d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)), which makes
-grid scans cheap and exactly matches the density-matrix protocol.  Symmetric
-scans over the GHZ games use the product structure of the shared state.
-Both reductions are cross-checked against the direct protocol in the tests.
+grid scans cheap.  T is built from the propagated pure state: the other
+players' moves are applied to the shared state once, the deviating slot is
+opened with each matrix unit E_ab, and white noise enters in closed form,
+which costs O(d^2 D) instead of the O(d^2 D^3) of a density-matrix build.
+Symmetric scans over the GHZ games use the product structure of the shared
+state.  Both reductions are cross-checked against the dense density-matrix
+protocol in the tests.
 
 Everything here is deterministic: grids are traversed in lexicographic
 order, ties resolve to the first candidate encountered, chunked evaluation
@@ -34,8 +38,9 @@ from .games import (
     entangler,
     payoff_diagonal,
     play_symmetric,
+    resource_state,
 )
-from .states import add_noise, basis_state, ghz
+from .states import apply_local_pure, check_fidelity
 from .strategies import (
     FAMILY_PRESETS,
     LOCAL_DIMENSION,
@@ -188,33 +193,38 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     deviating player's slot is ignored.  The form folds in the shared state,
     the noise mix, the entangler pair for the dilemma, and the player's
     payoff operator.
+
+    With the fixed moves applied to the shared state, E_ab at the deviating
+    slot gives d^2 vectors v_ab, and the pure part is
+    sum_K diag_K v_ab[K] conj(v_a'b'[K]).  White noise contributes
+    (1 - f)/D * sum_K diag_K (C_ab C_a'b'^dagger)_KK, which for unitary fixed
+    moves is diagonal: the sum of diag_K over the K whose slot digit is a, at
+    entry (ab, ab).
     """
     n, d = game.shape.n, game.shape.d
     slot = _tensor_slot(n, player)
+    diag = payoff_diagonal(game, player)
     if game.use_entangler_pair:
         if fidelity != 1.0:
             raise ValueError("the dilemma protocol is pure; fidelity must be 1")
-        amp = entangler() @ basis_state(game.shape, (0, 0)).amplitudes
-        rho_in = np.outer(amp, amp.conj())
-        wrap = entangler().conj().T
     else:
-        rho_in = add_noise(ghz(game.shape), fidelity).matrix
-        wrap = None
-    diag = payoff_diagonal(game, player)
+        fidelity = check_fidelity(fidelity)
 
-    units = []
-    for a, b in itertools.product(range(d), repeat=2):
-        basis_unit = np.zeros((d, d), dtype=complex)
-        basis_unit[a, b] = 1.0
-        factors = [basis_unit if k == slot else np.asarray(fixed_ops[k], dtype=complex)
-                   for k in range(n)]
-        full = factors[0]
-        for f in factors[1:]:
-            full = np.kron(full, f)
-        units.append(wrap @ full if wrap is not None else full)
-    units_arr = np.stack(units)                    # (d^2, D, D)
-    propagated = units_arr @ rho_in                # C_ab rho
-    return np.einsum("K,aKV,bKV->ab", diag, propagated, units_arr.conj())
+    ops = list(fixed_ops)
+    ops[slot] = np.eye(d)
+    moved = apply_local_pure(ops, resource_state(game)).amplitudes
+    rest = np.moveaxis(moved.reshape((d,) * n), slot, 0)   # (slot digit, others)
+    units = np.zeros((d, d) + rest.shape, dtype=complex)   # (a, b, slot digit, others)
+    for a in range(d):
+        units[a, :, a] = rest
+    units = np.moveaxis(units, 2, 2 + slot).reshape(d * d, -1)
+    if game.use_entangler_pair:
+        units = units @ entangler().conj()   # each row v -> J-dagger v
+    form = fidelity * ((units * diag) @ units.conj().T)
+    if fidelity < 1.0:
+        slot_weights = np.moveaxis(diag.reshape((d,) * n), slot, 0).reshape(d, -1).sum(axis=1)
+        form += np.diag(np.repeat(slot_weights, d) * ((1.0 - fidelity) / game.shape.dim))
+    return form
 
 
 def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -233,7 +243,7 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
         if fidelity != 1.0:
             raise ValueError("the dilemma protocol is pure; fidelity must be 1")
         j = entangler()
-        seed_state = j @ basis_state(game.shape, (0, 0)).amplitudes
+        seed_state = resource_state(game).amplitudes
         pair = np.einsum("gab,gcd->gacbd", matrices, matrices).reshape(-1, 4, 4)
         final = np.einsum("ij,gj->gi", j.conj().T,
                           np.einsum("gij,j->gi", pair, seed_state))
@@ -457,6 +467,7 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     more than epsilon; finding one disproves optimality with a witness.
     """
     cfg = cfg or SearchConfig()
+    check_fidelity(fidelity)
     n = game.shape.n
     bound = _payoff_sum_bound(game) / n
     if payoff >= float(bound) - 1e-9:
@@ -486,12 +497,9 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
 def fidelity_sweep(game: GameSpec, strategy: StrategySpec | np.ndarray,
                    f_grid: Sequence[float]) -> FidelitySweep:
     """Symmetric payoffs across fidelities, with an affine least-squares fit."""
-    fs = [float(f) for f in f_grid]
+    fs = [check_fidelity(f) for f in f_grid]
     if not fs:
         raise ValueError("fidelity grid must be non-empty")
-    for f in fs:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"fidelity {f} outside [0, 1]")
     matrix = strategy.matrix() if isinstance(strategy, StrategySpec) else strategy
     rows = [play_symmetric(game, matrix, fidelity=f).payoffs for f in fs]
     means = np.array([float(np.mean(row)) for row in rows])

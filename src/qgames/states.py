@@ -10,13 +10,19 @@ Conventions used everywhere in this package:
 * Operator lists passed to :func:`apply_local_pure` and
   :func:`conjugate_density` are ordered player-n-first, matching the tensor
   product U_n (x) U_{n-1} (x) ... (x) U_1.
+
+The protocols in :mod:`qgames.games` run on state vectors.  The dense D x D
+helpers here (:class:`DensityMatrix`, :func:`add_noise`,
+:func:`conjugate_density`, :func:`expectation`, :func:`pure_to_density`) are
+the independent reference that the tests and ``qgames verify`` check the
+state-vector path against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -228,11 +234,17 @@ def pure_to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix(psi.shape, np.outer(amp, amp.conj()))
 
 
-def add_noise(psi: PureState, fidelity: float) -> DensityMatrix:
-    """Mix a pure state with white noise: f |psi><psi| + (1-f)/D * I_D."""
+def check_fidelity(fidelity: float) -> float:
+    """The fidelity as a float; NaN and values outside [0, 1] are rejected."""
     f = float(fidelity)
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {f}")
+    return f
+
+
+def add_noise(psi: PureState, fidelity: float) -> DensityMatrix:
+    """Mix a pure state with white noise: f |psi><psi| + (1-f)/D * I_D."""
+    f = check_fidelity(fidelity)
     dim = psi.shape.dim
     amp = psi.amplitudes
     mat = f * np.outer(amp, amp.conj()) + (1.0 - f) / dim * np.eye(dim)
@@ -261,7 +273,3 @@ def outcome_probabilities(rho: DensityMatrix) -> dict[str, float]:
     return {
         label: float(p) for label, p in zip(labels(rho.shape), diag)
     }
-
-
-def probabilities_total(probabilities: Mapping[str, float]) -> float:
-    return float(sum(probabilities.values()))

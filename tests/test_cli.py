@@ -85,6 +85,12 @@ class TestErrors:
         assert code == 2
         assert "error" in payload
 
+    def test_nan_fidelity(self):
+        code, out = run_cli(["kolkata", "--fidelity", "nan"])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "fidelity must lie in [0, 1], got nan"}
+
     def test_dimension_mismatch(self):
         code, payload = run_json(["minority", "--strategy", "su3:table2"])
         assert code == 2

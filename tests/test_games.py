@@ -20,7 +20,15 @@ from qgames.games import (
     play_symmetric,
     prisoners_dilemma,
 )
-from qgames.states import SystemShape, ghz
+from qgames.states import (
+    PureState,
+    SystemShape,
+    add_noise,
+    conjugate_density,
+    expectation,
+    ghz,
+    labels,
+)
 from qgames.strategies import (
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
@@ -335,3 +343,81 @@ class TestSerialization:
         payload = game_to_json(prisoners_dilemma())
         assert payload["payoffs"]["01"] == [5, 0]
         assert list(payload["payoffs"]) == ["00", "01", "10", "11"]
+
+
+# --- the state-vector protocol against the dense density-matrix reference ------
+
+def dense_play(game, ops, fidelity):
+    """Payoffs and outcome distribution through D x D density matrices."""
+    if game.use_entangler_pair:
+        j = entangler()
+        rho = conjugate_density(ops, add_noise(PureState(game.shape, j[:, 0]), fidelity))
+        rho_matrix = j.conj().T @ rho.matrix @ j
+        payoffs = [float(np.real(np.trace(payoff_operator(game, p) @ rho_matrix)))
+                   for p in range(1, game.shape.n + 1)]
+        return payoffs, rho_matrix.diagonal().real
+    rho = conjugate_density(ops, add_noise(ghz(game.shape), fidelity))
+    payoffs = [expectation(rho, payoff_operator(game, p)) for p in range(1, game.shape.n + 1)]
+    return payoffs, rho.matrix.diagonal().real
+
+
+def random_local_unitary(rng, d):
+    if d == 2:
+        return su2_full(rng.uniform(0, np.pi), *rng.uniform(-np.pi, np.pi, 2))
+    return su3_frame(*rng.uniform(0, np.pi / 2, 3), *rng.uniform(0, 2 * np.pi, 5))
+
+
+DENSE_CASES = [(prisoners_dilemma(), (1.0,))] + [
+    (game, (0.0, 0.37, 1.0)) for game in [minority(n) for n in range(2, 7)] + [kolkata()]
+]
+
+
+@pytest.mark.parametrize("game,fidelities", DENSE_CASES,
+                         ids=[f"{g.name}{g.shape.n}" for g, _ in DENSE_CASES])
+def test_play_profile_matches_dense_reference(game, fidelities):
+    rng = np.random.default_rng(61 + game.shape.n)
+    for f in fidelities:
+        for _ in range(3):
+            ops = [random_local_unitary(rng, game.shape.d) for _ in range(game.shape.n)]
+            report = play_profile(game, ops, fidelity=f)
+            payoffs, probabilities = dense_play(game, ops, f)
+            np.testing.assert_allclose(report.payoffs, payoffs, rtol=0, atol=1e-12)
+            assert list(report.probabilities) == list(labels(game.shape))
+            np.testing.assert_allclose(list(report.probabilities.values()), probabilities,
+                                       rtol=0, atol=1e-12)
+
+
+class TestPayoffCache:
+    def test_payoffs_read_only_in_index_order(self):
+        game = kolkata()
+        assert game.payoffs.shape == (3, 27)
+        assert game.outcome_labels == tuple(labels(game.shape))
+        for index, label in enumerate(game.outcome_labels):
+            assert tuple(game.payoffs[:, index]) == game.payoff_table[label]
+        with pytest.raises(ValueError):
+            game.payoffs[0, 0] = 2.0
+        assert game.payoffs is game.payoffs
+
+    def test_payoff_diagonal_is_a_row(self):
+        game = minority(5)
+        for player in range(1, 6):
+            np.testing.assert_array_equal(payoff_diagonal(game, player),
+                                          game.payoffs[player - 1])
+        with pytest.raises(ValueError):
+            payoff_diagonal(game, 6)
+
+
+class TestPlayValidation:
+    @pytest.mark.parametrize("fidelity", [1.5, -0.1, float("nan")])
+    def test_fidelity_out_of_range(self, fidelity):
+        with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\]"):
+            play_profile(kolkata(), [np.eye(3)] * 3, fidelity=fidelity)
+
+    def test_lenient_mode_warns_on_non_unitary(self):
+        # columns of unit norm: not unitary, but |00> + |11> keeps its norm
+        skew = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not unitary"):
+            play_profile(minority(2), [skew, I2])
+        with pytest.warns(UserWarning, match="not unitary"):
+            report = play_profile(minority(2), [skew, I2], strict=False)
+        assert abs(sum(report.probabilities.values()) - 1.0) < 1e-12

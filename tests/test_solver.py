@@ -1,14 +1,20 @@
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qgames.games import (
+    GameSpec,
+    entangler,
     kolkata,
     minority,
     play_pd,
     play_profile,
     play_symmetric,
+    payoff_diagonal,
     payoff_operator,
     prisoners_dilemma,
 )
@@ -24,15 +30,18 @@ from qgames.solver import (
     _deviation_payoffs,
     _symmetric_payoffs,
 )
-from qgames.states import pure_to_density, expectation
+from qgames.states import SystemShape, add_noise, expectation, ghz, labels, pure_to_density
 from qgames.strategies import (
     Family,
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
     PD_EQUILIBRIUM_PARAMS,
     StrategySpec,
+    parse_strategy,
     su2_eisert,
+    su2_full,
     su2_full_batch,
+    su3_frame,
     su3_frame_batch,
 )
 
@@ -115,6 +124,107 @@ class TestReducedEvaluators:
         for i in range(6):
             direct = play_symmetric(PD, mats[i])
             assert abs(batch[i] - direct.payoffs[0]) < 1e-10
+
+
+def dense_deviation_form(game, fixed_ops, player, fidelity):
+    """Reference form from d^2 full D x D operators and the noisy density matrix."""
+    n, d = game.shape.n, game.shape.d
+    slot = n - player
+    if game.use_entangler_pair:
+        amp = entangler()[:, 0]
+        rho_in = np.outer(amp, amp.conj())
+        wrap = entangler().conj().T
+    else:
+        rho_in = add_noise(ghz(game.shape), fidelity).matrix
+        wrap = None
+    diag = payoff_diagonal(game, player)
+    units = []
+    for a, b in itertools.product(range(d), repeat=2):
+        basis_unit = np.zeros((d, d), dtype=complex)
+        basis_unit[a, b] = 1.0
+        factors = [basis_unit if k == slot else np.asarray(fixed_ops[k], dtype=complex)
+                   for k in range(n)]
+        full = factors[0]
+        for f in factors[1:]:
+            full = np.kron(full, f)
+        units.append(wrap @ full if wrap is not None else full)
+    units_arr = np.stack(units)
+    return np.einsum("K,aKV,bKV->ab", diag, units_arr @ rho_in, units_arr.conj())
+
+
+def random_table_game(n, d, seed):
+    """A GHZ game with a random payoff table: no symmetry between digits."""
+    rng = np.random.default_rng(seed)
+    shape = SystemShape(n, d)
+    table = {label: tuple(Fraction(int(k), 7) for k in rng.integers(0, 8, n))
+             for label in labels(shape)}
+    return GameSpec("random", shape, False, table)
+
+
+FORM_CASES = [(PD, (1.0,))] + [
+    (game, (0.0, 0.37, 1.0))
+    for game in (minority(5), KOLKATA, random_table_game(3, 2, 5), random_table_game(2, 3, 6))
+]
+
+
+@pytest.mark.parametrize("game,fidelities", FORM_CASES,
+                         ids=[f"{g.name}{g.shape.n}" for g, _ in FORM_CASES])
+def test_deviation_form_matches_dense_reference(game, fidelities):
+    rng = np.random.default_rng(71 + game.shape.n)
+    n, d = game.shape.n, game.shape.d
+    for f in fidelities:
+        if d == 2:
+            ops = [su2_full(rng.uniform(0, np.pi), *rng.uniform(-np.pi, np.pi, 2))
+                   for _ in range(n)]
+        else:
+            ops = [su3_frame(*rng.uniform(0, np.pi / 2, 3), *rng.uniform(0, 2 * np.pi, 5))
+                   for _ in range(n)]
+        for player in range(1, n + 1):
+            np.testing.assert_allclose(_deviation_form(game, ops, player, f),
+                                       dense_deviation_form(game, ops, player, f),
+                                       rtol=0, atol=1e-12)
+
+
+class TestLargeSystems:
+    """Minority n = 14 (D = 16384): one dense D x D complex matrix is 4 GiB."""
+
+    BOUND = 64 * 2 ** 20
+
+    def test_minority_fourteen_play_and_form_stay_small(self):
+        game = minority(14)
+        u = parse_strategy("full:pi/2,-pi/8,pi/8").matrix()
+        tracemalloc.start()
+        try:
+            report = play_symmetric(game, u, fidelity=0.5)
+            _, play_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            form = _deviation_form(game, [u] * 14, 1, 0.5)
+            _, form_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert play_peak < self.BOUND and form_peak < self.BOUND
+        expected = _symmetric_payoffs(game, u[None, :, :], 0.5)[0]
+        np.testing.assert_allclose(report.payoffs, [expected] * 14, rtol=0, atol=1e-12)
+        assert abs(sum(report.probabilities.values()) - 1.0) < 1e-12
+        assert len(report.probabilities) == 2 ** 14
+        value = _deviation_payoffs(form, u[None, :, :])[0]
+        assert abs(value - expected) < 1e-12
+
+
+class TestFidelityValidation:
+    @pytest.mark.parametrize("fidelity", [1.5, -0.1, float("nan")])
+    def test_best_response_rejects(self, fidelity):
+        with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\]"):
+            best_response(KOLKATA, [KOLKATA_OPT] * 3, 1, Family.CYCLIC_C3,
+                          fidelity=fidelity)
+
+    @pytest.mark.parametrize("fidelity", [1.5, float("nan")])
+    def test_pareto_rejects(self, fidelity):
+        # the payoff-sum bound certifies 1/4 without a search; the input is still checked
+        for payoff in (0.25, 0.1):
+            with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\]"):
+                pareto_check_symmetric(MINORITY4, payoff, Family.CLASSICAL_BIT,
+                                       fidelity=fidelity)
 
 
 class TestBestResponse:
