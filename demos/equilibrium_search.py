@@ -1,9 +1,12 @@
 """Anatomy of the equilibrium search layer.
 
-Best responses come from an exhaustive grid over the family's parameter
-box plus coordinate-descent refinement.  This script shows the moving
-parts: grids, refinement, warm starts, Pareto certificates, and the
-determinism guarantees that make search reports reproducible.
+Best responses are exact where the maths allows it: qubit strategies reduce
+to a 4x4 eigenproblem on unit quaternions, and an SU(3) strategy that reaches
+the 3 * lambda_max bound of its deviation form is certified without a search.
+Everywhere else an exhaustive grid over the family's parameter box is refined
+by coordinate descent.  This script shows the moving parts: exact responses,
+grids, refinement, certificates, and the determinism guarantees that make
+search reports reproducible.
 """
 
 from qgames import (
@@ -16,6 +19,7 @@ from qgames import (
     best_response,
     kolkata,
     minority,
+    parse_strategy,
     pareto_check_symmetric,
     prisoners_dilemma,
     verify_nash,
@@ -24,34 +28,45 @@ from qgames import (
 pd = prisoners_dilemma()
 equilibrium = StrategySpec(Family.EISERT_SU2, PD_EQUILIBRIUM_PARAMS)
 
-print("=== grid resolution vs. result quality ===")
-for grid in (4, 8, 24):
+print("=== exact qubit best responses ===")
+for family in (Family.EISERT_SU2, Family.FULL_SU2):
+    result = best_response(pd, [equilibrium, equilibrium], 1, family)
+    print(f"  {family.value:6s}: payoff {result.payoff:.9f} at {result.strategy.literal()}"
+          f" ({result.certificate}, {result.evaluations} evaluation)")
+
+print("\n=== grid resolution vs. result quality (su3 search) ===")
+kg = kolkata()
+table2 = StrategySpec(Family.FRAME_SU3, KOLKATA_OPTIMAL_PARAMS)
+result = best_response(kg, [table2] * 3, 1, Family.FRAME_SU3)
+print(f"  at su3:table2 the profile itself reaches the 3*lambda_max bound:"
+      f" {result.payoff:.9f} ({result.certificate}, {result.evaluations} evaluations)")
+profile = [parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")] * 3
+for grid in (2, 3, 4):
     cfg = SearchConfig(grid_points_per_axis=grid, refine_iterations=0)
-    result = best_response(pd, [equilibrium, equilibrium], 1,
-                           Family.EISERT_SU2, cfg)
-    print(f"  grid {grid:2d}/axis, no refinement: best payoff {result.payoff:.9f}"
-          f" after {result.evaluations} evaluations")
-print("the coarse grids already bracket the optimum; refinement closes the gap:")
-cfg = SearchConfig(grid_points_per_axis=4)
-result = best_response(pd, [equilibrium, equilibrium], 1, Family.EISERT_SU2, cfg)
-print(f"  grid 4/axis + coordinate descent: {result.payoff:.9f} at "
-      f"{result.strategy.literal()}")
+    result = best_response(kg, profile, 1, Family.FRAME_SU3, cfg)
+    print(f"  grid {grid}/axis, no refinement: best payoff {result.payoff:.9f}"
+          f" after {result.evaluations} evaluations ({result.certificate})")
+print("away from the bound only the search applies; refinement closes the gap:")
+cfg = SearchConfig(grid_points_per_axis=3)
+result = best_response(kg, profile, 1, Family.FRAME_SU3, cfg)
+print(f"  grid 3/axis + coordinate descent: {result.payoff:.9f}"
+      f" after {result.evaluations} evaluations")
 
 print("\n=== a full equilibrium verdict ===")
 mg = minority(4)
 optimal = StrategySpec(Family.FULL_SU2, MINORITY_OPTIMAL_PARAMS)
 verdict = verify_nash(mg, [optimal] * 4, Family.FULL_SU2, SearchConfig(seed=2))
 print(f"minority optimum: equilibrium={verdict.is_equilibrium}")
-for i, (payoff, gain, dev) in enumerate(
-    zip(verdict.profile_payoffs, verdict.gains, verdict.best_deviations), start=1
+for i, (payoff, gain, dev, how) in enumerate(
+    zip(verdict.profile_payoffs, verdict.gains, verdict.best_deviations,
+        verdict.certificates), start=1
 ):
     print(f"  player {i}: payoff {payoff:.6f}, best deviation gain {gain:+.2e}"
-          f" via {dev.literal()}")
+          f" via {dev.literal()} ({how})")
 
 print("\n=== pareto certificates ===")
 bound = pareto_check_symmetric(mg, 0.25, Family.FULL_SU2)
 print(f"minority 1/4: optimal={bound.is_optimal} via {bound.certificate}")
-kg = kolkata()
 cfg = SearchConfig(grid_points_per_axis=4, seed=3)  # coarse scan, warm-started
 witness = pareto_check_symmetric(kg, 4 / 9, Family.FRAME_SU3, cfg)
 print(f"kolkata 4/9: optimal={witness.is_optimal} via {witness.certificate}; "
@@ -59,10 +74,12 @@ print(f"kolkata 4/9: optimal={witness.is_optimal} via {witness.certificate}; "
 
 print("\n=== determinism ===")
 runs = [
-    verify_nash(pd, [equilibrium, equilibrium], Family.EISERT_SU2,
-                SearchConfig(seed=11), threads=threads)
+    best_response(kg, profile, 1, Family.FRAME_SU3,
+                  SearchConfig(grid_points_per_axis=2, refine_iterations=20, seed=11),
+                  threads=threads)
     for threads in (1, 8)
 ]
-print(f"same seed at 1 and 8 threads -> identical verdicts: {runs[0] == runs[1]}")
-print("grids are traversed lexicographically, ties go to the first candidate,")
-print("and chunked evaluation merges by index, so reports are reproducible.")
+print(f"same seed at 1 and 8 threads -> identical su3 searches: {runs[0] == runs[1]}")
+print("eigenvectors are signed by a fixed rule, grids are traversed")
+print("lexicographically, ties go to the first candidate, and chunked")
+print("evaluation merges by index, so reports are reproducible.")

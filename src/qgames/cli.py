@@ -245,6 +245,7 @@ def _cmd_search(args, out: IO[str]) -> int:
                         "deviation_payoff": verdict.deviation_payoffs[i],
                         "gain": verdict.gains[i],
                         "best_deviation": verdict.best_deviations[i].literal(),
+                        "certificate": verdict.certificates[i],
                     }
                     for i in range(game.shape.n)
                 ],
@@ -259,6 +260,7 @@ def _cmd_search(args, out: IO[str]) -> int:
                 "best_strategy": result.strategy.literal(),
                 "payoff": result.payoff,
                 "evaluations": result.evaluations,
+                "certificate": result.certificate,
             }
         )
     else:  # pareto

@@ -1,25 +1,39 @@
 """Numerical solution concepts over the strategy spaces.
 
-Best responses are found by an exhaustive grid over the family's parameter
-box followed by coordinate-descent refinement (halve the step after a cycle
-with no improvement).  Eight-parameter boxes use a coarse 6-point grid with
-multi-start refinement from the best 16 grid points; smaller boxes use the
-configured grid resolution directly.
+Payoff evaluation for a unilateral deviation is reduced once per player to a
+d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)).  T is built
+from the propagated pure state: the other players' moves are applied to the
+shared state once, the deviating slot is opened with each matrix unit E_ab,
+and white noise enters in closed form, which costs O(d^2 D) instead of the
+O(d^2 D^3) of a density-matrix build.  Symmetric scans over the GHZ games
+use the product structure of the shared state, in sub-batches under a fixed
+element budget.  Both reductions are cross-checked against the dense
+density-matrix protocol in the tests.
 
-Payoff evaluation for a unilateral deviation is reduced once per search to a
-d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)), which makes
-grid scans cheap.  T is built from the propagated pure state: the other
-players' moves are applied to the shared state once, the deviating slot is
-opened with each matrix unit E_ab, and white noise enters in closed form,
-which costs O(d^2 D) instead of the O(d^2 D^3) of a density-matrix build.
-Symmetric scans over the GHZ games use the product structure of the shared
-state.  Both reductions are cross-checked against the dense density-matrix
-protocol in the tests.
+Best responses are exact wherever the form allows it, and each result names
+how it was obtained (``BestResponseResult.certificate``):
 
-Everything here is deterministic: grids are traversed in lexicographic
-order, ties resolve to the first candidate encountered, chunked evaluation
-merges results by index regardless of thread count, and the only randomness
-(supplementary refinement starts) comes from the seed in `SearchConfig`.
+``exact``   Discrete spaces are enumerated.  Every SU(2) element is
+            q0 I + i(q1 Z + q2 Y + q3 X) for a unit 4-vector q, so on qubits
+            E is a real quadratic form q^T M q: the ``full`` optimum is the
+            top eigenvector of the 4 x 4 matrix M, and the ``eisert`` box is
+            the non-negative orthant of the (q0, q1, q3) subspace, whose
+            optimum is an eigenvector of one of its 7 principal submatrices.
+``bound``   Every unitary has |vec(U)|^2 = d, so no deviation pays more than
+            d * lambda_max(T).  For SU(3) the current strategy and the family
+            presets are tried first; one that reaches the bound is returned.
+``search``  Otherwise (SU(3) without an attained bound, and the symmetric
+            Pareto scan) an exhaustive grid over the family's parameter box is
+            followed by coordinate-descent refinement (halve the step after a
+            cycle with no improvement).  Eight-parameter boxes use a coarse
+            6-point grid with multi-start refinement from the best 16 grid
+            points; smaller boxes use the configured grid resolution directly.
+
+Everything here is deterministic: eigenvectors are signed by a fixed rule,
+grids are traversed in lexicographic order, ties resolve to the first
+candidate encountered, chunked evaluation merges results by index regardless
+of thread count, and the only randomness (supplementary refinement starts)
+comes from the seed in `SearchConfig`.
 """
 
 from __future__ import annotations
@@ -53,6 +67,8 @@ from .strategies import (
 )
 
 _EVAL_CHUNK = 65536  # fixed so results do not depend on the thread count
+# complex amplitudes per symmetric sub-batch: one whole Kolkata chunk (d^n * d = 81)
+_AMPLITUDE_BUDGET = _EVAL_CHUNK * 27 * 3
 _MIN_STEP = 1e-8
 _RANDOM_STARTS = 4
 
@@ -75,6 +91,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.grid_points_per_axis < 2:
             raise ValueError("grid_points_per_axis must be >= 2")
+        if self.refine_iterations < 0:
+            raise ValueError("refine_iterations must be >= 0")
+        if not (math.isfinite(self.refine_initial_step) and self.refine_initial_step > 0):
+            raise ValueError("refine_initial_step must be finite and positive")
         if self.epsilon_nash <= 0:
             raise ValueError("epsilon_nash must be positive")
 
@@ -94,9 +114,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class BestResponseResult:
+    """The best deviation found and how: "exact", "bound" or "search"."""
+
     strategy: StrategySpec
     payoff: float
     evaluations: int
+    certificate: str
 
 
 @dataclass(frozen=True)
@@ -109,6 +132,7 @@ class EquilibriumVerdict:
     deviation_payoffs: tuple[float, ...]
     best_deviations: tuple[StrategySpec, ...]
     gains: tuple[float, ...]
+    certificates: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -248,13 +272,24 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
         final = np.einsum("ij,gj->gi", j.conj().T,
                           np.einsum("gij,j->gi", pair, seed_state))
         return (np.abs(final) ** 2) @ diag
-    # GHZ games: amplitude at |i_n ... i_1> is sum_k prod_j U[i_j, k] / sqrt(d)
+    rows = max(1, _AMPLITUDE_BUDGET // (d ** n * d))
+    pure = np.concatenate([_ghz_pure_payoffs(matrices[i:i + rows], n, d, diag)
+                           for i in range(0, len(matrices), rows)])
+    return fidelity * pure + (1.0 - fidelity) * float(diag.mean())
+
+
+def _ghz_pure_payoffs(matrices: np.ndarray, n: int, d: int, diag: np.ndarray) -> np.ndarray:
+    """Noise-free payoffs of symmetric GHZ profiles for one sub-batch.
+
+    The amplitude at |i_n ... i_1> is sum_k prod_j U[i_j, k] / sqrt(d).
+    """
     acc = matrices  # axes (g, i_1, k)
     for _ in range(n - 1):
         acc = np.einsum("g...k,gik->gi...k", acc, matrices)
-    amplitudes = acc.sum(axis=-1).reshape(matrices.shape[0], -1) / math.sqrt(d)
-    pure = (np.abs(amplitudes) ** 2) @ diag
-    return fidelity * pure + (1.0 - fidelity) * float(diag.mean())
+    amplitudes = acc.sum(axis=-1).reshape(len(matrices), -1)
+    del acc  # the (g, d^n, d) tensor is the largest array; drop it first
+    amplitudes /= math.sqrt(d)
+    return (np.abs(amplitudes) ** 2) @ diag
 
 
 def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], params: np.ndarray,
@@ -340,83 +375,169 @@ def _presets_for(space) -> list[tuple[float, ...]]:
     return []
 
 
-def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
-                  space, cfg: SearchConfig | None = None, fidelity: float = 1.0,
-                  threads: int = 1) -> BestResponseResult:
-    """Best strategy for one player with the rest of the profile held fixed.
+# --- exact and bounded best responses -------------------------------------------
 
-    ``profile`` is player-1-first.  ``space`` is a Family or an explicit
-    sequence of StrategySpec candidates; discrete spaces are enumerated
-    exhaustively, continuous ones are searched by grid plus refinement.
+# vec(U) = _QUATERNION_BASIS @ q for U = q0 I + i(q1 Z + q2 Y + q3 X), vec row-major
+_QUATERNION_BASIS = np.array([
+    [1, 1j, 0, 0],
+    [0, 0, 1, 1j],
+    [0, 0, -1, 1j],
+    [1, -1j, 0, 0],
+])
+_EISERT_AXES = (0, 1, 3)  # beta = 0 leaves q2 = 0; the box is q0, q1, q3 >= 0
+_BOUND_RTOL = 1e-12
+_ROUND_OFF = 1e-14
+
+
+def _quaternion_form(form: np.ndarray) -> np.ndarray:
+    """Real symmetric M with payoff(U(q)) = q^T M q on unit quaternions."""
+    m = np.real(_QUATERNION_BASIS.T @ form @ _QUATERNION_BASIS.conj())
+    return (m + m.T) / 2
+
+
+def _quaternion_params(q: np.ndarray) -> tuple[float, ...]:
+    """(theta, alpha, beta) of U(q); inverts su2_full_batch for unit q."""
+    q = np.where(np.abs(q) < _ROUND_OFF, 0.0, q)  # round-off must not pick the angles
+    theta = 2.0 * math.atan2(math.hypot(q[2], q[3]), math.hypot(q[0], q[1]))
+    alpha = math.atan2(q[1], q[0])
+    beta = math.atan2(-q[2], q[3])
+    return tuple(p + 0.0 for p in (theta, alpha, beta))  # no negative zeros
+
+
+def _top_quaternion(m: np.ndarray) -> np.ndarray:
+    """Top eigenvector of m, signed so its largest entry is positive."""
+    q = np.linalg.eigh(m)[1][:, -1]
+    return q if q[int(np.argmax(np.abs(q)))] > 0 else -q
+
+
+def _best_orthant_quaternion(m: np.ndarray) -> np.ndarray:
+    """Maximiser of q^T m q over unit q >= 0.
+
+    At the maximiser q with support S, q_S is an eigenvector of m[S, S]; and
+    some maximiser has a support whose eigenvalue is simple, so enumerating
+    the eigenvectors of every principal submatrix finds it.
     """
-    cfg = cfg or SearchConfig()
-    n = game.shape.n
-    if len(profile) != n:
-        raise ValueError(f"profile needs {n} strategies, got {len(profile)}")
-    if not 1 <= player <= n:
-        raise ValueError(f"player {player} out of range 1..{n}")
-    if _space_dimension(space) != game.shape.d:
-        raise ValueError("strategy space dimension does not match the game")
-    for spec in profile:
-        if spec.local_dimension != game.shape.d:
-            raise ValueError("profile strategy dimension does not match the game")
+    k = m.shape[0]
+    best, best_value = None, -math.inf
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            values, vectors = np.linalg.eigh(m[np.ix_(support, support)])
+            for value, vector in zip(values, vectors.T):
+                if vector.sum() < 0:
+                    vector = -vector
+                if vector.min() < -1e-12 or value <= best_value:
+                    continue
+                best = np.zeros(k)
+                best[list(support)] = np.abs(vector)
+                best_value = value
+    return best / np.linalg.norm(best)
 
-    ordered = list(reversed([spec.matrix() for spec in profile]))  # player-n-first
-    form = _deviation_form(game, ordered, player, fidelity)
 
+def _exact_su2_params(family: Family, form: np.ndarray) -> tuple[float, ...]:
+    m = _quaternion_form(form)
+    if family == Family.FULL_SU2:
+        return _quaternion_params(_top_quaternion(m))
+    q = np.zeros(4)
+    q[list(_EISERT_AXES)] = _best_orthant_quaternion(m[np.ix_(_EISERT_AXES, _EISERT_AXES)])
+    return _quaternion_params(q)[:2]  # q2 = 0 gives beta = 0
+
+
+def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, space,
+             cfg: SearchConfig, threads: int) -> BestResponseResult:
+    """Best response for one player, given that player's deviation form."""
     discrete = _discrete_candidates(space)
     if discrete is not None:
         matrices = np.stack([spec.matrix() for spec in discrete])
         payoffs = _deviation_payoffs(form, matrices)
         index = int(np.argmax(payoffs))
-        return BestResponseResult(discrete[index], float(payoffs[index]), len(discrete))
+        return BestResponseResult(discrete[index], float(payoffs[index]), len(discrete), "exact")
 
     family = space
 
     def evaluate_batch(params: np.ndarray) -> np.ndarray:
         return _deviation_payoffs(form, _family_matrices(family, params))
 
+    if family in (Family.FULL_SU2, Family.EISERT_SU2):
+        params = _exact_su2_params(family, form)
+        value = float(evaluate_batch(np.asarray([params]))[0])
+        return BestResponseResult(StrategySpec(family, params), value, 1, "exact")
+
     extra = _presets_for(space)
     current = profile[player - 1]
     if current.family == family:
         extra = [current.params] + extra
+    if extra:
+        bound = current.local_dimension * float(np.linalg.eigvalsh(form)[-1])
+        values = evaluate_batch(np.asarray(extra))
+        for params, value in zip(extra, values):
+            if value >= bound - _BOUND_RTOL * max(1.0, abs(bound)):
+                return BestResponseResult(StrategySpec(family, params), float(value),
+                                          len(extra), "bound")
     params, value, evaluations = _search_family(family, evaluate_batch, extra, cfg, threads)
-    return BestResponseResult(StrategySpec(family, params), value, evaluations)
+    return BestResponseResult(StrategySpec(family, params), value, evaluations, "search")
 
 
-def _profile_payoff(game: GameSpec, profile: Sequence[StrategySpec], player: int,
-                    fidelity: float) -> float:
-    """Player's payoff at the profile, through the same reduced form."""
-    ordered = list(reversed([spec.matrix() for spec in profile]))
+def _validated_ops(game: GameSpec, profile: Sequence[StrategySpec], space) -> list[np.ndarray]:
+    """The profile's matrices, player-n-first, after the shape checks."""
+    n = game.shape.n
+    if len(profile) != n:
+        raise ValueError(f"profile needs {n} strategies, got {len(profile)}")
+    if _space_dimension(space) != game.shape.d:
+        raise ValueError("strategy space dimension does not match the game")
+    for spec in profile:
+        if spec.local_dimension != game.shape.d:
+            raise ValueError("profile strategy dimension does not match the game")
+    return list(reversed([spec.matrix() for spec in profile]))
+
+
+def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
+                  space, cfg: SearchConfig | None = None, fidelity: float = 1.0,
+                  threads: int = 1) -> BestResponseResult:
+    """Best strategy for one player with the rest of the profile held fixed.
+
+    ``profile`` is player-1-first.  ``space`` is a Family or an explicit
+    sequence of StrategySpec candidates.  Discrete spaces are enumerated and
+    the qubit families solved exactly; SU(3) returns a strategy that attains
+    the d * lambda_max bound if the current one or a preset does, and
+    otherwise searches by grid plus refinement.
+    """
+    cfg = cfg or SearchConfig()
+    n = game.shape.n
+    ordered = _validated_ops(game, profile, space)
+    if not 1 <= player <= n:
+        raise ValueError(f"player {player} out of range 1..{n}")
     form = _deviation_form(game, ordered, player, fidelity)
-    own = profile[player - 1].matrix()[None, :, :]
-    return float(_deviation_payoffs(form, own)[0])
+    return _respond(form, profile, player, space, cfg, threads)
 
 
 def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
                 cfg: SearchConfig | None = None, fidelity: float = 1.0,
                 threads: int = 1) -> EquilibriumVerdict:
-    """Scan every player for profitable unilateral deviations."""
+    """Scan every player for profitable unilateral deviations.
+
+    Each player's deviation form is built once and gives both the profile
+    payoff and the best response.
+    """
     cfg = cfg or SearchConfig()
+    ordered = _validated_ops(game, profile, space)
+    n = game.shape.n
     profile_payoffs = []
-    deviation_payoffs = []
-    deviations = []
-    gains = []
-    for player in range(1, game.shape.n + 1):
-        base = _profile_payoff(game, profile, player, fidelity)
-        response = best_response(game, profile, player, space, cfg, fidelity, threads)
-        profile_payoffs.append(base)
-        deviation_payoffs.append(response.payoff)
-        deviations.append(response.strategy)
-        gains.append(response.payoff - base)
+    responses = []
+    for player in range(1, n + 1):
+        form = _deviation_form(game, ordered, player, fidelity)
+        own = ordered[_tensor_slot(n, player)][None, :, :]
+        profile_payoffs.append(float(_deviation_payoffs(form, own)[0]))
+        responses.append(_respond(form, profile, player, space, cfg, threads))
+    gains = [r.payoff - base for r, base in zip(responses, profile_payoffs)]
     max_gain = max(gains)
     return EquilibriumVerdict(
         is_equilibrium=max_gain <= cfg.epsilon_nash,
         max_unilateral_gain=max_gain,
         profile_payoffs=tuple(profile_payoffs),
-        deviation_payoffs=tuple(deviation_payoffs),
-        best_deviations=tuple(deviations),
+        deviation_payoffs=tuple(r.payoff for r in responses),
+        best_deviations=tuple(r.strategy for r in responses),
         gains=tuple(gains),
+        certificates=tuple(r.certificate for r in responses),
     )
 
 

@@ -91,6 +91,17 @@ class TestErrors:
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": "fidelity must lie in [0, 1], got nan"}
 
+    def test_negative_refine_step(self):
+        code, out = run_cli(["search", "--game", "pd", "--refine-step", "-1"])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "refine_initial_step must be finite and positive"}
+
+    def test_negative_refine_iterations(self):
+        code, out = run_cli(["search", "--game", "pd", "--refine-iterations", "-1"])
+        assert code == 2
+        assert json.loads(out) == {"error": "refine_iterations must be >= 0"}
+
     def test_dimension_mismatch(self):
         code, payload = run_json(["minority", "--strategy", "su3:table2"])
         assert code == 2
@@ -143,6 +154,7 @@ class TestSearch:
         assert payload["is_equilibrium"] is True
         assert payload["max_unilateral_gain"] <= 1e-6
         assert len(payload["players"]) == 2
+        assert [row["certificate"] for row in payload["players"]] == ["exact", "exact"]
 
     def test_best_response_full_su2(self):
         code, payload = run_json(
@@ -153,6 +165,17 @@ class TestSearch:
         assert code == 0
         assert payload["payoff"] > 3.1
         assert payload["best_strategy"].startswith("full:")
+        assert payload["certificate"] == "exact"
+        assert abs(payload["payoff"] - 5.0) < 1e-9
+
+    def test_kolkata_best_response_certified_by_bound(self):
+        code, payload = run_json(
+            ["search", "--game", "kolkata", "--mode", "best-response"]
+        )
+        assert code == 0
+        assert payload["certificate"] == "bound"
+        assert payload["evaluations"] == 2
+        assert abs(payload["payoff"] - 2 / 3) < 1e-9
 
     def test_pareto_requires_payoff(self):
         code, payload = run_json(

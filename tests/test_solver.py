@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgames.games import (
     GameSpec,
@@ -18,6 +20,7 @@ from qgames.games import (
     payoff_operator,
     prisoners_dilemma,
 )
+import qgames.solver as solver
 from qgames.solver import (
     SearchConfig,
     best_response,
@@ -28,15 +31,19 @@ from qgames.solver import (
     verify_nash,
     _deviation_form,
     _deviation_payoffs,
+    _family_matrices,
+    _search_family,
     _symmetric_payoffs,
 )
 from qgames.states import SystemShape, add_noise, expectation, ghz, labels, pure_to_density
 from qgames.strategies import (
+    FAMILY_PRESETS,
     Family,
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
     PD_EQUILIBRIUM_PARAMS,
     StrategySpec,
+    parameter_box,
     parse_strategy,
     su2_eisert,
     su2_full,
@@ -71,6 +78,16 @@ class TestSearchConfig:
             SearchConfig(grid_points_per_axis=1)
         with pytest.raises(ValueError):
             SearchConfig(epsilon_nash=0.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_refine_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="refine_initial_step"):
+            SearchConfig(refine_initial_step=step)
+
+    def test_refine_iterations_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="refine_iterations"):
+            SearchConfig(refine_iterations=-1)
+        assert SearchConfig(refine_iterations=0).refine_iterations == 0
 
 
 class TestReducedEvaluators:
@@ -210,6 +227,26 @@ class TestLargeSystems:
         value = _deviation_payoffs(form, u[None, :, :])[0]
         assert abs(value - expected) < 1e-12
 
+    def test_minority_ten_symmetric_grid_batch_is_sub_batched(self):
+        # the 13 824-point full grid at D = 1024: one unsplit amplitude tensor
+        # (rows, 2^10, 2) would be 453 MB; a sub-batch holds its budget plus
+        # the previous, half-sized product
+        game = minority(10)
+        grid = solver._grid_parameters(Family.FULL_SU2, 24)
+        matrices = _family_matrices(Family.FULL_SU2, grid)
+        budget_bytes = solver._AMPLITUDE_BUDGET * 16
+        assert len(grid) * 2 ** 10 * 2 * 16 > 4 * budget_bytes
+        tracemalloc.start()
+        try:
+            values = _symmetric_payoffs(game, matrices, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * budget_bytes
+        for i in range(0, len(grid), 997):
+            single = _symmetric_payoffs(game, matrices[i:i + 1], 0.5)[0]
+            assert abs(values[i] - single) < 1e-12
+
 
 class TestFidelityValidation:
     @pytest.mark.parametrize("fidelity", [1.5, -0.1, float("nan")])
@@ -260,6 +297,7 @@ class TestBestResponse:
         result = best_response(PD, [EQ, EQ], 1, [only])
         assert result.strategy == only
         assert result.evaluations == 1
+        assert result.certificate == "exact"
 
     def test_full_su2_beats_restricted_equilibrium(self):
         result = best_response(PD, [EQ, EQ], 1, Family.FULL_SU2)
@@ -271,12 +309,17 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             best_response(PD, [EQ, EQ], 3, Family.EISERT_SU2)
 
-    def test_reproducible_across_threads_and_runs(self):
+    def test_reproducible_across_threads_and_runs(self, monkeypatch):
+        # an SU(3) profile whose deviation bound is not attained still searches;
+        # a small chunk splits the 256-point grid over the worker threads
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 64)
+        profile = [parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")] * 3
+        cfg = SearchConfig(grid_points_per_axis=2, refine_iterations=8, seed=5)
         results = [
-            best_response(MINORITY4, [MINORITY_OPT] * 4, 2, Family.FULL_SU2,
-                          SearchConfig(seed=5), threads=t)
+            best_response(KOLKATA, profile, 2, Family.FRAME_SU3, cfg, threads=t)
             for t in (1, 8, 1)
         ]
+        assert results[0].certificate == "search"
         assert results[0] == results[1] == results[2]
 
     def test_seed_changes_are_still_deterministic(self):
@@ -296,7 +339,149 @@ class TestBestResponse:
                 assert result.payoff >= value - 1e-10
 
 
+def search_reference(game, profile, player, family, fidelity=1.0, cfg=None):
+    """The grid + refinement search that best_response ran before its exact paths."""
+    ops = [spec.matrix() for spec in reversed(profile)]
+    form = _deviation_form(game, ops, player, fidelity)
+
+    def evaluate(params):
+        return _deviation_payoffs(form, _family_matrices(family, params))
+
+    extra = list(FAMILY_PRESETS.get(family, ()))
+    if profile[player - 1].family == family:
+        extra = [profile[player - 1].params] + extra
+    return _search_family(family, evaluate, extra, cfg or SearchConfig(), 1)[1]
+
+
+def played_payoff(game, profile, player, strategy, fidelity=1.0):
+    """The player's payoff with ``strategy`` swapped in, through the protocol."""
+    trial = list(profile)
+    trial[player - 1] = strategy
+    report = play_profile(game, [spec.matrix() for spec in reversed(trial)], fidelity=fidelity)
+    return report.payoffs[player - 1]
+
+
+RANDOM3 = random_table_game(3, 2, 5)
+RANDOM_QUTRIT = random_table_game(2, 3, 6)
+_RNG = np.random.default_rng(91)
+RANDOM3_PROFILE = [
+    StrategySpec(Family.FULL_SU2, (_RNG.uniform(0, np.pi), *_RNG.uniform(-np.pi, np.pi, 2)))
+    for _ in range(3)
+]
+CROSS_CHECK_CASES = (
+    [(PD, [EQ, EQ], player, family, 1.0)
+     for family in (Family.EISERT_SU2, Family.FULL_SU2) for player in (1, 2)]
+    + [(minority(n), [MINORITY_OPT] * n, 1, Family.FULL_SU2, f)
+       for n in (4, 5, 6) for f in (1.0, 0.37)]
+    + [(RANDOM3, RANDOM3_PROFILE, player, family, 0.37)
+       for family in (Family.EISERT_SU2, Family.FULL_SU2) for player in (1, 2, 3)]
+)
+
+
+class TestExactBestResponse:
+    """The exact qubit paths against the grid + refinement search they replace."""
+
+    @pytest.mark.parametrize(
+        "game,profile,player,family,fidelity", CROSS_CHECK_CASES,
+        ids=[f"{g.name}{g.shape.n}-{fam.value}-p{p}-f{f}" for g, _, p, fam, f in CROSS_CHECK_CASES])
+    def test_matches_search(self, game, profile, player, family, fidelity):
+        result = best_response(game, profile, player, family, fidelity=fidelity)
+        searched = search_reference(game, profile, player, family, fidelity)
+        assert result.certificate == "exact" and result.evaluations == 1
+        assert result.payoff >= searched - 1e-12
+        if family == Family.FULL_SU2:
+            assert abs(result.payoff - searched) <= 1e-6
+        played = played_payoff(game, profile, player, result.strategy, fidelity)
+        assert abs(result.payoff - played) < 1e-12
+
+    def test_qutrit_random_game_not_below_search(self):
+        cfg = SearchConfig(grid_points_per_axis=2, refine_iterations=8, seed=3)
+        rng = np.random.default_rng(92)
+        profile = [StrategySpec(Family.FRAME_SU3, (*rng.uniform(0, np.pi / 2, 3),
+                                                   *rng.uniform(0, 2 * np.pi, 5)))
+                   for _ in range(2)]
+        result = best_response(RANDOM_QUTRIT, profile, 1, Family.FRAME_SU3, cfg, 0.37)
+        searched = search_reference(RANDOM_QUTRIT, profile, 1, Family.FRAME_SU3, 0.37, cfg)
+        form = _deviation_form(RANDOM_QUTRIT, [s.matrix() for s in reversed(profile)], 1, 0.37)
+        assert result.certificate in ("bound", "search")
+        assert result.payoff >= searched - 1e-12
+        assert result.payoff <= 3 * np.linalg.eigvalsh(form)[-1] + 1e-12
+
+    @pytest.mark.parametrize("literals,face", [
+        (("full:2.6,-0.57,0.31", "full:0.087,1.59,0.24"), 0),   # theta = 0
+        (("full:2.72,0.83,1.95", "full:1.07,0.27,-1.91"), 1),   # alpha = 0
+    ])
+    def test_eisert_optimum_on_a_face(self, literals, face):
+        profile = [parse_strategy(text) for text in literals]
+        result = best_response(PD, profile, 1, Family.EISERT_SU2)
+        assert result.strategy.params[face] == 0.0
+        assert 0.0 < result.strategy.params[1 - face]
+        # the unconstrained optimum over (q0, q1, q3) leaves the box, so the face binds
+        form = _deviation_form(PD, [s.matrix() for s in reversed(profile)], 1, 1.0)
+        axes = np.ix_(solver._EISERT_AXES, solver._EISERT_AXES)
+        assert np.linalg.eigvalsh(solver._quaternion_form(form)[axes])[-1] > result.payoff + 1e-6
+        searched = search_reference(PD, profile, 1, Family.EISERT_SU2)
+        assert result.payoff >= searched - 1e-12
+        assert abs(result.payoff - searched) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        profile=st.lists(st.tuples(*[st.floats(0, 1)] * 3), min_size=3, max_size=3),
+        points=st.lists(st.tuples(*[st.floats(0, 1)] * 3), min_size=1, max_size=8),
+        player=st.integers(1, 3),
+        family=st.sampled_from([Family.FULL_SU2, Family.EISERT_SU2]),
+        fidelity=st.floats(0, 1),
+    )
+    def test_exact_payoff_dominates_box_points(self, profile, points, player, family, fidelity):
+        def in_box(unit, fam):
+            box = parameter_box(fam)
+            return tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(unit, box))
+
+        specs = [StrategySpec(Family.FULL_SU2, in_box(u, Family.FULL_SU2)) for u in profile]
+        result = best_response(RANDOM3, specs, player, family, fidelity=fidelity)
+        for unit in points:
+            deviation = StrategySpec(family, in_box(unit, family))
+            assert result.payoff >= played_payoff(RANDOM3, specs, player, deviation,
+                                                  fidelity) - 1e-12
+
+    @pytest.mark.parametrize("fidelity", [1.0, 0.6])
+    def test_kolkata_table2_attains_the_su3_bound(self, fidelity):
+        result = best_response(KOLKATA, [KOLKATA_OPT] * 3, 1, Family.FRAME_SU3,
+                               fidelity=fidelity)
+        assert result.certificate == "bound"
+        assert result.strategy == KOLKATA_OPT
+        assert result.evaluations == 2  # the current strategy, then the preset
+        assert abs(result.payoff - 2 / 9 * (fidelity + 2)) < 1e-12
+
+    def test_su3_preset_attains_the_bound_for_another_current_strategy(self):
+        current = parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")
+        result = best_response(KOLKATA, [current, KOLKATA_OPT, KOLKATA_OPT], 1,
+                               Family.FRAME_SU3)
+        assert result.certificate == "bound"
+        assert result.strategy == KOLKATA_OPT
+        assert abs(result.payoff - 2 / 3) < 1e-12
+
+
 class TestVerifyNash:
+    def test_one_deviation_form_per_player(self, monkeypatch):
+        built = []
+        original = solver._deviation_form
+
+        def counting(game, fixed_ops, player, fidelity):
+            built.append(player)
+            return original(game, fixed_ops, player, fidelity)
+
+        monkeypatch.setattr(solver, "_deviation_form", counting)
+        verdict = verify_nash(MINORITY4, [MINORITY_OPT] * 4, Family.FULL_SU2)
+        assert built == [1, 2, 3, 4]
+        assert verdict.certificates == ("exact",) * 4
+
+    def test_kolkata_equilibrium_certified_by_the_bound(self):
+        verdict = verify_nash(KOLKATA, [KOLKATA_OPT] * 3, Family.FRAME_SU3, fidelity=0.6)
+        assert verdict.is_equilibrium
+        assert verdict.certificates == ("bound",) * 3
+        assert all(abs(g) < 1e-12 for g in verdict.gains)
+
     def test_pd_classical_defection_equilibrium(self):
         defect = StrategySpec(Family.CLASSICAL_BIT, (1.0,))
         verdict = verify_nash(PD, [defect, defect], Family.CLASSICAL_BIT)
@@ -437,13 +622,13 @@ class TestFidelitySweep:
 
 class TestRefinementBehavior:
     def test_refinement_monotone(self):
-        # the best payoff recorded never decreases as iterations grow
+        # the best payoff recorded never decreases as iterations grow; the
+        # search is driven directly, since full SU(2) best responses are exact
         values = []
         for iterations in (0, 5, 40, 200):
             cfg = SearchConfig(refine_iterations=iterations, grid_points_per_axis=6)
-            result = best_response(MINORITY4, [MINORITY_OPT] * 4, 1,
-                                   Family.FULL_SU2, cfg)
-            values.append(result.payoff)
+            values.append(search_reference(MINORITY4, [MINORITY_OPT] * 4, 1,
+                                           Family.FULL_SU2, cfg=cfg))
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_gain_never_meaningfully_negative(self):
