@@ -185,13 +185,22 @@ def _cmd_game(args, out: IO[str]) -> int:
     return 0
 
 
+def _parse_fidelity(position: int, text: str) -> float:
+    if not text.strip():
+        raise ValueError(f"--fidelities entry {position} is empty")
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--fidelities entry {position} is not a number: {text!r}") from None
+
+
 def _cmd_sweep(args, out: IO[str]) -> int:
     game = game_by_name(args.game, args.n)
     if game.name == "pd":
         raise ValueError("fidelity sweeps apply to the GHZ games, not pd")
     spec = parse_strategy(args.strategy)
-    if args.fidelities:
-        grid = [float(x) for x in args.fidelities.split(",")]
+    if args.fidelities is not None:
+        grid = [_parse_fidelity(i, text) for i, text in enumerate(args.fidelities.split(","), 1)]
     else:
         points = args.points
         if points < 2:
@@ -375,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--payoff", type=float, default=None,
                         help="target common payoff for pareto mode")
     search.add_argument("--fidelity", type=float, default=1.0)
-    search.add_argument("--grid", type=int, default=24)
+    search.add_argument("--grid", type=int, default=24,
+                        help="grid points per axis, 2..256 (SU(3) boxes use at most 6)")
     search.add_argument("--refine-iterations", type=int, default=200)
     search.add_argument("--refine-step", type=float, default=0.1)
     search.add_argument("--epsilon", type=float, default=1e-6)

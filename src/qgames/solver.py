@@ -24,10 +24,18 @@ how it was obtained (``BestResponseResult.certificate``):
             presets are tried first; one that reaches the bound is returned.
 ``search``  Otherwise (SU(3) without an attained bound, and the symmetric
             Pareto scan) an exhaustive grid over the family's parameter box is
-            followed by coordinate-descent refinement (halve the step after a
-            cycle with no improvement).  Eight-parameter boxes use a coarse
-            6-point grid with multi-start refinement from the best 16 grid
-            points; smaller boxes use the configured grid resolution directly.
+            followed by coordinate-descent refinement.  Eight-parameter boxes
+            use a coarse 6-point grid with multi-start refinement from the
+            best 16 grid points; smaller boxes use the configured grid
+            resolution directly.  The grid is streamed: each chunk's rows are
+            built from their flat indices, so the whole grid never exists at
+            once, and the starts are read back from the indices of the best
+            values.  A refinement sweep tries +step and -step along every axis
+            and takes the first move, in scan order, that improves on the best
+            point (first improvement); it evaluates all its remaining moves
+            from the current best point in one batched call, and after an
+            improvement evaluates the rest of the sweep again from the new
+            point.  A sweep with no improvement halves the step.
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
@@ -67,10 +75,12 @@ from .strategies import (
 )
 
 _EVAL_CHUNK = 65536  # fixed so results do not depend on the thread count
-# complex amplitudes per symmetric sub-batch: one whole Kolkata chunk (d^n * d = 81)
+# complex elements per symmetric sub-batch, at d^n * d per row: one whole Kolkata
+# chunk (81 per row); the kernel's two largest arrays hold d^n per row each
 _AMPLITUDE_BUDGET = _EVAL_CHUNK * 27 * 3
 _MIN_STEP = 1e-8
 _RANDOM_STARTS = 4
+_MAX_GRID_POINTS = 256  # a 3-parameter grid then streams at most 16.7 M rows
 
 
 @dataclass(frozen=True)
@@ -89,8 +99,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_points_per_axis < 2:
-            raise ValueError("grid_points_per_axis must be >= 2")
+        if not 2 <= self.grid_points_per_axis <= _MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points_per_axis must lie in [2, {_MAX_GRID_POINTS}], "
+                f"got {self.grid_points_per_axis}")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be >= 0")
         if not (math.isfinite(self.refine_initial_step) and self.refine_initial_step > 0):
@@ -187,13 +199,17 @@ def _space_dimension(space) -> int:
     return dims.pop()
 
 
-def _grid_parameters(family: Family, grid_points: int) -> np.ndarray:
-    """Lexicographic (N, k) grid over the family's parameter box."""
+def _grid_axes(family: Family, grid_points: int) -> list[np.ndarray]:
+    """The points along each axis of the family's search grid."""
     box = parameter_box(family)
     points = grid_points if len(box) <= 3 else min(grid_points, 6)
-    axes = [np.linspace(lo, hi, points) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return [np.linspace(lo, hi, points) for lo, hi in box]
+
+
+def _grid_rows(axes: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
+    """Rows of the lexicographic grid over ``axes`` at the given flat indices."""
+    digits = np.unravel_index(flat, [len(axis) for axis in axes])
+    return np.stack([axis[i] for axis, i in zip(axes, digits)], axis=-1)
 
 
 def _clamp_to_box(params: Sequence[float], box) -> tuple[float, ...]:
@@ -281,55 +297,84 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
 def _ghz_pure_payoffs(matrices: np.ndarray, n: int, d: int, diag: np.ndarray) -> np.ndarray:
     """Noise-free payoffs of symmetric GHZ profiles for one sub-batch.
 
-    The amplitude at |i_n ... i_1> is sum_k prod_j U[i_j, k] / sqrt(d).
+    The amplitude at |i_n ... i_1> is sum_k prod_j U[i_j, k] / sqrt(d).  The
+    products over players 1 .. n-1 are broadcast into (g, k, i_{n-1} ... i_1);
+    one batched matmul with U sums over k for player n.
     """
-    acc = matrices  # axes (g, i_1, k)
-    for _ in range(n - 1):
-        acc = np.einsum("g...k,gik->gi...k", acc, matrices)
-    amplitudes = acc.sum(axis=-1).reshape(len(matrices), -1)
-    del acc  # the (g, d^n, d) tensor is the largest array; drop it first
-    amplitudes /= math.sqrt(d)
-    return (np.abs(amplitudes) ** 2) @ diag
+    g = len(matrices)
+    factors = matrices.transpose(0, 2, 1)  # (g, k, i): U[i, k]
+    products = factors if n > 1 else np.ones((g, d, 1))
+    for _ in range(n - 2):
+        products = (factors[:, :, :, None] * products[:, :, None, :]).reshape(g, d, -1)
+    amplitudes = np.matmul(matrices, products).reshape(g, -1)
+    del products  # free it before the probabilities are formed
+    return (amplitudes.real ** 2 + amplitudes.imag ** 2) @ diag / d
 
 
-def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], params: np.ndarray,
+def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], axes: Sequence[np.ndarray],
              threads: int) -> np.ndarray:
-    """Evaluate parameter rows in fixed-size chunks, merged in index order."""
-    chunks = [params[i:i + _EVAL_CHUNK] for i in range(0, len(params), _EVAL_CHUNK)]
-    if threads <= 1 or len(chunks) <= 1:
-        results = [evaluate(chunk) for chunk in chunks]
+    """Evaluate every grid row in fixed-size chunks, stored in index order.
+
+    A chunk's rows are built from its flat indices when it runs, so at most
+    one chunk per thread exists at a time.
+    """
+    total = math.prod(len(axis) for axis in axes)
+    payoffs = np.empty(total)
+
+    def run(start: int) -> None:
+        stop = min(start + _EVAL_CHUNK, total)
+        payoffs[start:stop] = evaluate(_grid_rows(axes, np.arange(start, stop)))
+
+    starts = range(0, total, _EVAL_CHUNK)
+    if threads <= 1 or len(starts) <= 1:
+        for start in starts:
+            run(start)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, chunks))
-    return np.concatenate(results) if results else np.empty(0)
+            list(pool.map(run, starts))  # reading every result re-raises a worker's error
+    return payoffs
 
 
 # --- grid search + refinement ---------------------------------------------------
 
-def _refine(evaluate_one: Callable[[tuple[float, ...]], float],
+def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray],
             start: tuple[float, ...], start_value: float, box,
             cfg: SearchConfig, rng_axis_order: np.random.Generator) -> tuple[tuple[float, ...], float, int]:
-    """Coordinate descent: cycle axes, halve the step on stalled cycles."""
+    """Coordinate search with first improvement; halve the step on a stalled sweep.
+
+    A sweep scans +step and -step along each axis in a seeded order.  Its
+    remaining moves from the current best point are evaluated in one call; the
+    first one that improves on the best is taken and the moves after it are
+    evaluated again from the new point, so a sweep makes at most
+    1 + (improvements) calls.  Returns the best point, its value and the rows
+    evaluated.
+    """
     best = tuple(start)
     best_value = start_value
     step = cfg.refine_initial_step
     evaluations = 0
-    k = len(box)
+    lower, upper = np.asarray(box, dtype=float).T
     for _ in range(cfg.refine_iterations):
         if step < _MIN_STEP:
             break
         improved = False
-        axis_order = rng_axis_order.permutation(k)
-        for axis in axis_order:
-            for direction in (1.0, -1.0):
-                candidate = list(best)
-                candidate[axis] += direction * step
-                candidate = _clamp_to_box(candidate, box)
-                value = evaluate_one(candidate)
-                evaluations += 1
-                if value > best_value:
-                    best, best_value = candidate, value
-                    improved = True
+        axis_order = rng_axis_order.permutation(len(box))
+        move_axes = np.repeat(axis_order, 2)
+        move_steps = np.tile([step, -step], len(axis_order))
+        first = 0
+        while first < len(move_axes):
+            candidates = np.tile(best, (len(move_axes) - first, 1))
+            candidates[np.arange(len(candidates)), move_axes[first:]] += move_steps[first:]
+            candidates = np.clip(candidates, lower, upper)
+            values = evaluate_batch(candidates)
+            evaluations += len(candidates)
+            better = np.flatnonzero(values > best_value)
+            if len(better) == 0:
+                break
+            taken = int(better[0])
+            best, best_value = tuple(map(float, candidates[taken])), float(values[taken])
+            improved = True
+            first += taken + 1
         if not improved:
             step /= 2.0
     return best, best_value, evaluations
@@ -337,31 +382,33 @@ def _refine(evaluate_one: Callable[[tuple[float, ...]], float],
 
 def _search_family(family: Family, evaluate_batch, extra_starts,
                    cfg: SearchConfig, threads: int) -> tuple[tuple[float, ...], float, int]:
-    """Grid + multi-start refinement over one continuous family."""
-    box = parameter_box(family)
-    grid = _grid_parameters(family, cfg.grid_points_per_axis)
-    grid_payoffs = _chunked(evaluate_batch, grid, threads)
-    evaluations = len(grid)
+    """Grid + multi-start refinement over one continuous family.
 
-    def evaluate_one(params: tuple[float, ...]) -> float:
-        return float(evaluate_batch(np.asarray(params, dtype=float)[None, :])[0])
+    The best grid points start refinement with the values the grid scan gave
+    them; the extra starts and the seeded random starts are evaluated in one
+    call.  The returned evaluation count is every row evaluated: the grid,
+    those starts, and every move each refinement sweep evaluated, including
+    the moves it evaluated again after an improvement.
+    """
+    box = parameter_box(family)
+    axes = _grid_axes(family, cfg.grid_points_per_axis)
+    grid_payoffs = _chunked(evaluate_batch, axes, threads)
 
     start_count = 16 if len(box) >= 4 else 1
     order = np.argsort(-grid_payoffs, kind="stable")[:start_count]
-    starts = [tuple(map(float, grid[i])) for i in order]
-    for params in extra_starts:
-        starts.append(_clamp_to_box(params, box))
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(_RANDOM_STARTS):
-        starts.append(tuple(float(rng.uniform(lo, hi)) for lo, hi in box))
+    others = [_clamp_to_box(params, box) for params in extra_starts]
+    others += [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+               for _ in range(_RANDOM_STARTS)]
+    starts = [tuple(map(float, row)) for row in _grid_rows(axes, order)] + others
+    values = [*map(float, grid_payoffs[order]), *map(float, evaluate_batch(np.asarray(others)))]
+    evaluations = len(grid_payoffs) + len(others)
 
     best_params = starts[0]
     best_value = -math.inf
-    for start in starts:
-        value = evaluate_one(start)
-        evaluations += 1
+    for start, value in zip(starts, values):
         refined, refined_value, used = _refine(
-            evaluate_one, start, value, box, cfg, rng
+            evaluate_batch, start, value, box, cfg, rng
         )
         evaluations += used
         if refined_value > best_value:

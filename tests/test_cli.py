@@ -2,6 +2,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from qgames import cli
 from qgames.strategies import KOLKATA_OPTIMAL_PARAMS
@@ -101,6 +102,24 @@ class TestErrors:
         code, out = run_cli(["search", "--game", "pd", "--refine-iterations", "-1"])
         assert code == 2
         assert json.loads(out) == {"error": "refine_iterations must be >= 0"}
+
+    def test_grid_above_cap(self):
+        code, out = run_cli(["search", "--game", "kolkata", "--mode", "pareto",
+                             "--payoff", "0.5", "--grid", "257"])
+        assert code == 2
+        assert json.loads(out) == {"error": "grid_points_per_axis must lie in [2, 256], got 257"}
+
+    @pytest.mark.parametrize("fidelities,message", [
+        (",", "--fidelities entry 1 is empty"),
+        ("", "--fidelities entry 1 is empty"),
+        ("0.5,,1", "--fidelities entry 2 is empty"),
+        ("0,x", "--fidelities entry 2 is not a number: 'x'"),
+    ])
+    def test_bad_fidelity_entry(self, fidelities, message):
+        code, out = run_cli(["sweep", "--strategy", "su3:table2", "--fidelities", fidelities])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": message}
 
     def test_dimension_mismatch(self):
         code, payload = run_json(["minority", "--strategy", "su3:table2"])

@@ -84,6 +84,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="refine_initial_step"):
             SearchConfig(refine_initial_step=step)
 
+    def test_grid_points_bounded(self):
+        assert SearchConfig(grid_points_per_axis=256).grid_points_per_axis == 256
+        with pytest.raises(ValueError, match=r"grid_points_per_axis must lie in \[2, 256\]"):
+            SearchConfig(grid_points_per_axis=257)
+
     def test_refine_iterations_must_be_non_negative(self):
         with pytest.raises(ValueError, match="refine_iterations"):
             SearchConfig(refine_iterations=-1)
@@ -228,11 +233,11 @@ class TestLargeSystems:
         assert abs(value - expected) < 1e-12
 
     def test_minority_ten_symmetric_grid_batch_is_sub_batched(self):
-        # the 13 824-point full grid at D = 1024: one unsplit amplitude tensor
-        # (rows, 2^10, 2) would be 453 MB; a sub-batch holds its budget plus
-        # the previous, half-sized product
+        # the 13 824-point full grid at D = 1024: one unsplit (rows, 2^10, 2)
+        # tensor would be 453 MB; a sub-batch holds its products and its
+        # amplitudes, (rows, 2^10) each, within its budget
         game = minority(10)
-        grid = solver._grid_parameters(Family.FULL_SU2, 24)
+        grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 ** 3))
         matrices = _family_matrices(Family.FULL_SU2, grid)
         budget_bytes = solver._AMPLITUDE_BUDGET * 16
         assert len(grid) * 2 ** 10 * 2 * 16 > 4 * budget_bytes
@@ -246,6 +251,21 @@ class TestLargeSystems:
         for i in range(0, len(grid), 997):
             single = _symmetric_payoffs(game, matrices[i:i + 1], 0.5)[0]
             assert abs(values[i] - single) < 1e-12
+
+
+    def test_kolkata_su3_pareto_grid_is_streamed(self):
+        # the 6^8-point grid is 107 MB as one (rows, 8) array; streamed, the scan
+        # holds one chunk's rows, matrices and amplitudes at a time
+        cfg = SearchConfig(refine_iterations=0)
+        payoff_diagonal(KOLKATA, 1)
+        tracemalloc.start()
+        try:
+            verdict = pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
+        assert verdict.certificate == "symmetric-witness"
 
 
 class TestFidelityValidation:
@@ -635,3 +655,153 @@ class TestRefinementBehavior:
         verdict = verify_nash(MINORITY4, [MINORITY_OPT] * 4, Family.FULL_SU2,
                               SearchConfig(grid_points_per_axis=5))
         assert all(g >= -1e-12 for g in verdict.gains)
+
+
+def reference_refine(evaluate_one, start, start_value, box, cfg, rng_axis_order):
+    """Single-row coordinate descent: the rule ``solver._refine`` batches."""
+    best = tuple(start)
+    best_value = start_value
+    step = cfg.refine_initial_step
+    evaluations = 0
+    k = len(box)
+    for _ in range(cfg.refine_iterations):
+        if step < solver._MIN_STEP:
+            break
+        improved = False
+        axis_order = rng_axis_order.permutation(k)
+        for axis in axis_order:
+            for direction in (1.0, -1.0):
+                candidate = list(best)
+                candidate[axis] += direction * step
+                candidate = solver._clamp_to_box(candidate, box)
+                value = evaluate_one(candidate)
+                evaluations += 1
+                if value > best_value:
+                    best, best_value = candidate, value
+                    improved = True
+        if not improved:
+            step /= 2.0
+    return best, best_value, evaluations
+
+
+def reference_search(family, evaluate_batch, extra_starts, cfg):
+    """The search before batching: the whole grid in memory, every start
+    evaluated again, single-row refinement."""
+    box = parameter_box(family)
+    points = cfg.grid_points_per_axis if len(box) <= 3 else min(cfg.grid_points_per_axis, 6)
+    mesh = np.meshgrid(*[np.linspace(lo, hi, points) for lo, hi in box], indexing="ij")
+    grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    grid_payoffs = evaluate_batch(grid)
+
+    def evaluate_one(params):
+        return float(evaluate_batch(np.asarray(params, dtype=float)[None, :])[0])
+
+    order = np.argsort(-grid_payoffs, kind="stable")[:16 if len(box) >= 4 else 1]
+    starts = [tuple(map(float, grid[i])) for i in order]
+    starts += [solver._clamp_to_box(params, box) for params in extra_starts]
+    rng = np.random.default_rng(cfg.seed)
+    starts += [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+               for _ in range(solver._RANDOM_STARTS)]
+    best_params, best_value = starts[0], -math.inf
+    for start in starts:
+        refined, refined_value, _ = reference_refine(
+            evaluate_one, start, evaluate_one(start), box, cfg, rng)
+        if refined_value > best_value:
+            best_params, best_value = refined, refined_value
+    return best_params, best_value
+
+
+def deviation_evaluator(game, profile, player, family, fidelity=1.0):
+    form = _deviation_form(game, [spec.matrix() for spec in reversed(profile)], player, fidelity)
+    return lambda params: _deviation_payoffs(form, _family_matrices(family, params))
+
+
+def symmetric_evaluator(game, family, fidelity=1.0):
+    return lambda params: _symmetric_payoffs(game, _family_matrices(family, params), fidelity)
+
+
+SU3_OFF_BOUND = [parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")] * 3
+BATCHED_CASES = {
+    "minority4-full-deviation": (
+        Family.FULL_SU2,
+        deviation_evaluator(MINORITY4, RANDOM3_PROFILE + RANDOM3_PROFILE[:1], 2,
+                            Family.FULL_SU2, 0.37),
+        SearchConfig(seed=4)),
+    "minority4-full-symmetric": (
+        Family.FULL_SU2, symmetric_evaluator(MINORITY4, Family.FULL_SU2, 0.6),
+        SearchConfig(seed=7)),
+    "kolkata-su3-symmetric": (
+        Family.FRAME_SU3, symmetric_evaluator(KOLKATA, Family.FRAME_SU3),
+        SearchConfig(grid_points_per_axis=2, refine_iterations=30, seed=1)),
+    "kolkata-su3-deviation": (
+        Family.FRAME_SU3,
+        deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, 0.6),
+        SearchConfig(grid_points_per_axis=2, refine_iterations=30, seed=5)),
+}
+
+
+class TestBatchedRefinement:
+    """Batched first-improvement refinement against the single-row reference."""
+
+    @pytest.mark.parametrize("case", list(BATCHED_CASES))
+    def test_matches_single_row_reference(self, case):
+        family, evaluate, cfg = BATCHED_CASES[case]
+        extra = list(FAMILY_PRESETS.get(family, ()))
+        params, value, _ = _search_family(family, evaluate, extra, cfg, 1)
+        _, reference = reference_search(family, evaluate, extra, cfg)
+        assert value >= reference - 1e-12
+        assert abs(value - reference) <= 1e-12
+        assert abs(float(evaluate(np.asarray([params]))[0]) - value) < 1e-15
+
+    @pytest.mark.parametrize("iterations", [1, 6])
+    def test_one_call_per_sweep_plus_one_per_improvement(self, iterations):
+        family, evaluate, _ = BATCHED_CASES["kolkata-su3-symmetric"]
+        box = parameter_box(family)
+        cfg = SearchConfig(refine_iterations=iterations, refine_initial_step=0.3)
+        start = tuple(lo + 0.37 * (hi - lo) for lo, hi in box)
+        start_value = float(evaluate(np.asarray([start]))[0])
+
+        batches = []
+
+        def counting(params):
+            batches.append(len(params))
+            return evaluate(params)
+
+        seen = []
+
+        def one(params):
+            seen.append(float(evaluate(np.asarray([params]))[0]))
+            return seen[-1]
+
+        best, value, evaluations = solver._refine(counting, start, start_value, box, cfg,
+                                                  np.random.default_rng(3))
+        ref_best, ref_value, _ = reference_refine(one, start, start_value, box, cfg,
+                                                  np.random.default_rng(3))
+        # the reference accepts exactly the values that beat everything before them
+        improvements = sum(v > max([start_value] + seen[:i]) for i, v in enumerate(seen))
+        assert improvements >= iterations
+        assert len(batches) <= iterations + improvements
+        assert evaluations == sum(batches)
+        assert abs(value - ref_value) <= 1e-12
+        np.testing.assert_allclose(best, ref_best, rtol=0, atol=1e-12)
+
+    def test_streamed_grid_matches_meshgrid(self, monkeypatch):
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 64)
+        for family in (Family.EISERT_SU2, Family.FULL_SU2, Family.FRAME_SU3):
+            axes = solver._grid_axes(family, 3)
+            mesh = np.meshgrid(*axes, indexing="ij")
+            grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+            np.testing.assert_array_equal(solver._grid_rows(axes, np.arange(len(grid))), grid)
+            evaluate = symmetric_evaluator(KOLKATA if family == Family.FRAME_SU3 else MINORITY4,
+                                           family)
+            np.testing.assert_array_equal(solver._chunked(evaluate, axes, 1),
+                                          np.concatenate([evaluate(grid[i:i + 64])
+                                                          for i in range(0, len(grid), 64)]))
+
+    def test_kolkata_pareto_identical_across_threads(self, monkeypatch):
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 64)
+        cfg = SearchConfig(grid_points_per_axis=2, refine_iterations=8, seed=5)
+        verdicts = [pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg, threads=t)
+                    for t in (1, 8, 1)]
+        assert verdicts[0].certificate == "symmetric-witness"
+        assert verdicts[0] == verdicts[1] == verdicts[2]
