@@ -23,16 +23,23 @@ how it was obtained (``BestResponseResult.certificate``):
             d * lambda_max(T).  For SU(3) the current strategy and the family
             presets are tried first; one that reaches the bound is returned.
 ``search``  Otherwise (SU(3) without an attained bound, and the symmetric
-            Pareto scan) an exhaustive grid over the family's parameter box is
-            followed by coordinate-descent refinement.  Eight-parameter boxes
-            use a coarse 6-point grid with multi-start refinement from the
-            best 16 grid points; smaller boxes use the configured grid
+            Pareto scan) an exhaustive grid over the family's search box is
+            followed by coordinate-descent refinement.  For SU(3) the box
+            fixes the phase gauge: alpha_k is a phase on row k of U (and the
+            sum a phase on its third column), and a diagonal phase on the left
+            commutes with the computational-basis measurement, so every
+            payoff depends on the alphas only through their sum.  The search
+            pins alpha1 = alpha2 = 0 and scans the other 6 axes on a coarse
+            6-point grid, 6^6 = 46 656 rows, with multi-start refinement from
+            the best 16 grid points; the extra and random starts are mapped
+            into the gauge with alpha3 = (alpha1 + alpha2 + alpha3) mod 2 pi,
+            which keeps their value.  Qubit boxes use the configured grid
             resolution directly.  The grid is streamed: each chunk's rows are
             built from their flat indices, so the whole grid never exists at
             once, and the starts are read back from the indices of the best
-            values.  A refinement sweep tries +step and -step along every axis
-            and takes the first move, in scan order, that improves on the best
-            point (first improvement); it evaluates all its remaining moves
+            values.  A refinement sweep tries +step and -step along every free
+            axis and takes the first move, in scan order, that improves on the
+            best point (first improvement); it evaluates all its remaining moves
             from the current best point in one batched call, and after an
             improvement evaluates the rest of the sweep again from the new
             point.  A sweep with no improvement halves the step.
@@ -199,11 +206,36 @@ def _space_dimension(space) -> int:
     return dims.pop()
 
 
+def _search_box(family: Family) -> tuple[tuple[float, float], ...]:
+    """The family's parameter box with the SU(3) phase gauge fixed.
+
+    su3_frame is diag(e^{i a1}, e^{i a2}, e^{i a3}) V diag(1, 1, e^{-i(a1+a2+a3)})
+    with V free of the alphas.  A diagonal phase on the left commutes with the
+    computational-basis measurement, so every payoff of the GHZ protocol
+    depends on the alphas only through their sum, and the search pins
+    a1 = a2 = 0 as one-point axes.
+    """
+    box = parameter_box(family)
+    if family == Family.FRAME_SU3:
+        # only the dilemma's 4 x 4 J-dagger does not commute with the phases, and
+        # both search entry points reject a qutrit space for a qubit game
+        box = box[:3] + ((0.0, 0.0),) * 2 + box[5:]
+    return box
+
+
+def _gauge_fixed(family: Family, params: Sequence[float]) -> tuple[float, ...]:
+    """The point of the search box with the same payoffs as ``params``."""
+    params = tuple(map(float, params))
+    if family != Family.FRAME_SU3:
+        return params
+    return params[:3] + (0.0, 0.0, sum(params[3:6]) % (2 * math.pi)) + params[6:]
+
+
 def _grid_axes(family: Family, grid_points: int) -> list[np.ndarray]:
     """The points along each axis of the family's search grid."""
-    box = parameter_box(family)
+    box = _search_box(family)
     points = grid_points if len(box) <= 3 else min(grid_points, 6)
-    return [np.linspace(lo, hi, points) for lo, hi in box]
+    return [np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box]
 
 
 def _grid_rows(axes: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
@@ -342,10 +374,10 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray],
             cfg: SearchConfig, rng_axis_order: np.random.Generator) -> tuple[tuple[float, ...], float, int]:
     """Coordinate search with first improvement; halve the step on a stalled sweep.
 
-    A sweep scans +step and -step along each axis in a seeded order.  Its
-    remaining moves from the current best point are evaluated in one call; the
-    first one that improves on the best is taken and the moves after it are
-    evaluated again from the new point, so a sweep makes at most
+    A sweep scans +step and -step along each free axis (lo < hi) in a seeded
+    order.  Its remaining moves from the current best point are evaluated in
+    one call; the first one that improves on the best is taken and the moves
+    after it are evaluated again from the new point, so a sweep makes at most
     1 + (improvements) calls.  Returns the best point, its value and the rows
     evaluated.
     """
@@ -354,11 +386,12 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray],
     step = cfg.refine_initial_step
     evaluations = 0
     lower, upper = np.asarray(box, dtype=float).T
+    free = np.flatnonzero(lower < upper)
     for _ in range(cfg.refine_iterations):
         if step < _MIN_STEP:
             break
         improved = False
-        axis_order = rng_axis_order.permutation(len(box))
+        axis_order = free[rng_axis_order.permutation(len(free))]
         move_axes = np.repeat(axis_order, 2)
         move_steps = np.tile([step, -step], len(axis_order))
         first = 0
@@ -380,28 +413,39 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray],
     return best, best_value, evaluations
 
 
-def _search_family(family: Family, evaluate_batch, extra_starts,
-                   cfg: SearchConfig, threads: int) -> tuple[tuple[float, ...], float, int]:
-    """Grid + multi-start refinement over one continuous family.
+def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConfig,
+                   threads: int, extra_values=None) -> tuple[tuple[float, ...], float, int]:
+    """Grid + multi-start refinement over one continuous family's search box.
 
     The best grid points start refinement with the values the grid scan gave
-    them; the extra starts and the seeded random starts are evaluated in one
-    call.  The returned evaluation count is every row evaluated: the grid,
-    those starts, and every move each refinement sweep evaluated, including
-    the moves it evaluated again after an improvement.
+    them.  The extra starts are mapped into the box by the gauge, which keeps
+    their values, so ``extra_values``, when the caller has them, are used as
+    they are; otherwise the extra starts are evaluated with the seeded random
+    starts in one call.  The returned evaluation count is every row evaluated
+    for the search: the grid, those starts, and every move each refinement
+    sweep evaluated, including the moves it evaluated again after an
+    improvement.
     """
-    box = parameter_box(family)
+    box = _search_box(family)
     axes = _grid_axes(family, cfg.grid_points_per_axis)
     grid_payoffs = _chunked(evaluate_batch, axes, threads)
 
     start_count = 16 if len(box) >= 4 else 1
+    # a full stable argsort: a partition saves little on the gauge-fixed grids
     order = np.argsort(-grid_payoffs, kind="stable")[:start_count]
     rng = np.random.default_rng(cfg.seed)
-    others = [_clamp_to_box(params, box) for params in extra_starts]
-    others += [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+    others = [_clamp_to_box(_gauge_fixed(family, params), box) for params in extra_starts]
+    # drawn over the whole parameter box and then mapped, so a seed gives the
+    # same starting payoffs as a draw over every axis
+    randoms = [_gauge_fixed(family, [rng.uniform(lo, hi) for lo, hi in parameter_box(family)])
                for _ in range(_RANDOM_STARTS)]
+    if extra_values is None:
+        other_values = evaluate_batch(np.asarray(others + randoms))
+    else:
+        other_values = [*extra_values, *evaluate_batch(np.asarray(randoms))]
+    others += randoms
     starts = [tuple(map(float, row)) for row in _grid_rows(axes, order)] + others
-    values = [*map(float, grid_payoffs[order]), *map(float, evaluate_batch(np.asarray(others)))]
+    values = [*map(float, grid_payoffs[order]), *map(float, other_values)]
     evaluations = len(grid_payoffs) + len(others)
 
     best_params = starts[0]
@@ -513,6 +557,7 @@ def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, spa
     current = profile[player - 1]
     if current.family == family:
         extra = [current.params] + extra
+    values = None
     if extra:
         bound = current.local_dimension * float(np.linalg.eigvalsh(form)[-1])
         values = evaluate_batch(np.asarray(extra))
@@ -520,7 +565,8 @@ def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, spa
             if value >= bound - _BOUND_RTOL * max(1.0, abs(bound)):
                 return BestResponseResult(StrategySpec(family, params), float(value),
                                           len(extra), "bound")
-    params, value, evaluations = _search_family(family, evaluate_batch, extra, cfg, threads)
+    params, value, evaluations = _search_family(family, evaluate_batch, extra, cfg, threads,
+                                                values)
     return BestResponseResult(StrategySpec(family, params), value, evaluations, "search")
 
 
@@ -636,6 +682,8 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     """
     cfg = cfg or SearchConfig()
     check_fidelity(fidelity)
+    if _space_dimension(space) != game.shape.d:
+        raise ValueError("strategy space dimension does not match the game")
     n = game.shape.n
     bound = _payoff_sum_bound(game) / n
     if payoff >= float(bound) - 1e-9:

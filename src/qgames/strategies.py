@@ -106,8 +106,11 @@ def su2_full_batch(theta, alpha, beta) -> np.ndarray:
 
 
 def su2_full(theta: float, alpha: float, beta: float) -> np.ndarray:
-    """General SU(2) operator U(theta, alpha, beta), theta in [0, pi]."""
+    """General SU(2) operator U(theta, alpha, beta): theta in [0, pi], alpha and
+    beta in [-pi, pi]."""
     _require_range(theta, 0.0, math.pi, "theta")
+    _require_range(alpha, -math.pi, math.pi, "alpha")
+    _require_range(beta, -math.pi, math.pi, "beta")
     return su2_full_batch(theta, alpha, beta)
 
 
@@ -177,43 +180,40 @@ class FrameVectors:
         return self.x, self.y.conj(), self.z
 
 
-def _frame_xy_batch(phi, theta, chi, a1, a2, a3, b1, b2):
+def su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
+    """Vectorized SU(3) constructor; returns shape (..., 3, 3).
+
+    Each sine, cosine and phase is computed once.  alpha_k is a phase on row
+    k of the first two columns, and the third column is conj(x) x y written
+    out component by component.
+    """
     phi, theta, chi, a1, a2, a3, b1, b2 = np.broadcast_arrays(
         *[np.asarray(p, dtype=float) for p in (phi, theta, chi, a1, a2, a3, b1, b2)]
     )
-    x = np.stack(
-        [
-            np.sin(theta) * np.cos(phi) * np.exp(1j * a1),
-            np.sin(theta) * np.sin(phi) * np.exp(1j * a2),
-            np.cos(theta) * np.exp(1j * a3),
-        ],
-        axis=-1,
-    )
-    y = np.stack(
-        [
-            np.cos(chi) * np.cos(theta) * np.cos(phi) * np.exp(1j * (b1 - a1))
-            + np.sin(chi) * np.sin(phi) * np.exp(1j * (b2 - a1)),
-            np.cos(chi) * np.cos(theta) * np.sin(phi) * np.exp(1j * (b1 - a2))
-            - np.sin(chi) * np.cos(phi) * np.exp(1j * (b2 - a2)),
-            -np.cos(chi) * np.sin(theta) * np.exp(1j * (b1 - a3)),
-        ],
-        axis=-1,
-    )
-    return x, y
-
-
-def su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
-    """Vectorized SU(3) constructor; returns shape (..., 3, 3)."""
-    x, y = _frame_xy_batch(phi, theta, chi, a1, a2, a3, b1, b2)
-    z = np.cross(x.conj(), y, axis=-1)
-    return np.stack([x, y.conj(), z], axis=-1)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_theta, sin_theta = np.cos(theta), np.sin(theta)
+    cos_chi, sin_chi = np.cos(chi), np.sin(chi)
+    row1, row2, row3 = np.exp(1j * a1), np.exp(1j * a2), np.exp(1j * a3)
+    beta1, beta2 = np.exp(-1j * b1), np.exp(-1j * b2)
+    out = np.empty(phi.shape + (3, 3), dtype=complex)
+    x1 = out[..., 0, 0] = sin_theta * cos_phi * row1
+    x2 = out[..., 1, 0] = sin_theta * sin_phi * row2
+    x3 = out[..., 2, 0] = cos_theta * row3
+    # column 2 is conj(y)
+    w1 = out[..., 0, 1] = (cos_chi * cos_theta * cos_phi * beta1 + sin_chi * sin_phi * beta2) * row1
+    w2 = out[..., 1, 1] = (cos_chi * cos_theta * sin_phi * beta1 - sin_chi * cos_phi * beta2) * row2
+    w3 = out[..., 2, 1] = -cos_chi * sin_theta * beta1 * row3
+    # conj(x) x y = conj(x x conj(y))
+    out[..., 0, 2] = (x2 * w3 - x3 * w2).conj()
+    out[..., 1, 2] = (x3 * w1 - x1 * w3).conj()
+    out[..., 2, 2] = (x1 * w2 - x2 * w1).conj()
+    return out
 
 
 def frame_vectors(phi, theta, chi, a1, a2, a3, b1, b2) -> FrameVectors:
     """The (x, y, z) frame for the given parameters."""
-    x, y = _frame_xy_batch(phi, theta, chi, a1, a2, a3, b1, b2)
-    z = np.cross(x.conj(), y, axis=-1)
-    return FrameVectors(x, y, z)
+    u = su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2)
+    return FrameVectors(u[..., 0], u[..., 1].conj(), u[..., 2])
 
 
 def su3_frame(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:

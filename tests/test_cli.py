@@ -121,6 +121,17 @@ class TestErrors:
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": message}
 
+    @pytest.mark.parametrize("literal,message", [
+        ("full:0,7,0", "alpha=7.0 outside [-3.14159, 3.14159]"),
+        ("full:0,1e308,0", "alpha=1e+308 outside [-3.14159, 3.14159]"),
+        ("full:pi/2,0,-4", "beta=-4.0 outside [-3.14159, 3.14159]"),
+    ])
+    def test_full_phase_out_of_box(self, literal, message):
+        code, out = run_cli(["minority", "-n", "4", "--strategy", literal])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": message}
+
     def test_dimension_mismatch(self):
         code, payload = run_json(["minority", "--strategy", "su3:table2"])
         assert code == 2

@@ -46,6 +46,7 @@ from qgames.strategies import (
     parameter_box,
     parse_strategy,
     su2_eisert,
+    su2_eisert_batch,
     su2_full,
     su2_full_batch,
     su3_frame,
@@ -254,8 +255,8 @@ class TestLargeSystems:
 
 
     def test_kolkata_su3_pareto_grid_is_streamed(self):
-        # the 6^8-point grid is 107 MB as one (rows, 8) array; streamed, the scan
-        # holds one chunk's rows, matrices and amplitudes at a time
+        # streamed, the scan holds one chunk's rows, matrices and amplitudes at a
+        # time; the gauge-fixed 6^6-point grid is a single chunk
         cfg = SearchConfig(refine_iterations=0)
         payoff_diagonal(KOLKATA, 1)
         tracemalloc.start()
@@ -289,17 +290,25 @@ class TestBestResponse:
         """Dense 256x256 oracle over the two-parameter box.
 
         The independent oracle plays every grid strategy through the full
-        protocol; the search result must match its supremum, achieved at
-        the equilibrium point itself.
+        protocol on density matrices, J-dagger (B (x) A) J |00><00| J-dagger
+        (B (x) A)-dagger J against the payoff operator, as one batch; the
+        search result must match its supremum, achieved at the equilibrium
+        point itself.
         """
         q = EQ.matrix()
         p_alice = payoff_operator(PD, 1)
-        best = -np.inf
-        for theta in np.linspace(0, np.pi, 256):
-            for alpha in np.linspace(0, np.pi / 2, 256):
-                state = play_pd(su2_eisert(theta, alpha), q)
-                value = expectation(pure_to_density(state), p_alice)
-                best = max(best, value)
+        thetas, alphas = np.meshgrid(np.linspace(0, np.pi, 256), np.linspace(0, np.pi / 2, 256),
+                                     indexing="ij")
+        alice = su2_eisert_batch(thetas.ravel(), alphas.ravel())
+        j = entangler()
+        moves = j.conj().T @ np.einsum("ab,gcd->gacbd", q, alice).reshape(-1, 4, 4) @ j
+        rho = moves @ np.diag([1.0, 0, 0, 0]) @ moves.conj().transpose(0, 2, 1)
+        values = np.einsum("ij,gji->g", p_alice, rho)
+        assert np.abs(values.imag).max() < 1e-9
+        for i in range(0, len(alice), 4099):  # the batch is the one-strategy protocol
+            state = play_pd(alice[i], q)
+            assert abs(values[i] - expectation(pure_to_density(state), p_alice)) < 1e-12
+        best = float(values.real.max())
         result = best_response(PD, [EQ, EQ], 1, Family.EISERT_SU2)
         assert result.payoff <= 5.0
         assert result.payoff >= 3.0 - 1e-6
@@ -331,8 +340,8 @@ class TestBestResponse:
 
     def test_reproducible_across_threads_and_runs(self, monkeypatch):
         # an SU(3) profile whose deviation bound is not attained still searches;
-        # a small chunk splits the 256-point grid over the worker threads
-        monkeypatch.setattr(solver, "_EVAL_CHUNK", 64)
+        # a small chunk splits the 64-point gauge-fixed grid over the worker threads
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 8)
         profile = [parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")] * 3
         cfg = SearchConfig(grid_points_per_axis=2, refine_iterations=8, seed=5)
         results = [
@@ -608,6 +617,12 @@ class TestPareto:
         assert verdict.is_optimal
         assert verdict.certificate in ("payoff-sum-bound", "symmetric-search-exhausted")
 
+    @pytest.mark.parametrize("game,space", [(PD, Family.FRAME_SU3), (KOLKATA, Family.FULL_SU2),
+                                            (MINORITY4, [KOLKATA_OPT])])
+    def test_space_dimension_must_match(self, game, space):
+        with pytest.raises(ValueError, match="strategy space dimension does not match"):
+            pareto_check_symmetric(game, 0.1, space)
+
 
 class TestFidelitySweep:
     def test_kolkata_affine_law(self):
@@ -663,12 +678,12 @@ def reference_refine(evaluate_one, start, start_value, box, cfg, rng_axis_order)
     best_value = start_value
     step = cfg.refine_initial_step
     evaluations = 0
-    k = len(box)
+    free = np.array([axis for axis, (lo, hi) in enumerate(box) if lo < hi])
     for _ in range(cfg.refine_iterations):
         if step < solver._MIN_STEP:
             break
         improved = False
-        axis_order = rng_axis_order.permutation(k)
+        axis_order = free[rng_axis_order.permutation(len(free))]
         for axis in axis_order:
             for direction in (1.0, -1.0):
                 candidate = list(best)
@@ -685,11 +700,12 @@ def reference_refine(evaluate_one, start, start_value, box, cfg, rng_axis_order)
 
 
 def reference_search(family, evaluate_batch, extra_starts, cfg):
-    """The search before batching: the whole grid in memory, every start
-    evaluated again, single-row refinement."""
-    box = parameter_box(family)
+    """The search before batching, on the same gauge-fixed box: the whole grid
+    in memory, every start evaluated again, single-row refinement."""
+    box = solver._search_box(family)
     points = cfg.grid_points_per_axis if len(box) <= 3 else min(cfg.grid_points_per_axis, 6)
-    mesh = np.meshgrid(*[np.linspace(lo, hi, points) for lo, hi in box], indexing="ij")
+    mesh = np.meshgrid(*[np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box],
+                       indexing="ij")
     grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     grid_payoffs = evaluate_batch(grid)
 
@@ -698,9 +714,10 @@ def reference_search(family, evaluate_batch, extra_starts, cfg):
 
     order = np.argsort(-grid_payoffs, kind="stable")[:16 if len(box) >= 4 else 1]
     starts = [tuple(map(float, grid[i])) for i in order]
-    starts += [solver._clamp_to_box(params, box) for params in extra_starts]
+    starts += [solver._clamp_to_box(solver._gauge_fixed(family, params), box)
+               for params in extra_starts]
     rng = np.random.default_rng(cfg.seed)
-    starts += [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+    starts += [solver._gauge_fixed(family, [rng.uniform(lo, hi) for lo, hi in parameter_box(family)])
                for _ in range(solver._RANDOM_STARTS)]
     best_params, best_value = starts[0], -math.inf
     for start in starts:
@@ -799,9 +816,94 @@ class TestBatchedRefinement:
                                                           for i in range(0, len(grid), 64)]))
 
     def test_kolkata_pareto_identical_across_threads(self, monkeypatch):
-        monkeypatch.setattr(solver, "_EVAL_CHUNK", 64)
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 8)  # 8 chunks of the 64-point grid
         cfg = SearchConfig(grid_points_per_axis=2, refine_iterations=8, seed=5)
         verdicts = [pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg, threads=t)
                     for t in (1, 8, 1)]
         assert verdicts[0].certificate == "symmetric-witness"
         assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+def eight_axis_search(family, evaluate_batch, extra_starts, cfg):
+    """The best value of the search before the SU(3) phase gauge was fixed:
+    every axis of the parameter box gridded and refined, streamed and batched."""
+    box = parameter_box(family)
+    axes = [np.linspace(lo, hi, min(cfg.grid_points_per_axis, 6)) for lo, hi in box]
+    grid_payoffs = solver._chunked(evaluate_batch, axes, 1)
+    order = np.argsort(-grid_payoffs, kind="stable")[:16]
+    starts = [tuple(map(float, row)) for row in solver._grid_rows(axes, order)]
+    starts += [solver._clamp_to_box(params, box) for params in extra_starts]
+    rng = np.random.default_rng(cfg.seed)
+    starts += [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
+               for _ in range(solver._RANDOM_STARTS)]
+    values = evaluate_batch(np.asarray(starts))
+    return max(solver._refine(evaluate_batch, start, float(value), box, cfg, rng)[1]
+               for start, value in zip(starts, values))
+
+
+RANDOM_QUTRIT3 = random_table_game(3, 3, 8)
+
+
+class TestPhaseGauge:
+    """SU(3) payoffs depend on the alphas only through their sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shifts=st.lists(st.tuples(st.floats(-7, 7), st.floats(-7, 7)), min_size=4, max_size=4),
+        game=st.sampled_from([KOLKATA, RANDOM_QUTRIT3]),
+        fidelity=st.sampled_from([1.0, 0.37]),
+        player=st.integers(1, 3),
+    )
+    def test_payoffs_move_only_with_the_alpha_sum(self, seed, shifts, game, fidelity, player):
+        rng = np.random.default_rng(seed)
+        params = np.column_stack([rng.uniform(0, np.pi / 2, (4, 3)),
+                                  rng.uniform(0, 2 * np.pi, (4, 5))])
+        moved = params.copy()
+        moved[:, 3:5] += shifts
+        moved[:, 5] -= np.sum(shifts, axis=1)
+        # rows 0-2 are the profile, player-n-first; row 3 is the deviation
+        before, after = (su3_frame_batch(*p.T) for p in (params, moved))
+        forms = [_deviation_form(game, list(m[:3]), player, fidelity) for m in (before, after)]
+        deviation = [_deviation_payoffs(form, m) for form, m in zip(forms, (before, after))]
+        symmetric = [_symmetric_payoffs(game, m, fidelity) for m in (before, after)]
+        assert np.max(np.abs(deviation[0] - deviation[1])) <= 1e-12
+        assert np.max(np.abs(symmetric[0] - symmetric[1])) <= 1e-12
+
+    def test_grid_keeps_the_values_of_the_eight_axis_grid(self):
+        axes = solver._grid_axes(Family.FRAME_SU3, 24)
+        assert [len(axis) for axis in axes] == [6, 6, 6, 1, 1, 6, 6, 6]
+        assert math.prod(len(axis) for axis in axes) == 46656
+        # sums of three alpha points, mod 2 pi, are the classes of one axis
+        point = np.linspace(0, 2 * np.pi, 6)
+        classes = lambda values: set(np.round(np.exp(1j * values), 9).tolist())
+        sums = np.add.outer(np.add.outer(point, point), point).ravel()
+        assert classes(sums) == classes(axes[5]) and len(classes(axes[5])) == 5
+
+    def test_extra_starts_map_into_the_gauge_with_their_value(self):
+        evaluate = deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, 0.6)
+        for params in (KOLKATA_OPTIMAL_PARAMS, SU3_OFF_BOUND[0].params):
+            fixed = solver._gauge_fixed(Family.FRAME_SU3, params)
+            assert fixed[3:5] == (0.0, 0.0) and 0.0 <= fixed[5] < 2 * np.pi
+            assert solver._clamp_to_box(fixed, solver._search_box(Family.FRAME_SU3)) == fixed
+            assert abs(evaluate(np.asarray([fixed]))[0] - evaluate(np.asarray([params]))[0]) < 1e-14
+
+    @pytest.mark.parametrize("case", ["kolkata-su3-symmetric", "kolkata-su3-deviation"])
+    def test_not_below_the_eight_axis_search(self, case):
+        family, evaluate, cfg = BATCHED_CASES[case]
+        extra = list(FAMILY_PRESETS[family])
+        params, value, _ = _search_family(family, evaluate, extra, cfg, 1)
+        assert params[3:5] == (0.0, 0.0)
+        assert value >= eight_axis_search(family, evaluate, extra, cfg) - 1e-12
+
+    @pytest.mark.parametrize("fidelity", [1.0, 0.6])
+    def test_kolkata_best_response_not_below_the_eight_axis_search(self, fidelity):
+        result = best_response(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, fidelity=fidelity)
+        assert result.certificate == "search"
+        assert result.strategy.params[3:5] == (0.0, 0.0)
+        evaluate = deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, fidelity)
+        extra = [SU3_OFF_BOUND[1].params, *FAMILY_PRESETS[Family.FRAME_SU3]]
+        reference = eight_axis_search(Family.FRAME_SU3, evaluate, extra, SearchConfig())
+        assert result.payoff >= reference - 1e-12
+        played = played_payoff(KOLKATA, SU3_OFF_BOUND, 2, result.strategy, fidelity)
+        assert abs(result.payoff - played) < 1e-12

@@ -64,6 +64,15 @@ class TestSu2Full:
         with pytest.raises(ValueError):
             su2_full(3.5, 0, 0)
 
+    @pytest.mark.parametrize("params,name", [
+        ((0, 7, 0), "alpha"), ((0, 1e308, 0), "alpha"), ((0, 0, -3.2), "beta"),
+        ((0, 0, float("inf")), "beta"),
+    ])
+    def test_phase_range_enforced(self, params, name):
+        with pytest.raises(ValueError, match=rf"^{name}=.* outside \[-3.14159, 3.14159\]$"):
+            StrategySpec(Family.FULL_SU2, params).matrix()
+        su2_full(0, math.pi, -math.pi)  # the box is closed
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(0, math.pi, allow_nan=False),
@@ -150,6 +159,24 @@ class TestSu3Frame:
         frame = frame_vectors(0.3, math.acos(1 / math.sqrt(3)), 0.2,
                               0.1, 0.4, 0.0, 1.0, 2.0)
         assert abs(frame.x[2] - 1 / math.sqrt(3)) < 1e-12
+
+    def test_one_pass_matches_frame_vectors_and_cross_product(self):
+        # the frame written out, and its third vector completed by np.cross
+        params = np.array([su3_params(np.random.default_rng(24)) for _ in range(1000)]).T
+        phi, theta, chi, a1, a2, a3, b1, b2 = params
+        x = np.stack([np.sin(theta) * np.cos(phi) * np.exp(1j * a1),
+                      np.sin(theta) * np.sin(phi) * np.exp(1j * a2),
+                      np.cos(theta) * np.exp(1j * a3)], axis=-1)
+        y = np.stack([np.cos(chi) * np.cos(theta) * np.cos(phi) * np.exp(1j * (b1 - a1))
+                      + np.sin(chi) * np.sin(phi) * np.exp(1j * (b2 - a1)),
+                      np.cos(chi) * np.cos(theta) * np.sin(phi) * np.exp(1j * (b1 - a2))
+                      - np.sin(chi) * np.cos(phi) * np.exp(1j * (b2 - a2)),
+                      -np.cos(chi) * np.sin(theta) * np.exp(1j * (b1 - a3))], axis=-1)
+        reference = np.stack([x, y.conj(), np.cross(x.conj(), y, axis=-1)], axis=-1)
+        np.testing.assert_allclose(su3_frame_batch(*params), reference, rtol=0, atol=1e-14)
+        frame = frame_vectors(*params[:, 0])
+        for got, want in zip((frame.x, frame.y, frame.z), (x[0], y[0], reference[0, :, 2])):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(23)
