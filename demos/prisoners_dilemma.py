@@ -26,7 +26,7 @@ game = prisoners_dilemma()
 
 print("=== the classical game ===")
 print("payoff table (alice, bob), ket order |x_bob x_alice>:")
-for label, row in game.payoff_table.items():
+for label, row in zip(game.outcome_labels, game.numerators.T):
     print(f"  {label}: {tuple(int(v) for v in row)}")
 print(f"dominant strategy for both players: choice {dominant_strategy(game, 1)}"
       " (defect)")

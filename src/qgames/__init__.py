@@ -17,8 +17,6 @@ from .games import (
     game_to_json,
     kolkata,
     minority,
-    payoff_diagonal,
-    payoff_operator,
     play_pd,
     play_profile,
     play_symmetric,
@@ -38,29 +36,21 @@ from .solver import (
     verify_nash,
 )
 from .states import (
-    DensityMatrix,
     PureState,
     SystemShape,
-    add_noise,
     apply_local_pure,
     basis_state,
     bell,
-    conjugate_density,
-    expectation,
     ghz,
-    outcome_probabilities,
-    pure_to_density,
 )
 from .strategies import (
     Family,
-    FrameVectors,
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
     PD_EQUILIBRIUM_PARAMS,
     StrategySpec,
     classical_set,
     cyclic_s,
-    frame_vectors,
     parse_radians,
     parse_strategy,
     pauli,
@@ -73,12 +63,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BestResponseResult",
-    "DensityMatrix",
     "EmbeddingCheck",
     "EquilibriumVerdict",
     "Family",
     "FidelitySweep",
-    "FrameVectors",
     "GameSpec",
     "KOLKATA_OPTIMAL_PARAMS",
     "MINORITY_OPTIMAL_PARAMS",
@@ -89,7 +77,6 @@ __all__ = [
     "SearchConfig",
     "StrategySpec",
     "SystemShape",
-    "add_noise",
     "apply_local_pure",
     "basis_state",
     "bell",
@@ -97,30 +84,23 @@ __all__ = [
     "classical_embedding_check",
     "classical_set",
     "classical_uniform_payoff",
-    "conjugate_density",
     "cyclic_s",
     "dominant_strategy",
     "entangler",
-    "expectation",
     "fidelity_sweep",
-    "frame_vectors",
     "game_by_name",
     "game_to_json",
     "ghz",
     "kolkata",
     "minority",
-    "outcome_probabilities",
     "pareto_check_symmetric",
     "parse_radians",
     "parse_strategy",
     "pauli",
-    "payoff_diagonal",
-    "payoff_operator",
     "play_pd",
     "play_profile",
     "play_symmetric",
     "prisoners_dilemma",
-    "pure_to_density",
     "su2_eisert",
     "su2_full",
     "su3_frame",

@@ -22,6 +22,7 @@ import numpy as np
 
 from .games import GameSpec, game_by_name, game_to_json, play_profile, play_symmetric
 from .solver import (
+    _MAX_SWEEP_POINTS,
     SearchConfig,
     best_response,
     fidelity_sweep,
@@ -205,6 +206,9 @@ def _cmd_sweep(args, out: IO[str]) -> int:
         points = args.points
         if points < 2:
             raise ValueError("sweep needs at least 2 fidelity points")
+        if points > _MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"a sweep takes at most {_MAX_SWEEP_POINTS} fidelities, got {points}")
         grid = [i / (points - 1) for i in range(points)]
     sweep = fidelity_sweep(game, spec, grid)
     if args.format == "csv":

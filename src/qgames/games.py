@@ -9,6 +9,11 @@ Games
 ``kolkata``   three players, three choices, GHZ resource; payoff 1 iff your
               choice is unique
 
+Each game holds one payoff representation: an (n, D) integer array of
+numerators over a common denominator, in index order, with row i-1 for
+player i.  Plays read its float quotient ``payoffs``; the exact oracles
+(uniform payoffs, dominance, the payoff-sum bound, JSON) read the integers.
+
 Ordering conventions (see :mod:`qgames.states`): operator sequences are
 player-n-first (tensor order), payoff lists are player-1-first, and outcome
 labels are digit strings with player 1 as the rightmost digit.  For the
@@ -19,14 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import kron
 from .states import (
     PureState,
     SystemShape,
@@ -44,42 +48,43 @@ KOLKATA = "kolkata"
 ATOL_PAYOFF = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
-    """A game: shape, protocol flags, and the exact classical payoff table.
+    """A game: shape, protocol flag, and its exact classical payoffs.
 
-    ``payoffs`` and ``outcome_labels`` are filled on first use, not at
-    construction, so building a game stays as cheap as building its table.
+    ``numerators`` is a read-only (n, D) integer array in index order, row
+    i-1 for player i; the payoffs are ``numerators / denominator``, stored as
+    the read-only float array ``payoffs``.  ``outcome_labels`` is filled on
+    first use.
     """
 
     name: str
     shape: SystemShape
     use_entangler_pair: bool
-    payoff_table: Mapping[str, tuple[Fraction, ...]]
+    numerators: np.ndarray
+    denominator: int = 1
+    payoffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        expected = self.shape.dim
-        if len(self.payoff_table) != expected:
-            raise ValueError(
-                f"payoff table covers {len(self.payoff_table)} of {expected} outcomes"
-            )
-        for label, row in self.payoff_table.items():
-            if len(row) != self.shape.n:
-                raise ValueError(f"payoff row for {label!r} has {len(row)} entries")
+        table = np.array(self.numerators)
+        expected = (self.shape.n, self.shape.dim)
+        if table.shape != expected:
+            raise ValueError(f"payoff numerators have shape {table.shape}, need {expected}")
+        if not np.issubdtype(table.dtype, np.integer):
+            raise ValueError(f"payoff numerators must be integers, got dtype {table.dtype}")
+        if not isinstance(self.denominator, (int, np.integer)) or self.denominator < 1:
+            raise ValueError(f"denominator must be an integer >= 1, got {self.denominator!r}")
+        table.setflags(write=False)
+        payoffs = table / self.denominator
+        payoffs.setflags(write=False)
+        object.__setattr__(self, "numerators", table)
+        object.__setattr__(self, "denominator", int(self.denominator))
+        object.__setattr__(self, "payoffs", payoffs)
 
     @cached_property
     def outcome_labels(self) -> tuple[str, ...]:
         """Basis labels in index order."""
         return tuple(labels(self.shape))
-
-    @cached_property
-    def payoffs(self) -> np.ndarray:
-        """Read-only (n, D) float payoffs: row i-1 is player i, columns index order."""
-        table = np.array(
-            [[float(v) for v in self.payoff_table[label]] for label in self.outcome_labels]
-        ).T.copy()
-        table.setflags(write=False)
-        return table
 
 
 @dataclass(frozen=True)
@@ -91,24 +96,15 @@ class PayoffReport:
     fidelity: float
 
 
+def _digits(shape: SystemShape) -> np.ndarray:
+    """(n, D) choices: row i-1 holds player i's digit at every outcome index."""
+    index = np.arange(shape.dim)
+    return np.stack([index // shape.d ** i % shape.d for i in range(shape.n)])
+
+
 def prisoners_dilemma() -> GameSpec:
-    table = {
-        "00": (Fraction(3), Fraction(3)),
-        "01": (Fraction(5), Fraction(0)),
-        "10": (Fraction(0), Fraction(5)),
-        "11": (Fraction(1), Fraction(1)),
-    }
-    return GameSpec(PD, SystemShape(2, 2), True, table)
-
-
-def _minority_row(bits: Sequence[int]) -> tuple[Fraction, ...]:
-    ones = sum(bits)
-    zeros = len(bits) - ones
-    row = []
-    for bit in bits:
-        own, other = (ones, zeros) if bit == 1 else (zeros, ones)
-        row.append(Fraction(1) if own < other else Fraction(0))
-    return tuple(row)
+    # outcomes 00, 01, 10, 11 with Alice (player 1) the right digit, 1 = defect
+    return GameSpec(PD, SystemShape(2, 2), True, np.array([[3, 5, 0, 1], [3, 0, 5, 1]]))
 
 
 def minority(n: int) -> GameSpec:
@@ -116,26 +112,18 @@ def minority(n: int) -> GameSpec:
     if n < 2:
         raise ValueError(f"minority game needs at least 2 players, got {n}")
     shape = SystemShape(n, 2)
-    table = {}
-    for label in labels(shape):
-        # label is player-n-first; payoff rows are player-1-first
-        digits_player_order = [int(ch) for ch in reversed(label)]
-        table[label] = _minority_row(digits_player_order)
-    return GameSpec(MINORITY, shape, False, table)
+    digits = _digits(shape)
+    ones = digits.sum(axis=0)
+    own = np.where(digits == 1, ones, n - ones)  # players sharing each player's choice
+    return GameSpec(MINORITY, shape, False, (2 * own < n).astype(int))
 
 
 def kolkata() -> GameSpec:
     """Three players choose among three options; unique choices pay 1."""
     shape = SystemShape(3, 3)
-    table = {}
-    for label in labels(shape):
-        digits_player_order = [int(ch) for ch in reversed(label)]
-        row = []
-        for i, digit in enumerate(digits_player_order):
-            others = digits_player_order[:i] + digits_player_order[i + 1:]
-            row.append(Fraction(1) if all(o != digit for o in others) else Fraction(0))
-        table[label] = tuple(row)
-    return GameSpec(KOLKATA, shape, False, table)
+    digits = _digits(shape)
+    same = (digits[:, None, :] == digits[None, :, :]).sum(axis=1)
+    return GameSpec(KOLKATA, shape, False, (same == 1).astype(int))
 
 
 def game_by_name(name: str, n: int | None = None) -> GameSpec:
@@ -149,21 +137,6 @@ def game_by_name(name: str, n: int | None = None) -> GameSpec:
     raise ValueError(f"unknown game {name!r}; known: pd, minority, kolkata")
 
 
-def payoff_diagonal(game: GameSpec, player: int) -> np.ndarray:
-    """Player's classical payoffs along the computational basis, index order.
-
-    A read-only row of ``game.payoffs``.
-    """
-    if not 1 <= player <= game.shape.n:
-        raise ValueError(f"player {player} out of range 1..{game.shape.n}")
-    return game.payoffs[player - 1]
-
-
-def payoff_operator(game: GameSpec, player: int) -> np.ndarray:
-    """The diagonal payoff operator P_i; expected payoff is Tr(P_i rho)."""
-    return np.diag(payoff_diagonal(game, player)).astype(complex)
-
-
 def entangler() -> np.ndarray:
     """The dilemma entangler J = (I(x)I + i sigma_x(x)sigma_x)/sqrt(2).
 
@@ -173,7 +146,7 @@ def entangler() -> np.ndarray:
     """
     eye = pauli("I")
     flip = pauli("X")
-    return (kron(eye, eye) + 1j * kron(flip, flip)) / math.sqrt(2)
+    return (np.kron(eye, eye) + 1j * np.kron(flip, flip)) / math.sqrt(2)
 
 
 def resource_state(game: GameSpec) -> PureState:
@@ -225,16 +198,8 @@ def play_symmetric(game: GameSpec, op, fidelity: float = 1.0,
 
 def classical_uniform_payoff(game: GameSpec) -> tuple[Fraction, ...]:
     """Exact per-player payoff under independent uniform randomization."""
-    total = [Fraction(0)] * game.shape.n
-    for row in game.payoff_table.values():
-        for i, value in enumerate(row):
-            total[i] += value
-    return tuple(value / game.shape.dim for value in total)
-
-
-def classical_outcome_label(ks: Sequence[int]) -> str:
-    """Outcome label when players apply classical powers (player-n-first)."""
-    return "".join(str(int(k)) for k in ks)
+    scale = game.denominator * game.shape.dim
+    return tuple(Fraction(int(total), scale) for total in game.numerators.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -253,12 +218,14 @@ def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> Embe
     is played through the full quantum protocol and compared against the
     table entry of the classical outcome string.
     """
-    operators = classical_set(game.shape.d)
+    n, d = game.shape.n, game.shape.d
+    operators = classical_set(d)
     worst = 0.0
     count = 0
-    for ks in itertools.product(range(len(operators)), repeat=game.shape.n):
+    for ks in itertools.product(range(len(operators)), repeat=n):
         report = play_profile(game, [operators[k] for k in ks])
-        expected = game.payoff_table[classical_outcome_label(ks)]
+        # the powers, player-n-first, are the digits of the classical outcome
+        expected = game.payoffs[:, np.ravel_multi_index(ks, (d,) * n)]
         for got, want in zip(report.payoffs, expected):
             worst = max(worst, abs(got - float(want)))
         count += 1
@@ -266,12 +233,14 @@ def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> Embe
 
 
 def game_to_json(game: GameSpec) -> dict:
-    """Serializable description: {game, n, d, payoffs: {label: [...]}}}."""
+    """Serializable description: {game, n, d, payoffs: {label: [...]}}}.
+
+    A payoff is an int where the denominator divides it, else a float.
+    """
+    den = game.denominator
     payoffs = {
-        label: [int(v) if v.denominator == 1 else float(v) for v in row]
-        for label, row in sorted(
-            game.payoff_table.items(), key=lambda item: int(item[0], game.shape.d)
-        )
+        label: [v // den if v % den == 0 else v / den for v in column.tolist()]
+        for label, column in zip(game.outcome_labels, game.numerators.T)
     }
     return {
         "game": game.name,

@@ -7,8 +7,8 @@ shared state once, the deviating slot is opened with each matrix unit E_ab,
 and white noise enters in closed form, which costs O(d^2 D) instead of the
 O(d^2 D^3) of a density-matrix build.  Symmetric scans over the GHZ games
 use the product structure of the shared state, in sub-batches under a fixed
-element budget.  Both reductions are cross-checked against the dense
-density-matrix protocol in the tests.
+element budget.  Both reductions are cross-checked against a dense
+density-matrix reference in the tests.
 
 Best responses are exact wherever the form allows it, and each result names
 how it was obtained (``BestResponseResult.certificate``):
@@ -62,13 +62,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import (
-    GameSpec,
-    entangler,
-    payoff_diagonal,
-    play_symmetric,
-    resource_state,
-)
+from .games import GameSpec, entangler, play_symmetric, resource_state
 from .states import apply_local_pure, check_fidelity
 from .strategies import (
     FAMILY_PRESETS,
@@ -88,6 +82,7 @@ _AMPLITUDE_BUDGET = _EVAL_CHUNK * 27 * 3
 _MIN_STEP = 1e-8
 _RANDOM_STARTS = 4
 _MAX_GRID_POINTS = 256  # a 3-parameter grid then streams at most 16.7 M rows
+_MAX_SWEEP_POINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -125,10 +120,6 @@ class SearchConfig:
             "epsilon_nash": self.epsilon_nash,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SearchConfig":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,7 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     """
     n, d = game.shape.n, game.shape.d
     slot = _tensor_slot(n, player)
-    diag = payoff_diagonal(game, player)
+    diag = game.payoffs[player - 1]
     if game.use_entangler_pair:
         if fidelity != 1.0:
             raise ValueError("the dilemma protocol is pure; fidelity must be 1")
@@ -310,7 +301,7 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
                        fidelity: float) -> np.ndarray:
     """Player-1 payoff for symmetric profiles, batched over (N, d, d)."""
     n, d = game.shape.n, game.shape.d
-    diag = payoff_diagonal(game, 1)
+    diag = game.payoffs[0]
     if game.use_entangler_pair:
         if fidelity != 1.0:
             raise ValueError("the dilemma protocol is pure; fidelity must be 1")
@@ -637,37 +628,24 @@ def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
 def dominant_strategy(game: GameSpec, player: int) -> int | None:
     """Weakly dominant pure classical strategy, or None.
 
-    Enumerates the exact payoff table; ties resolve to the lowest index.
+    Compares the integer payoff numerators, which is exact; ties resolve to
+    the lowest index.
     """
     n, d = game.shape.n, game.shape.d
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range 1..{n}")
-
-    def payoff(own: int, others: tuple[int, ...]) -> Fraction:
-        digits_player_order = list(others[:player - 1]) + [own] + list(others[player - 1:])
-        label = "".join(str(k) for k in reversed(digits_player_order))
-        return game.payoff_table[label][player - 1]
-
-    opponent_profiles = list(itertools.product(range(d), repeat=n - 1))
+    # the player's digit is axis n - player of the index-order tensor
+    own = np.moveaxis(game.numerators[player - 1].reshape((d,) * n), n - player, 0)
+    table = own.reshape(d, -1)  # (own choice, opponent profile)
     for candidate in range(d):
-        dominant = True
-        for rival in range(d):
-            if rival == candidate:
-                continue
-            if any(
-                payoff(candidate, others) < payoff(rival, others)
-                for others in opponent_profiles
-            ):
-                dominant = False
-                break
-        if dominant:
+        if (table[candidate] >= table).all():
             return candidate
     return None
 
 
 def _payoff_sum_bound(game: GameSpec) -> Fraction:
     """max_b sum_i payoff_i(b); bounds total payoff in any state."""
-    return max(sum(row) for row in game.payoff_table.values())
+    return Fraction(int(game.numerators.sum(axis=0).max()), game.denominator)
 
 
 def pareto_check_symmetric(game: GameSpec, payoff: float, space,
@@ -713,6 +691,9 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
 def fidelity_sweep(game: GameSpec, strategy: StrategySpec | np.ndarray,
                    f_grid: Sequence[float]) -> FidelitySweep:
     """Symmetric payoffs across fidelities, with an affine least-squares fit."""
+    if len(f_grid) > _MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"a sweep takes at most {_MAX_SWEEP_POINTS} fidelities, got {len(f_grid)}")
     fs = [check_fidelity(f) for f in f_grid]
     if not fs:
         raise ValueError("fidelity grid must be non-empty")

@@ -7,40 +7,60 @@ Conventions used everywhere in this package:
   player 3 holds digit 1, player 2 holds digit 2, player 1 holds digit 0.
 * The flat array index of a label is its base-d value read left to right,
   so player ``i`` contributes ``digit * d**(i-1)``.
-* Operator lists passed to :func:`apply_local_pure` and
-  :func:`conjugate_density` are ordered player-n-first, matching the tensor
-  product U_n (x) U_{n-1} (x) ... (x) U_1.
+* Operator lists passed to :func:`apply_local_pure` are ordered
+  player-n-first, matching the tensor product U_n (x) U_{n-1} (x) ... (x) U_1.
 
-The protocols in :mod:`qgames.games` run on state vectors.  The dense D x D
-helpers here (:class:`DensityMatrix`, :func:`add_noise`,
-:func:`conjugate_density`, :func:`expectation`, :func:`pure_to_density`) are
-the independent reference that the tests and ``qgames verify`` check the
-state-vector path against.
+Everything here works on state vectors; no D x D matrix is built.  White
+noise enters the protocols in closed form (see :mod:`qgames.games`).  The
+unitarity checks every local move passes through live here too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import (
-    ATOL_IDENTITY,
-    as_matrix,
-    frozen,
-    hermitian_residual,
-    kron_all,
-    require_unitary,
-)
-
 # Largest total Hilbert dimension the package will build (3**9 = 19683).
 DIMENSION_CAP = 3 ** 9
 
 ATOL_NORM = 1e-9
-ATOL_TRACE = 1e-9
-ATOL_DIAG_NEGATIVE = 1e-9
+# Tolerance for accepting a matrix as unitary.
+ATOL_UNITARY = 1e-9
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """Return a read-only complex copy so values can be shared safely."""
+    out = np.array(a, dtype=complex, copy=True)
+    out.setflags(write=False)
+    return out
+
+
+def unitarity_residual(u) -> float:
+    """max |U-dagger U - I|, the deviation of U from unitarity."""
+    um = np.asarray(u, dtype=complex)
+    if um.ndim != 2 or um.shape[0] != um.shape[1]:
+        return float("inf")
+    return float(np.max(np.abs(um.conj().T @ um - np.eye(um.shape[0]))))
+
+
+def require_unitary(u, atol: float = ATOL_UNITARY, strict: bool = True,
+                    name: str = "operator") -> np.ndarray:
+    """Validate unitarity; raise in strict mode, warn in lenient mode."""
+    um = np.asarray(u, dtype=complex)
+    if um.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {um.shape}")
+    residual = unitarity_residual(um)
+    if residual >= atol:
+        message = f"{name} is not unitary (residual {residual:.3e} >= {atol:.0e})"
+        if strict:
+            raise ValueError(message)
+        warnings.warn(message, stacklevel=2)
+    return um
 
 
 @dataclass(frozen=True)
@@ -87,10 +107,6 @@ def index_to_label(shape: SystemShape, index: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def label_string(digits: Sequence[int]) -> str:
-    return "".join(str(int(d)) for d in digits)
-
-
 def parse_label(shape: SystemShape, text: str) -> tuple[int, ...]:
     digits = tuple(int(ch) for ch in text)
     label_to_index(shape, digits)  # validates
@@ -99,8 +115,9 @@ def parse_label(shape: SystemShape, text: str) -> tuple[int, ...]:
 
 def labels(shape: SystemShape) -> Iterator[str]:
     """All basis labels as digit strings, in index order."""
-    for index in range(shape.dim):
-        yield label_string(index_to_label(shape, index))
+    # the first digit is player n's, the most significant
+    digits = [str(k) for k in range(shape.d)]
+    return map("".join, itertools.product(digits, repeat=shape.n))
 
 
 @dataclass(frozen=True)
@@ -120,28 +137,6 @@ class PureState:
         if abs(nrm - 1.0) > ATOL_NORM:
             raise ValueError(f"state norm {nrm} is not 1 within {ATOL_NORM}")
         object.__setattr__(self, "amplitudes", frozen(amp))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive (diagonal-checked) operator."""
-
-    shape: SystemShape
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = as_matrix(self.matrix, "density matrix")
-        dim = self.shape.dim
-        if mat.shape != (dim, dim):
-            raise ValueError(f"density matrix shape {mat.shape} != ({dim}, {dim})")
-        if hermitian_residual(mat) > ATOL_IDENTITY:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL_TRACE:
-            raise ValueError(f"density matrix trace {tr} is not 1 within {ATOL_TRACE}")
-        if float(np.min(mat.diagonal().real)) < -ATOL_DIAG_NEGATIVE:
-            raise ValueError("density matrix has a negative diagonal element")
-        object.__setattr__(self, "matrix", frozen(mat))
 
 
 def basis_state(shape: SystemShape, digits: Sequence[int] | str) -> PureState:
@@ -220,56 +215,9 @@ def apply_local_pure(ops: Sequence, psi: PureState, strict: bool = True) -> Pure
     return PureState(shape, tensor.reshape(-1))
 
 
-def conjugate_density(ops: Sequence, rho: DensityMatrix,
-                      strict: bool = True) -> DensityMatrix:
-    """Conjugate a density matrix by the tensor product of local unitaries."""
-    shape = rho.shape
-    mats = _check_ops(ops, shape, strict)
-    full = kron_all(mats)
-    return DensityMatrix(shape, full @ rho.matrix @ full.conj().T)
-
-
-def pure_to_density(psi: PureState) -> DensityMatrix:
-    amp = psi.amplitudes
-    return DensityMatrix(psi.shape, np.outer(amp, amp.conj()))
-
-
 def check_fidelity(fidelity: float) -> float:
     """The fidelity as a float; NaN and values outside [0, 1] are rejected."""
     f = float(fidelity)
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {f}")
     return f
-
-
-def add_noise(psi: PureState, fidelity: float) -> DensityMatrix:
-    """Mix a pure state with white noise: f |psi><psi| + (1-f)/D * I_D."""
-    f = check_fidelity(fidelity)
-    dim = psi.shape.dim
-    amp = psi.amplitudes
-    mat = f * np.outer(amp, amp.conj()) + (1.0 - f) / dim * np.eye(dim)
-    return DensityMatrix(psi.shape, mat)
-
-
-def expectation(rho: DensityMatrix, operator) -> float:
-    """Tr(P rho) for a Hermitian operator P; the result must be real."""
-    op = as_matrix(operator, "operator")
-    dim = rho.shape.dim
-    if op.shape != (dim, dim):
-        raise ValueError(f"operator shape {op.shape} != ({dim}, {dim})")
-    if hermitian_residual(op) > ATOL_IDENTITY:
-        raise ValueError("expectation requires a Hermitian operator")
-    value = complex(np.einsum("ij,ji->", op, rho.matrix))
-    if abs(value.imag) >= 1e-9:
-        raise ArithmeticError(
-            f"expectation value has imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
-
-
-def outcome_probabilities(rho: DensityMatrix) -> dict[str, float]:
-    """Measurement distribution over basis labels (the diagonal of rho)."""
-    diag = rho.matrix.diagonal().real
-    return {
-        label: float(p) for label, p in zip(labels(rho.shape), diag)
-    }

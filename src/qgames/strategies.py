@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import frozen, unitarity_residual
+from .states import unitarity_residual
 
 
 class Family(str, Enum):
@@ -159,27 +159,6 @@ def cyclic_s(k: int) -> np.ndarray:
     return np.linalg.matrix_power(_CYCLIC_S, k).astype(complex)
 
 
-@dataclass(frozen=True)
-class FrameVectors:
-    """Orthonormal complex frame (x, y, z) behind the SU(3) construction.
-
-    The unitary columns are (x, conj(y), z); those three columns are
-    pairwise orthonormal under the Hermitian inner product.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", frozen(self.x))
-        object.__setattr__(self, "y", frozen(self.y))
-        object.__setattr__(self, "z", frozen(self.z))
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.x, self.y.conj(), self.z
-
-
 def su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
     """Vectorized SU(3) constructor; returns shape (..., 3, 3).
 
@@ -208,12 +187,6 @@ def su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
     out[..., 1, 2] = (x3 * w1 - x1 * w3).conj()
     out[..., 2, 2] = (x1 * w2 - x2 * w1).conj()
     return out
-
-
-def frame_vectors(phi, theta, chi, a1, a2, a3, b1, b2) -> FrameVectors:
-    """The (x, y, z) frame for the given parameters."""
-    u = su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2)
-    return FrameVectors(u[..., 0], u[..., 1].conj(), u[..., 2])
 
 
 def su3_frame(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
@@ -246,14 +219,6 @@ def classical_set(d: int) -> list[np.ndarray]:
     if d == 3:
         return [cyclic_s(0), cyclic_s(1), cyclic_s(2)]
     raise ValueError(f"no classical operator set for local dimension {d}")
-
-
-def classical_family(d: int) -> Family:
-    if d == 2:
-        return Family.CLASSICAL_BIT
-    if d == 3:
-        return Family.CYCLIC_C3
-    raise ValueError(f"no classical family for local dimension {d}")
 
 
 # --- StrategySpec and literals ----------------------------------------------
@@ -361,8 +326,3 @@ def parse_strategy(text: str) -> StrategySpec:
         raise ValueError(f"strategy literal {text!r} has no parameters")
     params = tuple(parse_radians(piece) for piece in body.split(","))
     return StrategySpec(family, params)
-
-
-def classical_strategies(d: int) -> tuple[StrategySpec, ...]:
-    family = classical_family(d)
-    return tuple(StrategySpec(family, (float(k),)) for k in range(d))

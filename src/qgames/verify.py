@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .games import (
     classical_uniform_payoff,
     kolkata,
     minority,
-    payoff_diagonal,
     play_symmetric,
     prisoners_dilemma,
 )
@@ -29,7 +29,7 @@ from .solver import (
     pareto_check_symmetric,
     verify_nash,
 )
-from .states import SystemShape, apply_local_pure, conjugate_density, add_noise, PureState
+from .states import PureState, SystemShape, apply_local_pure
 from .strategies import (
     Family,
     KOLKATA_OPTIMAL_PARAMS,
@@ -228,21 +228,20 @@ def check_property_suites() -> list[CheckResult]:
             moved = apply_local_pure(ops, psi)
             worst_norm = max(worst_norm, abs(np.linalg.norm(moved.amplitudes) - 1.0))
             if i % 4 == 0:
-                rho = add_noise(psi, float(rng.uniform(0, 1)))
-                rho_out = conjugate_density(ops, rho)
-                worst_trace = max(
-                    worst_trace, abs(complex(np.trace(rho_out.matrix)) - 1.0)
-                )
+                # the dense path: f |psi><psi| + (1-f)/D I conjugated by U_n (x) ... (x) U_1
+                f = float(rng.uniform(0, 1))
+                amp = psi.amplitudes
+                rho = f * np.outer(amp, amp.conj()) + (1.0 - f) / shape.dim * np.eye(shape.dim)
+                full = reduce(np.kron, ops)
+                rho_out = full @ rho @ full.conj().T
+                worst_trace = max(worst_trace, abs(complex(np.trace(rho_out)) - 1.0))
 
-    # payoff operator diagonals equal the classical tables exactly
+    # the float payoff tables equal the exact numerators over the denominator
     worst_table = 0.0
     for game in (prisoners_dilemma(), minority(4), kolkata()):
-        for player in range(1, game.shape.n + 1):
-            diag = payoff_diagonal(game, player)
-            exact = np.array(
-                [float(row[player - 1]) for row in game.payoff_table.values()]
-            )
-            worst_table = max(worst_table, float(np.max(np.abs(diag - exact))))
+        exact = np.array([[float(Fraction(int(v), game.denominator)) for v in row]
+                          for row in game.numerators])
+        worst_table = max(worst_table, float(np.max(np.abs(game.payoffs - exact))))
 
     return [
         _tolerance_check("strategy-unitarity", worst_residual, 1e-9,

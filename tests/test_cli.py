@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qgames import cli
+from qgames import cli, solver
 from qgames.strategies import KOLKATA_OPTIMAL_PARAMS
 
 
@@ -137,6 +137,24 @@ class TestErrors:
         assert code == 2
         assert "error" in payload
 
+    def test_sweep_points_bounded(self, monkeypatch):
+        # rejected before the fidelity list is built or any point is played
+        def never(*args):
+            raise AssertionError("fidelity_sweep called")
+
+        monkeypatch.setattr(cli, "fidelity_sweep", never)
+        code, out = run_cli(["sweep", "--strategy", "su3:table2", "--points", "1002"])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "a sweep takes at most 1001 fidelities, got 1002"}
+
+    def test_sweep_fidelities_bounded(self):
+        fidelities = ",".join(["0.5"] * 1002)
+        code, out = run_cli(["sweep", "--strategy", "su3:table2", "--fidelities", fidelities])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "a sweep takes at most 1001 fidelities, got 1002"}
+
     def test_pd_sweep_rejected(self):
         code, payload = run_json(["sweep", "--game", "pd", "--strategy", "bit:0"])
         assert code == 2
@@ -164,6 +182,12 @@ class TestSweep:
         assert abs(payload["fit"]["slope"] - 2 / 9) < 1e-9
         assert abs(payload["fit"]["intercept"] - 4 / 9) < 1e-9
         assert payload["fit"]["max_residual"] < 1e-9
+
+    def test_largest_sweep(self):
+        code, out = run_cli(["sweep", "--game", "minority", "-n", "3",
+                             "--strategy", "full:pi/2,-pi/8,pi/8", "--points", "1001"])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1002
 
     def test_explicit_fidelities(self):
         code, payload = run_json(
@@ -231,21 +255,45 @@ class TestDeterminism:
         second = run_cli(argv)
         assert first == second
 
-    def test_threads_do_not_change_output(self):
-        base = ["search", "--game", "minority", "--space", "full",
-                "--mode", "nash", "--profile", "full:pi/2,-pi/8,pi/8",
-                "--grid", "8", "--seed", "7"]
-        single = run_cli(base + ["--threads", "1"])
-        eight = run_cli(base + ["--threads", "8"])
+    # a Kolkata su3 Pareto search scans a grid; at --grid 2 the gauge-fixed grid
+    # has 64 rows, 8 chunks of 8
+    SCAN = ["search", "--game", "kolkata", "--mode", "pareto", "--payoff", "0.4444444",
+            "--grid", "2", "--refine-iterations", "20", "--seed", "7"]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """(workers, chunks) of every thread pool the search opens."""
+        opened = []
+
+        class CountingPool(solver.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                opened.append([max_workers, 0])
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                opened[-1][1] += len(iterables[0])
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(solver, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 8)
+        return opened
+
+    def test_threads_do_not_change_output(self, pools):
+        single = run_cli(self.SCAN + ["--threads", "1"])
+        assert pools == []
+        eight = run_cli(self.SCAN + ["--threads", "8"])
+        assert pools == [[8, 8]]
+        assert single[0] == 0
         assert single == eight
 
-    def test_threads_env_fallback(self, monkeypatch):
-        argv = ["search", "--game", "pd", "--mode", "nash",
-                "--profile", "eisert:0,pi/2"]
+    def test_threads_env_fallback(self, monkeypatch, pools):
         monkeypatch.setenv(cli.THREADS_ENV, "4")
-        with_env = run_cli(argv)
+        with_env = run_cli(self.SCAN)
+        assert pools == [[4, 8]]
         monkeypatch.delenv(cli.THREADS_ENV)
-        without = run_cli(argv)
+        without = run_cli(self.SCAN)
+        assert pools == [[4, 8]]
+        assert with_env[0] == 0
         assert with_env == without
 
     def test_float_rendering_significant_digits(self):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from qgames.games import (
+    GameSpec,
     classical_embedding_check,
     classical_uniform_payoff,
     entangler,
@@ -13,22 +15,12 @@ from qgames.games import (
     game_to_json,
     kolkata,
     minority,
-    payoff_diagonal,
-    payoff_operator,
     play_pd,
     play_profile,
     play_symmetric,
     prisoners_dilemma,
 )
-from qgames.states import (
-    PureState,
-    SystemShape,
-    add_noise,
-    conjugate_density,
-    expectation,
-    ghz,
-    labels,
-)
+from qgames.states import SystemShape, ghz, labels
 from qgames.strategies import (
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
@@ -65,29 +57,33 @@ def all_labels(n: int, d: int) -> list[str]:
             for combo in itertools.product(range(d), repeat=n)]
 
 
+def payoff(game, label, player):
+    """The exact payoff of ``player`` at outcome ``label``."""
+    return Fraction(int(game.numerators[player - 1, int(label, game.shape.d)]),
+                    game.denominator)
+
+
 class TestPayoffTables:
     def test_pd_table(self):
         game = prisoners_dilemma()
-        assert game.payoff_table["00"] == (3, 3)
-        assert game.payoff_table["01"] == (5, 0)   # Alice defects
-        assert game.payoff_table["10"] == (0, 5)   # Bob defects
-        assert game.payoff_table["11"] == (1, 1)
+        table = {label: (payoff(game, label, 1), payoff(game, label, 2))
+                 for label in all_labels(2, 2)}
+        assert table["00"] == (3, 3)
+        assert table["01"] == (5, 0)   # Alice defects
+        assert table["10"] == (0, 5)   # Bob defects
+        assert table["11"] == (1, 1)
 
     def test_minority_table_against_oracle(self):
         game = minority(4)
         for label in all_labels(4, 2):
             for player in range(1, 5):
-                assert game.payoff_table[label][player - 1] == minority_oracle(
-                    label, player
-                )
+                assert payoff(game, label, player) == minority_oracle(label, player)
 
     def test_kolkata_table_against_oracle(self):
         game = kolkata()
         for label in all_labels(3, 3):
             for player in range(1, 4):
-                assert game.payoff_table[label][player - 1] == kolkata_oracle(
-                    label, player
-                )
+                assert payoff(game, label, player) == kolkata_oracle(label, player)
 
     def test_game_by_name(self):
         assert game_by_name("pd").name == "pd"
@@ -96,62 +92,99 @@ class TestPayoffTables:
             game_by_name("poker")
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_vectorised_minority_matches_label_loop(n):
+    game = minority(n)
+    expected = [[minority_oracle(label, player) for label in labels(game.shape)]
+                for player in range(1, n + 1)]
+    assert game.denominator == 1
+    np.testing.assert_array_equal(game.numerators, expected)
+
+
+def test_vectorised_kolkata_matches_label_loop():
+    game = kolkata()
+    expected = [[kolkata_oracle(label, player) for label in labels(game.shape)]
+                for player in range(1, 4)]
+    assert game.denominator == 1
+    np.testing.assert_array_equal(game.numerators, expected)
+
+
+class TestGameSpec:
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            GameSpec("g", SystemShape(2, 2), False, np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match="shape"):
+            GameSpec("g", SystemShape(2, 2), False, np.zeros((4, 2), dtype=int))
+
+    def test_non_integer_numerators_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            GameSpec("g", SystemShape(2, 2), False, np.full((2, 4), 0.5))
+        with pytest.raises(ValueError, match="integers"):
+            GameSpec("g", SystemShape(2, 2), False, np.zeros((2, 4), dtype=bool))
+
+    @pytest.mark.parametrize("denominator", [0, -3, 1.0, 2.5])
+    def test_bad_denominator_rejected(self, denominator):
+        with pytest.raises(ValueError, match="denominator"):
+            GameSpec("g", SystemShape(2, 2), False, np.zeros((2, 4), dtype=int), denominator)
+
+    def test_numerators_are_a_read_only_copy(self):
+        source = np.arange(8).reshape(2, 4)
+        game = GameSpec("g", SystemShape(2, 2), False, source, 7)
+        source[0, 0] = 5
+        assert game.numerators[0, 0] == 0
+        with pytest.raises(ValueError):
+            game.numerators[0, 0] = 1
+        np.testing.assert_array_equal(game.payoffs, np.arange(8).reshape(2, 4) / 7)
+
+
 class TestPayoffOperators:
     def test_pd_diagonals(self):
         game = prisoners_dilemma()
-        np.testing.assert_array_equal(payoff_diagonal(game, 1), [3, 5, 0, 1])
-        np.testing.assert_array_equal(payoff_diagonal(game, 2), [3, 0, 5, 1])
+        np.testing.assert_array_equal(game.payoffs[0], [3, 5, 0, 1])
+        np.testing.assert_array_equal(game.payoffs[1], [3, 0, 5, 1])
 
     def test_operator_matches_table_for_all_games(self):
+        # the float row of each player is its exact payoff at every index
         for game in (prisoners_dilemma(), minority(4), kolkata()):
             for player in range(1, game.shape.n + 1):
-                op = payoff_operator(game, player)
-                assert np.max(np.abs(op - np.diag(op.diagonal()))) == 0.0
+                row = game.payoffs[player - 1]
                 for index, label in enumerate(all_labels(game.shape.n, game.shape.d)):
-                    assert op[index, index].real == float(
-                        game.payoff_table[label][player - 1]
-                    )
+                    assert row[index] == float(payoff(game, label, player))
 
     def test_minority_four_player_projector(self):
-        op = payoff_operator(minority(4), 1)
-        support = [label for label, p in zip(all_labels(4, 2), op.diagonal().real)
-                   if p == 1.0]
+        row = minority(4).payoffs[0]
+        support = [label for label, p in zip(all_labels(4, 2), row) if p == 1.0]
         assert support == ["0001", "1110"]
-        assert int(round(np.trace(op).real)) == 2
+        assert row.sum() == 2
 
     def test_minority_two_player_is_zero(self):
-        op = payoff_operator(minority(2), 1)
-        assert np.max(np.abs(op)) == 0.0
+        assert np.max(np.abs(minority(2).payoffs)) == 0.0
 
     def test_minority_three_player_projector(self):
-        op = payoff_operator(minority(3), 1)
-        support = [label for label, p in zip(all_labels(3, 2), op.diagonal().real)
-                   if p == 1.0]
+        row = minority(3).payoffs[0]
+        support = [label for label, p in zip(all_labels(3, 2), row) if p == 1.0]
         assert support == ["001", "110"]
 
     def test_minority_bitflip_pairing(self):
         # winning outcomes come in bit-flipped pairs
         game = minority(4)
         for player in range(1, 5):
-            diag = payoff_diagonal(game, player)
+            row = game.payoffs[player - 1]
             for index in range(16):
-                assert diag[index] == diag[15 - index]
+                assert row[index] == row[15 - index]
 
     def test_kolkata_rank_twelve(self):
         for player in (1, 2, 3):
-            op = payoff_operator(kolkata(), player)
-            assert int(round(np.trace(op).real)) == 12
+            assert kolkata().numerators[player - 1].sum() == 12
 
     def test_kolkata_examples(self):
         game = kolkata()
-        assert game.payoff_table["012"] == (1, 1, 1)
+        assert tuple(game.numerators[:, int("012", 3)]) == (1, 1, 1)
         # "220": only player 1 (rightmost digit 0) has a unique choice
-        assert game.payoff_table["220"] == (1, 0, 0)
+        assert tuple(game.numerators[:, int("220", 3)]) == (1, 0, 0)
 
     def test_minority_sum_bound(self):
-        game = minority(4)
-        for label in all_labels(4, 2):
-            assert sum(game.payoff_table[label]) <= 1
+        assert minority(4).numerators.sum(axis=0).max() <= 1
 
 
 class TestEntangler:
@@ -224,7 +257,7 @@ class TestPlayProfile:
             aligned = [str(k) * game.shape.n for k in range(game.shape.d)]
             for player in range(1, game.shape.n + 1):
                 expected = sum(
-                    float(game.payoff_table[label][player - 1]) for label in aligned
+                    float(payoff(game, label, player)) for label in aligned
                 ) / game.shape.d
                 assert abs(report.payoffs[player - 1] - expected) < 1e-12
 
@@ -242,7 +275,7 @@ class TestPlayProfile:
         report = play_symmetric(game, u, fidelity=0.6)
         for player in range(1, 4):
             recomputed = sum(
-                report.probabilities[label] * float(game.payoff_table[label][player - 1])
+                report.probabilities[label] * float(payoff(game, label, player))
                 for label in report.probabilities
             )
             assert abs(recomputed - report.payoffs[player - 1]) < 1e-9
@@ -344,6 +377,20 @@ class TestSerialization:
         assert payload["payoffs"]["01"] == [5, 0]
         assert list(payload["payoffs"]) == ["00", "01", "10", "11"]
 
+    def test_integer_tables_render_as_ints(self):
+        for game in (prisoners_dilemma(), minority(5), kolkata()):
+            for row in game_to_json(game)["payoffs"].values():
+                assert all(type(v) is int for v in row)
+
+    def test_sevenths_render_as_floats(self):
+        # 7/7 and 14/7 divide out to ints; the other sevenths stay floats
+        game = GameSpec("g", SystemShape(2, 2), False, [[0, 7, 14, 3], [1, 2, 21, 13]], 7)
+        payoffs = game_to_json(game)["payoffs"]
+        assert payoffs == {"00": [0, 1 / 7], "01": [1, 2 / 7],
+                           "10": [2, 3], "11": [3 / 7, 13 / 7]}
+        assert [type(v) for v in payoffs["00"]] == [int, float]
+        assert [type(v) for v in payoffs["10"]] == [int, int]
+
 
 # --- the state-vector protocol against the dense density-matrix reference ------
 
@@ -351,14 +398,12 @@ def dense_play(game, ops, fidelity):
     """Payoffs and outcome distribution through D x D density matrices."""
     if game.use_entangler_pair:
         j = entangler()
-        rho = conjugate_density(ops, add_noise(PureState(game.shape, j[:, 0]), fidelity))
-        rho_matrix = j.conj().T @ rho.matrix @ j
-        payoffs = [float(np.real(np.trace(payoff_operator(game, p) @ rho_matrix)))
-                   for p in range(1, game.shape.n + 1)]
-        return payoffs, rho_matrix.diagonal().real
-    rho = conjugate_density(ops, add_noise(ghz(game.shape), fidelity))
-    payoffs = [expectation(rho, payoff_operator(game, p)) for p in range(1, game.shape.n + 1)]
-    return payoffs, rho.matrix.diagonal().real
+        rho = dense.conjugate(ops, dense.density(j[:, 0], fidelity))
+        rho = j.conj().T @ rho @ j
+    else:
+        rho = dense.conjugate(ops, dense.density(ghz(game.shape).amplitudes, fidelity))
+    payoffs = [dense.expectation(row, rho) for row in game.payoffs]
+    return payoffs, rho.diagonal().real
 
 
 def random_local_unitary(rng, d):
@@ -393,18 +438,18 @@ class TestPayoffCache:
         assert game.payoffs.shape == (3, 27)
         assert game.outcome_labels == tuple(labels(game.shape))
         for index, label in enumerate(game.outcome_labels):
-            assert tuple(game.payoffs[:, index]) == game.payoff_table[label]
+            assert tuple(game.payoffs[:, index]) == tuple(
+                payoff(game, label, player) for player in (1, 2, 3))
         with pytest.raises(ValueError):
             game.payoffs[0, 0] = 2.0
         assert game.payoffs is game.payoffs
 
     def test_payoff_diagonal_is_a_row(self):
+        # a player's payoff diagonal is its row of numerators over the denominator
         game = minority(5)
         for player in range(1, 6):
-            np.testing.assert_array_equal(payoff_diagonal(game, player),
-                                          game.payoffs[player - 1])
-        with pytest.raises(ValueError):
-            payoff_diagonal(game, 6)
+            np.testing.assert_array_equal(game.payoffs[player - 1],
+                                          game.numerators[player - 1] / game.denominator)
 
 
 class TestPlayValidation:
@@ -421,3 +466,22 @@ class TestPlayValidation:
         with pytest.warns(UserWarning, match="not unitary"):
             report = play_profile(minority(2), [skew, I2], strict=False)
         assert abs(sum(report.probabilities.values()) - 1.0) < 1e-12
+
+
+def test_public_surface():
+    import qgames
+
+    assert set(qgames.__all__) == {
+        "BestResponseResult", "EmbeddingCheck", "EquilibriumVerdict", "Family",
+        "FidelitySweep", "GameSpec", "KOLKATA_OPTIMAL_PARAMS", "MINORITY_OPTIMAL_PARAMS",
+        "PD_EQUILIBRIUM_PARAMS", "ParetoVerdict", "PayoffReport", "PureState",
+        "SearchConfig", "StrategySpec", "SystemShape", "apply_local_pure", "basis_state",
+        "bell", "best_response", "classical_embedding_check", "classical_set",
+        "classical_uniform_payoff", "cyclic_s", "dominant_strategy", "entangler",
+        "fidelity_sweep", "game_by_name", "game_to_json", "ghz", "kolkata", "minority",
+        "pareto_check_symmetric", "parse_radians", "parse_strategy", "pauli", "play_pd",
+        "play_profile", "play_symmetric", "prisoners_dilemma", "su2_eisert", "su2_full",
+        "su3_frame", "sweep_to_csv", "verify_nash",
+    }
+    assert all(hasattr(qgames, name) for name in qgames.__all__)
+

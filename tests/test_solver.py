@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from qgames.games import (
     GameSpec,
     entangler,
@@ -16,8 +17,6 @@ from qgames.games import (
     play_pd,
     play_profile,
     play_symmetric,
-    payoff_diagonal,
-    payoff_operator,
     prisoners_dilemma,
 )
 import qgames.solver as solver
@@ -35,7 +34,7 @@ from qgames.solver import (
     _search_family,
     _symmetric_payoffs,
 )
-from qgames.states import SystemShape, add_noise, expectation, ghz, labels, pure_to_density
+from qgames.states import SystemShape, ghz
 from qgames.strategies import (
     FAMILY_PRESETS,
     Family,
@@ -72,7 +71,7 @@ class TestSearchConfig:
 
     def test_json_round_trip(self):
         cfg = SearchConfig(grid_points_per_axis=8, seed=42)
-        assert SearchConfig.from_json(cfg.to_json()) == cfg
+        assert SearchConfig(**cfg.to_json()) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -124,10 +123,10 @@ class TestReducedEvaluators:
             alice = su2_eisert(rng.uniform(0, np.pi), rng.uniform(0, np.pi / 2))
             bob = su2_eisert(rng.uniform(0, np.pi), rng.uniform(0, np.pi / 2))
             state = play_pd(alice, bob)
-            rho = pure_to_density(state)
+            rho = dense.density(state.amplitudes)
             form = _deviation_form(PD, [bob, alice], 1, 1.0)
             value = _deviation_payoffs(form, alice[None, :, :])[0]
-            assert abs(value - expectation(rho, payoff_operator(PD, 1))) < 1e-10
+            assert abs(value - dense.expectation(PD.payoffs[0], rho)) < 1e-10
 
     def test_symmetric_batch_matches_play_symmetric(self):
         rng = np.random.default_rng(43)
@@ -158,9 +157,9 @@ def dense_deviation_form(game, fixed_ops, player, fidelity):
         rho_in = np.outer(amp, amp.conj())
         wrap = entangler().conj().T
     else:
-        rho_in = add_noise(ghz(game.shape), fidelity).matrix
+        rho_in = dense.density(ghz(game.shape).amplitudes, fidelity)
         wrap = None
-    diag = payoff_diagonal(game, player)
+    diag = game.payoffs[player - 1]
     units = []
     for a, b in itertools.product(range(d), repeat=2):
         basis_unit = np.zeros((d, d), dtype=complex)
@@ -179,9 +178,9 @@ def random_table_game(n, d, seed):
     """A GHZ game with a random payoff table: no symmetry between digits."""
     rng = np.random.default_rng(seed)
     shape = SystemShape(n, d)
-    table = {label: tuple(Fraction(int(k), 7) for k in rng.integers(0, 8, n))
-             for label in labels(shape)}
-    return GameSpec("random", shape, False, table)
+    # one draw of n numerators per outcome, in index order
+    numerators = np.array([rng.integers(0, 8, n) for _ in range(shape.dim)]).T
+    return GameSpec("random", shape, False, numerators, 7)
 
 
 FORM_CASES = [(PD, (1.0,))] + [
@@ -258,7 +257,6 @@ class TestLargeSystems:
         # streamed, the scan holds one chunk's rows, matrices and amplitudes at a
         # time; the gauge-fixed 6^6-point grid is a single chunk
         cfg = SearchConfig(refine_iterations=0)
-        payoff_diagonal(KOLKATA, 1)
         tracemalloc.start()
         try:
             verdict = pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg)
@@ -296,7 +294,7 @@ class TestBestResponse:
         point itself.
         """
         q = EQ.matrix()
-        p_alice = payoff_operator(PD, 1)
+        p_alice = np.diag(PD.payoffs[0])
         thetas, alphas = np.meshgrid(np.linspace(0, np.pi, 256), np.linspace(0, np.pi / 2, 256),
                                      indexing="ij")
         alice = su2_eisert_batch(thetas.ravel(), alphas.ravel())
@@ -307,7 +305,8 @@ class TestBestResponse:
         assert np.abs(values.imag).max() < 1e-9
         for i in range(0, len(alice), 4099):  # the batch is the one-strategy protocol
             state = play_pd(alice[i], q)
-            assert abs(values[i] - expectation(pure_to_density(state), p_alice)) < 1e-12
+            assert abs(values[i] - dense.expectation(PD.payoffs[0],
+                                                     dense.density(state.amplitudes))) < 1e-12
         best = float(values.real.max())
         result = best_response(PD, [EQ, EQ], 1, Family.EISERT_SU2)
         assert result.payoff <= 5.0
@@ -360,11 +359,10 @@ class TestBestResponse:
         cfg = SearchConfig(grid_points_per_axis=9)
         result = best_response(PD, [EQ, EQ], 2, Family.EISERT_SU2, cfg)
         q = EQ.matrix()
-        p_bob = payoff_operator(PD, 2)
         for theta in np.linspace(0, np.pi, 9):
             for alpha in np.linspace(0, np.pi / 2, 9):
                 state = play_pd(q, su2_eisert(theta, alpha))
-                value = expectation(pure_to_density(state), p_bob)
+                value = dense.expectation(PD.payoffs[1], dense.density(state.amplitudes))
                 assert result.payoff >= value - 1e-10
 
 
@@ -584,12 +582,34 @@ class TestDominantStrategy:
                     for alt in (0, 1):
                         rival_digits[player - 1] = alt
                         rival_label = f"{rival_digits[1]}{rival_digits[0]}"
-                        if (game.payoff_table[label][player - 1]
-                                < game.payoff_table[rival_label][player - 1]):
+                        if (game.numerators[player - 1, int(label, 2)]
+                                < game.numerators[player - 1, int(rival_label, 2)]):
                             ok = False
                 if ok:
                     dominant.append(own)
             assert dominant_strategy(game, player) == (dominant[0] if dominant else None)
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
+    def test_random_tables_against_brute_force(self, n, d):
+        # sevenths compared as Fractions over every opponent profile and rival
+        found = set()
+        for seed in range(60):
+            game = random_table_game(n, d, seed)
+            for player in range(1, n + 1):
+                def pay(own, others):
+                    digits = others[:player - 1] + (own,) + others[player - 1:]
+                    index = sum(k * d ** i for i, k in enumerate(digits))
+                    return Fraction(int(game.numerators[player - 1, index]), 7)
+
+                expected = next(
+                    (c for c in range(d)
+                     if all(pay(c, others) >= pay(rival, others)
+                            for others in itertools.product(range(d), repeat=n - 1)
+                            for rival in range(d))),
+                    None)
+                assert dominant_strategy(game, player) == expected
+                found.add(expected)
+        assert None in found and len(found) > 2  # both outcomes, several strategies
 
 
 class TestPareto:
@@ -630,6 +650,12 @@ class TestFidelitySweep:
         assert abs(sweep.slope - 2 / 9) < 1e-9
         assert abs(sweep.intercept - 4 / 9) < 1e-9
         assert sweep.max_residual < 1e-9
+
+    def test_grid_bounded(self, monkeypatch):
+        # the length is checked before any point is played
+        monkeypatch.setattr(solver, "play_symmetric", None)
+        with pytest.raises(ValueError, match="at most 1001 fidelities, got 1002"):
+            fidelity_sweep(KOLKATA, KOLKATA_OPT, [0.5] * 1002)
 
     def test_endpoints(self):
         sweep = fidelity_sweep(KOLKATA, KOLKATA_OPT, [0.0, 1.0])

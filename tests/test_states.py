@@ -5,22 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
+from qgames.games import kolkata, play_symmetric
 from qgames.states import (
-    DensityMatrix,
     PureState,
     SystemShape,
-    add_noise,
     apply_local_pure,
     basis_state,
     bell,
-    conjugate_density,
-    expectation,
+    check_fidelity,
     ghz,
     index_to_label,
     label_to_index,
     labels,
-    outcome_probabilities,
-    pure_to_density,
 )
 from qgames.strategies import cyclic_s, pauli, su2_full, su3_frame
 
@@ -179,109 +176,104 @@ class TestLocalOperations:
 
 
 class TestDensityOperations:
+    """The dense reference in ``dense_reference``: the cross-checks rest on it."""
+
     def test_identity_conjugation(self):
-        rho = add_noise(ghz(SystemShape(2, 2)), 0.7)
-        out = conjugate_density([I2, I2], rho)
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
+        rho = dense.density(ghz(SystemShape(2, 2)).amplitudes, 0.7)
+        out = dense.conjugate([I2, I2], rho)
+        np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_pure_state_consistency(self):
         rng = np.random.default_rng(12)
         shape = SystemShape(2, 2)
         psi = random_state(rng, shape)
         ops = [random_su2(rng), random_su2(rng)]
-        via_density = conjugate_density(ops, pure_to_density(psi))
-        via_pure = pure_to_density(apply_local_pure(ops, psi))
-        np.testing.assert_allclose(via_density.matrix, via_pure.matrix, atol=1e-12)
+        via_density = dense.conjugate(ops, dense.density(psi.amplitudes))
+        via_pure = dense.density(apply_local_pure(ops, psi).amplitudes)
+        np.testing.assert_allclose(via_density, via_pure, atol=1e-12)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(13)
         shape = SystemShape(2, 2)
-        rho = add_noise(random_state(rng, shape), 0.5)
+        rho = dense.density(random_state(rng, shape).amplitudes, 0.5)
         ops = [random_su2(rng), random_su2(rng)]
         phased = [np.exp(1j * 0.811) * op for op in ops]
         np.testing.assert_allclose(
-            conjugate_density(ops, rho).matrix,
-            conjugate_density(phased, rho).matrix,
-            atol=1e-12,
+            dense.conjugate(ops, rho), dense.conjugate(phased, rho), atol=1e-12,
         )
 
     def test_trace_preservation(self):
         rng = np.random.default_rng(14)
         shape = SystemShape(3, 3)
         for _ in range(10):
-            rho = add_noise(random_state(rng, shape), float(rng.uniform(0, 1)))
-            out = conjugate_density([random_su3(rng) for _ in range(3)], rho)
-            assert abs(np.trace(out.matrix) - 1.0) < 1e-9
+            rho = dense.density(random_state(rng, shape).amplitudes, float(rng.uniform(0, 1)))
+            out = dense.conjugate([random_su3(rng) for _ in range(3)], rho)
+            assert abs(np.trace(out) - 1.0) < 1e-9
             # produced matrices stay Hermitian and positive
-            assert np.min(np.linalg.eigvalsh(out.matrix)) > -1e-9
+            assert np.max(np.abs(out - out.conj().T)) < 1e-12
+            assert np.min(np.linalg.eigvalsh(out)) > -1e-9
 
 
 class TestNoise:
     def test_pure_limit(self):
-        psi = ghz(SystemShape(3, 3))
+        amp = ghz(SystemShape(3, 3)).amplitudes
         np.testing.assert_allclose(
-            add_noise(psi, 1.0).matrix, pure_to_density(psi).matrix, atol=1e-15
+            dense.density(amp, 1.0), np.outer(amp, amp.conj()), atol=1e-15
         )
 
     def test_maximally_mixed_limit(self):
         psi = ghz(SystemShape(3, 3))
-        np.testing.assert_allclose(add_noise(psi, 0.0).matrix, np.eye(27) / 27,
+        np.testing.assert_allclose(dense.density(psi.amplitudes, 0.0), np.eye(27) / 27,
                                    atol=1e-15)
 
     def test_half_mix_diagonal(self):
-        rho = add_noise(ghz(SystemShape(3, 3)), 0.5)
-        assert abs(rho.matrix[0, 0] - 5 / 27) < 1e-12
+        rho = dense.density(ghz(SystemShape(3, 3)).amplitudes, 0.5)
+        assert abs(rho[0, 0] - 5 / 27) < 1e-12
 
     def test_out_of_range(self):
-        psi = ghz(SystemShape(2, 2))
-        for bad in (-0.1, 1.1):
+        # the fidelity check every noisy play and sweep passes through
+        for bad in (-0.1, 1.1, float("nan")):
             with pytest.raises(ValueError):
-                add_noise(psi, bad)
+                check_fidelity(bad)
+        assert check_fidelity(1) == 1.0
 
     def test_noise_linearity(self):
         rng = np.random.default_rng(15)
         shape = SystemShape(3, 3)
         psi = random_state(rng, shape)
-        proj = np.zeros((27, 27), dtype=complex)
-        proj[5, 5] = 1.0
-        pure_value = expectation(pure_to_density(psi), proj)
+        proj = np.zeros(27)
+        proj[5] = 1.0
+        pure_value = dense.expectation(proj, dense.density(psi.amplitudes))
         for f in (0.0, 0.3, 0.77, 1.0):
-            mixed = expectation(add_noise(psi, f), proj)
+            mixed = dense.expectation(proj, dense.density(psi.amplitudes, f))
             assert abs(mixed - (f * pure_value + (1 - f) / 27)) < 1e-12
 
 
 class TestExpectationAndProbabilities:
     def test_identity_expectation(self):
-        rho = add_noise(ghz(SystemShape(2, 2)), 0.4)
-        assert abs(expectation(rho, np.eye(4)) - 1.0) < 1e-12
+        rho = dense.density(ghz(SystemShape(2, 2)).amplitudes, 0.4)
+        assert abs(dense.expectation(np.ones(4), rho) - 1.0) < 1e-12
 
     def test_bell_projector(self):
-        rho = pure_to_density(bell("phi+"))
-        proj = np.zeros((4, 4), dtype=complex)
-        proj[0, 0] = 1.0
-        assert abs(expectation(rho, proj) - 0.5) < 1e-12
+        rho = dense.density(bell("phi+").amplitudes)
+        proj = np.array([1.0, 0, 0, 0])
+        assert abs(dense.expectation(proj, rho) - 0.5) < 1e-12
 
     def test_dimension_mismatch(self):
-        rho = pure_to_density(bell("phi+"))
+        rho = dense.density(bell("phi+").amplitudes)
         with pytest.raises(ValueError):
-            expectation(rho, np.eye(8))
-
-    def test_non_hermitian_rejected(self):
-        rho = pure_to_density(bell("phi+"))
-        skew = np.zeros((4, 4), dtype=complex)
-        skew[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            expectation(rho, skew)
+            dense.expectation(np.ones(8), rho)
 
     def test_ghz_outcomes(self):
-        probs = outcome_probabilities(pure_to_density(ghz(SystemShape(3, 3))))
+        # the identity profile measures the GHZ state itself
+        probs = play_symmetric(kolkata(), np.eye(3)).probabilities
         assert abs(sum(probs.values()) - 1.0) < 1e-9
         for label in ("000", "111", "222"):
             assert abs(probs[label] - 1 / 3) < 1e-12
         assert probs["012"] == 0.0
 
     def test_maximally_mixed_outcomes(self):
-        probs = outcome_probabilities(add_noise(ghz(SystemShape(3, 3)), 0.0))
+        probs = play_symmetric(kolkata(), np.eye(3), fidelity=0.0).probabilities
         assert all(abs(p - 1 / 27) < 1e-12 for p in probs.values())
         assert list(probs) == list(labels(SystemShape(3, 3)))
 
@@ -290,15 +282,6 @@ class TestValidation:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             PureState(SystemShape(1, 2), np.array([1.0, 1.0]))
-
-    def test_density_invariants(self):
-        shape = SystemShape(1, 2)
-        with pytest.raises(ValueError):
-            DensityMatrix(shape, np.array([[0.5, 0.1j], [0.2j, 0.5]]))  # not Hermitian
-        with pytest.raises(ValueError):
-            DensityMatrix(shape, np.eye(2))  # trace 2
-        with pytest.raises(ValueError):
-            DensityMatrix(shape, np.diag([1.5, -0.5]))  # negative diagonal
 
     def test_states_are_immutable(self):
         psi = ghz(SystemShape(2, 2))

@@ -13,9 +13,7 @@ from qgames.strategies import (
     MINORITY_OPTIMAL_PARAMS,
     StrategySpec,
     classical_set,
-    classical_strategies,
     cyclic_s,
-    frame_vectors,
     parameter_box,
     parse_radians,
     parse_strategy,
@@ -147,8 +145,8 @@ class TestSu3Frame:
     def test_random_frames_orthonormal(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
-            frame = frame_vectors(*su3_params(rng))
-            columns = frame.columns()
+            # the columns (x, conj(y), conj(x) x y) of the frame construction
+            columns = su3_frame(*su3_params(rng)).T
             for i in range(3):
                 assert abs(np.linalg.norm(columns[i]) - 1) < 1e-12
                 for j in range(i + 1, 3):
@@ -156,9 +154,8 @@ class TestSu3Frame:
 
     def test_first_vector_third_component(self):
         # theta = acos(1/sqrt(3)) and alpha3 = 0 puts 1/sqrt(3) in slot 3
-        frame = frame_vectors(0.3, math.acos(1 / math.sqrt(3)), 0.2,
-                              0.1, 0.4, 0.0, 1.0, 2.0)
-        assert abs(frame.x[2] - 1 / math.sqrt(3)) < 1e-12
+        x = su3_frame(0.3, math.acos(1 / math.sqrt(3)), 0.2, 0.1, 0.4, 0.0, 1.0, 2.0)[:, 0]
+        assert abs(x[2] - 1 / math.sqrt(3)) < 1e-12
 
     def test_one_pass_matches_frame_vectors_and_cross_product(self):
         # the frame written out, and its third vector completed by np.cross
@@ -174,8 +171,8 @@ class TestSu3Frame:
                       -np.cos(chi) * np.sin(theta) * np.exp(1j * (b1 - a3))], axis=-1)
         reference = np.stack([x, y.conj(), np.cross(x.conj(), y, axis=-1)], axis=-1)
         np.testing.assert_allclose(su3_frame_batch(*params), reference, rtol=0, atol=1e-14)
-        frame = frame_vectors(*params[:, 0])
-        for got, want in zip((frame.x, frame.y, frame.z), (x[0], y[0], reference[0, :, 2])):
+        u = su3_frame(*params[:, 0])
+        for got, want in zip((u[:, 0], u[:, 1].conj(), u[:, 2]), (x[0], y[0], reference[0, :, 2])):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_batch_matches_scalar(self):
@@ -262,7 +259,10 @@ class TestStrategySpec:
             np.testing.assert_allclose(parsed.params, spec.params, atol=1e-11)
 
     def test_classical_strategies(self):
-        assert [s.params[0] for s in classical_strategies(3)] == [0.0, 1.0, 2.0]
+        # the bit and c3 specs are the classical operator sets, in order
+        for family, d in ((Family.CLASSICAL_BIT, 2), (Family.CYCLIC_C3, 3)):
+            for k, op in enumerate(classical_set(d)):
+                np.testing.assert_array_equal(StrategySpec(family, (k,)).matrix(), op)
 
 
 class TestLiterals:
