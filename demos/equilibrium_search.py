@@ -3,10 +3,12 @@
 Best responses are exact where the maths allows it: qubit strategies reduce
 to a 4x4 eigenproblem on unit quaternions, and an SU(3) strategy that reaches
 the 3 * lambda_max bound of its deviation form is certified without a search.
-Everywhere else an exhaustive grid over the family's parameter box is refined
-by coordinate descent.  This script shows the moving parts: exact responses,
-grids, refinement, certificates, and the determinism guarantees that make
-search reports reproducible.
+Everywhere else the best points of an exhaustive grid over the family's
+parameter box, with preset and random starts, are refined by coordinate
+descent, all starts in lockstep with one batched evaluation per round.  This
+script shows the moving parts: exact responses, grids, refinement,
+certificates, and the determinism guarantees that make search reports
+reproducible.
 """
 
 from qgames import (
@@ -81,5 +83,6 @@ runs = [
 ]
 print(f"same seed at 1 and 8 threads -> identical su3 searches: {runs[0] == runs[1]}")
 print("eigenvectors are signed by a fixed rule, grids are traversed")
-print("lexicographically, ties go to the first candidate, and chunked")
-print("evaluation merges by index, so reports are reproducible.")
+print("lexicographically, ties go to the first candidate, each refinement")
+print("start draws its axis orders from its own stream spawned from the seed,")
+print("and chunked evaluation merges by index, so reports are reproducible.")

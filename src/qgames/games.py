@@ -22,7 +22,6 @@ dilemma game Alice is player 1 (rightmost digit) and Bob is player 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +37,7 @@ from .states import (
     check_fidelity,
     ghz,
     labels,
+    require_unitary,
 )
 from .strategies import classical_set, pauli
 
@@ -46,6 +46,9 @@ MINORITY = "minority"
 KOLKATA = "kolkata"
 
 ATOL_PAYOFF = 1e-9
+# complex amplitudes per batch of classical profiles in the embedding check:
+# 64 kB arrays, a working set that stays in cache and off the process's peak memory
+_EMBEDDING_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,22 +217,36 @@ class EmbeddingCheck:
 def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> EmbeddingCheck:
     """Check that classical operator profiles reproduce the payoff table.
 
-    Every combination of classical operators (player-n-first powers ``ks``)
-    is played through the full quantum protocol and compared against the
-    table entry of the classical outcome string.
+    Every combination of classical operators (player-n-first powers) is
+    played through the full quantum protocol and compared against the table
+    entry of the classical outcome string.  The profiles are played in
+    batches of at most _EMBEDDING_BUDGET amplitudes: each batch starts from
+    the resource state, applies every player's operator for each profile,
+    then J-dagger for the dilemma, and reads the payoffs off |amplitude|^2.
     """
-    n, d = game.shape.n, game.shape.d
-    operators = classical_set(d)
+    n, d, dim = game.shape.n, game.shape.d, game.shape.dim
+    operators = np.stack([require_unitary(op, name="classical operator")
+                          for op in classical_set(d)])
+    total = len(operators) ** n
+    rows = max(1, _EMBEDDING_BUDGET // dim)
+    initial = resource_state(game).amplitudes
     worst = 0.0
-    count = 0
-    for ks in itertools.product(range(len(operators)), repeat=n):
-        report = play_profile(game, [operators[k] for k in ks])
+    for first in range(0, total, rows):
+        profiles = np.arange(first, min(first + rows, total))
+        count = len(profiles)
+        powers = np.unravel_index(profiles, (len(operators),) * n)
+        amplitudes = np.broadcast_to(initial, (count, dim))
+        for axis, ks in enumerate(powers):
+            # each profile's move for player n - axis, on tensor axis ``axis``
+            amplitudes = operators[ks][:, None] @ amplitudes.reshape(count, d ** axis, d, -1)
+        amplitudes = amplitudes.reshape(count, dim)
+        if game.use_entangler_pair:
+            amplitudes = amplitudes @ entangler().conj()  # each row v -> J-dagger v
+        payoffs = np.abs(amplitudes) ** 2 @ game.payoffs.T
         # the powers, player-n-first, are the digits of the classical outcome
-        expected = game.payoffs[:, np.ravel_multi_index(ks, (d,) * n)]
-        for got, want in zip(report.payoffs, expected):
-            worst = max(worst, abs(got - float(want)))
-        count += 1
-    return EmbeddingCheck(worst <= atol, worst, count)
+        expected = game.payoffs[:, np.ravel_multi_index(powers, (d,) * n)].T
+        worst = max(worst, float(np.max(np.abs(payoffs - expected))))
+    return EmbeddingCheck(worst <= atol, worst, total)
 
 
 def game_to_json(game: GameSpec) -> dict:

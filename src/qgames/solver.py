@@ -37,18 +37,22 @@ how it was obtained (``BestResponseResult.certificate``):
             resolution directly.  The grid is streamed: each chunk's rows are
             built from their flat indices, so the whole grid never exists at
             once, and the starts are read back from the indices of the best
-            values.  A refinement sweep tries +step and -step along every free
-            axis and takes the first move, in scan order, that improves on the
-            best point (first improvement); it evaluates all its remaining moves
-            from the current best point in one batched call, and after an
-            improvement evaluates the rest of the sweep again from the new
-            point.  A sweep with no improvement halves the step.
+            values.  Every start is refined by coordinate descent, and all
+            starts advance in lockstep.  A start's sweep tries +step and -step
+            along every free axis, in an order drawn from the start's own
+            stream, and takes the first move in scan order that improves on
+            its best point (first improvement); the rest of the sweep is then
+            scanned from the new point.  A sweep with no improvement halves
+            the start's step.  Each round gathers the pending moves of every
+            active start, from its next move to the end of its sweep, into
+            one batched call, so a search makes one call per round rather
+            than one per start and sweep.
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
 candidate encountered, chunked evaluation merges results by index regardless
-of thread count, and the only randomness (supplementary refinement starts)
-comes from the seed in `SearchConfig`.
+of thread count, and the only randomness (the supplementary random starts and
+each start's axis orders) comes from the seed in `SearchConfig`.
 """
 
 from __future__ import annotations
@@ -89,9 +93,11 @@ _MAX_SWEEP_POINTS = 1001
 class SearchConfig:
     """Knobs for grid search and refinement.
 
-    seed only affects the supplementary random refinement starts and the
-    coordinate ordering inside refinement cycles; given the same seed,
-    results are reproducible bit for bit at any thread count.
+    seed sets the supplementary random refinement starts, drawn first, and
+    then the per-start axis-order streams: the generator spawns one child
+    stream per start, and each sweep of that start draws its axis order from
+    it.  Given the same seed, results are reproducible bit for bit at any
+    thread count.
     """
 
     grid_points_per_axis: int = 24
@@ -314,7 +320,9 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
     rows = max(1, _AMPLITUDE_BUDGET // (d ** n * d))
     pure = np.concatenate([_ghz_pure_payoffs(matrices[i:i + rows], n, d, diag)
                            for i in range(0, len(matrices), rows)])
-    return fidelity * pure + (1.0 - fidelity) * float(diag.mean())
+    if fidelity < 1.0:
+        return fidelity * pure + (1.0 - fidelity) * float(diag.mean())
+    return pure
 
 
 def _ghz_pure_payoffs(matrices: np.ndarray, n: int, d: int, diag: np.ndarray) -> np.ndarray:
@@ -360,48 +368,66 @@ def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], axes: Sequence[np.nda
 
 # --- grid search + refinement ---------------------------------------------------
 
-def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray],
-            start: tuple[float, ...], start_value: float, box,
-            cfg: SearchConfig, rng_axis_order: np.random.Generator) -> tuple[tuple[float, ...], float, int]:
-    """Coordinate search with first improvement; halve the step on a stalled sweep.
+def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
+            start_values: np.ndarray, box, cfg: SearchConfig,
+            streams: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coordinate search with first improvement from every start in lockstep.
 
-    A sweep scans +step and -step along each free axis (lo < hi) in a seeded
-    order.  Its remaining moves from the current best point are evaluated in
-    one call; the first one that improves on the best is taken and the moves
-    after it are evaluated again from the new point, so a sweep makes at most
-    1 + (improvements) calls.  Returns the best point, its value and the rows
-    evaluated.
+    Each start runs its own sweeps: +step and -step along each free axis
+    (lo < hi), in an order drawn from its own stream, taking the first move
+    that improves on its best point and scanning the rest of the sweep from
+    there; a sweep with no improvement halves its step.  A start stops after
+    ``refine_iterations`` sweeps or once its step falls below _MIN_STEP.
+    Every round evaluates the pending moves of all active starts in one call.
+    Returns the best points (S, k), their values and the rows evaluated.
     """
-    best = tuple(start)
-    best_value = start_value
-    step = cfg.refine_initial_step
-    evaluations = 0
+    best = np.array(starts, dtype=float)
+    best_values = np.array(start_values, dtype=float)
     lower, upper = np.asarray(box, dtype=float).T
     free = np.flatnonzero(lower < upper)
-    for _ in range(cfg.refine_iterations):
-        if step < _MIN_STEP:
-            break
-        improved = False
-        axis_order = free[rng_axis_order.permutation(len(free))]
-        move_axes = np.repeat(axis_order, 2)
-        move_steps = np.tile([step, -step], len(axis_order))
-        first = 0
-        while first < len(move_axes):
-            candidates = np.tile(best, (len(move_axes) - first, 1))
-            candidates[np.arange(len(candidates)), move_axes[first:]] += move_steps[first:]
-            candidates = np.clip(candidates, lower, upper)
-            values = evaluate_batch(candidates)
-            evaluations += len(candidates)
-            better = np.flatnonzero(values > best_value)
-            if len(better) == 0:
-                break
-            taken = int(better[0])
-            best, best_value = tuple(map(float, candidates[taken])), float(values[taken])
-            improved = True
-            first += taken + 1
-        if not improved:
-            step /= 2.0
-    return best, best_value, evaluations
+    moves = 2 * len(free)
+    signs = np.tile([1.0, -1.0], len(free))
+    steps = np.full(len(best), cfg.refine_initial_step)
+    sweeps = np.zeros(len(best), dtype=int)
+    improved = np.zeros(len(best), dtype=bool)
+    move_axes = np.empty((len(best), moves), dtype=int)
+    first = np.full(len(best), moves)  # each start's next pending move; ``moves`` when idle
+
+    def open_sweep(s: int) -> None:
+        if sweeps[s] < cfg.refine_iterations and steps[s] >= _MIN_STEP:
+            move_axes[s] = np.repeat(free[streams[s].permutation(len(free))], 2)
+            first[s], improved[s] = 0, False
+            sweeps[s] += 1
+
+    for s in range(len(best)):
+        open_sweep(s)
+    evaluations = 0
+    while True:
+        active = np.flatnonzero(first < moves)
+        if not len(active):
+            return best, best_values, evaluations
+        pending = moves - first[active]
+        begin = np.cumsum(pending) - pending  # each start's first row in the batch
+        owner = np.repeat(active, pending)
+        move = np.arange(pending.sum()) - np.repeat(begin - first[active], pending)
+        candidates = best[owner]
+        candidates[np.arange(len(owner)), move_axes[owner, move]] += signs[move] * steps[owner]
+        candidates = np.clip(candidates, lower, upper)
+        values = evaluate_batch(candidates)
+        evaluations += len(candidates)
+        # each start's first improving row; a sentinel past the end marks none
+        hits = np.append(np.flatnonzero(values > best_values[owner]), len(values))
+        taken = hits[np.searchsorted(hits, begin)]
+        found = taken < begin + pending
+        won, taken = active[found], taken[found]
+        best[won], best_values[won] = candidates[taken], values[taken]
+        improved[won] = True
+        stalled = active[~found]
+        steps[stalled[~improved[stalled]]] /= 2.0
+        first[stalled] = moves
+        first[won] = move[taken] + 1
+        for s in active[first[active] == moves]:
+            open_sweep(s)
 
 
 def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConfig,
@@ -435,20 +461,13 @@ def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConf
     else:
         other_values = [*extra_values, *evaluate_batch(np.asarray(randoms))]
     others += randoms
-    starts = [tuple(map(float, row)) for row in _grid_rows(axes, order)] + others
-    values = [*map(float, grid_payoffs[order]), *map(float, other_values)]
-    evaluations = len(grid_payoffs) + len(others)
-
-    best_params = starts[0]
-    best_value = -math.inf
-    for start, value in zip(starts, values):
-        refined, refined_value, used = _refine(
-            evaluate_batch, start, value, box, cfg, rng
-        )
-        evaluations += used
-        if refined_value > best_value:
-            best_params, best_value = refined, refined_value
-    return best_params, best_value, evaluations
+    starts = np.concatenate([_grid_rows(axes, order), np.asarray(others)])
+    values = np.concatenate([grid_payoffs[order], other_values])
+    refined, refined_values, used = _refine(evaluate_batch, starts, values, box, cfg,
+                                            rng.spawn(len(starts)))
+    winner = int(np.argmax(refined_values))  # the first start with the strictly best value
+    return (tuple(map(float, refined[winner])), float(refined_values[winner]),
+            len(grid_payoffs) + len(others) + used)
 
 
 def _presets_for(space) -> list[tuple[float, ...]]:

@@ -97,16 +97,6 @@ def label_to_index(shape: SystemShape, digits: Sequence[int]) -> int:
     return index
 
 
-def index_to_label(shape: SystemShape, index: int) -> tuple[int, ...]:
-    if not 0 <= index < shape.dim:
-        raise ValueError(f"index {index} out of range for dim {shape.dim}")
-    digits = []
-    for _ in range(shape.n):
-        digits.append(index % shape.d)
-        index //= shape.d
-    return tuple(reversed(digits))
-
-
 def parse_label(shape: SystemShape, text: str) -> tuple[int, ...]:
     digits = tuple(int(ch) for ch in text)
     label_to_index(shape, digits)  # validates

@@ -1,12 +1,15 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dense_reference as dense
+from qgames import games
 from qgames.games import (
+    EmbeddingCheck,
     GameSpec,
     classical_embedding_check,
     classical_uniform_payoff,
@@ -337,7 +340,45 @@ class TestClassicalOracles:
         assert classical_uniform_payoff(minority(4))[1] == Fraction(total, 16)
 
 
+def reference_embedding_check(game, atol=1e-9):
+    """One ``play_profile`` per classical profile: the loop the batched check replaces."""
+    n, d = game.shape.n, game.shape.d
+    operators = classical_set(d)
+    worst = 0.0
+    count = 0
+    for ks in itertools.product(range(len(operators)), repeat=n):
+        report = play_profile(game, [operators[k] for k in ks])
+        expected = game.payoffs[:, np.ravel_multi_index(ks, (d,) * n)]
+        for got, want in zip(report.payoffs, expected):
+            worst = max(worst, abs(got - float(want)))
+        count += 1
+    return EmbeddingCheck(worst <= atol, worst, count)
+
+
 class TestClassicalEmbedding:
+    @pytest.mark.parametrize("game", [prisoners_dilemma(), kolkata(),
+                                      *(minority(n) for n in range(2, 9))],
+                             ids=lambda game: f"{game.name}{game.shape.n}")
+    def test_matches_one_play_per_profile(self, game):
+        assert classical_embedding_check(game) == reference_embedding_check(game)
+
+    def test_batches_stay_under_the_amplitude_budget(self, monkeypatch):
+        # 1024 profiles of 1024 amplitudes: 16 MB in one batch, 32 kB per batch of 2
+        monkeypatch.setattr(games, "_EMBEDDING_BUDGET", 2048)
+        tracemalloc.start()
+        try:
+            result = classical_embedding_check(minority(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ok and result.profiles_checked == 1024
+        assert peak < 1 << 20
+
+    def test_non_unitary_classical_operator_rejected(self, monkeypatch):
+        monkeypatch.setattr(games, "classical_set", lambda d: [np.eye(d), 2 * np.eye(d)])
+        with pytest.raises(ValueError, match="not unitary"):
+            classical_embedding_check(minority(3))
+
     def test_pd(self):
         result = classical_embedding_check(prisoners_dilemma())
         assert result.ok and result.profiles_checked == 4

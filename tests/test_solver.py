@@ -727,7 +727,8 @@ def reference_refine(evaluate_one, start, start_value, box, cfg, rng_axis_order)
 
 def reference_search(family, evaluate_batch, extra_starts, cfg):
     """The search before batching, on the same gauge-fixed box: the whole grid
-    in memory, every start evaluated again, single-row refinement."""
+    in memory, every start evaluated again, single-row refinement of one start
+    after another, each with its own axis-order stream."""
     box = solver._search_box(family)
     points = cfg.grid_points_per_axis if len(box) <= 3 else min(cfg.grid_points_per_axis, 6)
     mesh = np.meshgrid(*[np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box],
@@ -746,9 +747,9 @@ def reference_search(family, evaluate_batch, extra_starts, cfg):
     starts += [solver._gauge_fixed(family, [rng.uniform(lo, hi) for lo, hi in parameter_box(family)])
                for _ in range(solver._RANDOM_STARTS)]
     best_params, best_value = starts[0], -math.inf
-    for start in starts:
+    for start, stream in zip(starts, rng.spawn(len(starts))):
         refined, refined_value, _ = reference_refine(
-            evaluate_one, start, evaluate_one(start), box, cfg, rng)
+            evaluate_one, start, evaluate_one(start), box, cfg, stream)
         if refined_value > best_value:
             best_params, best_value = refined, refined_value
     return best_params, best_value
@@ -816,8 +817,9 @@ class TestBatchedRefinement:
             seen.append(float(evaluate(np.asarray([params]))[0]))
             return seen[-1]
 
-        best, value, evaluations = solver._refine(counting, start, start_value, box, cfg,
-                                                  np.random.default_rng(3))
+        best, value, evaluations = solver._refine(counting, np.asarray([start]), [start_value],
+                                                  box, cfg, [np.random.default_rng(3)])
+        best, value = best[0], value[0]
         ref_best, ref_value, _ = reference_refine(one, start, start_value, box, cfg,
                                                   np.random.default_rng(3))
         # the reference accepts exactly the values that beat everything before them
@@ -827,6 +829,30 @@ class TestBatchedRefinement:
         assert evaluations == sum(batches)
         assert abs(value - ref_value) <= 1e-12
         np.testing.assert_allclose(best, ref_best, rtol=0, atol=1e-12)
+
+    def test_default_kolkata_pareto_search_refines_in_lockstep(self):
+        family = Family.FRAME_SU3
+        evaluate = symmetric_evaluator(KOLKATA, family)
+        batches = []
+
+        def counting(params):
+            batches.append(len(params))
+            return evaluate(params)
+
+        _, value, evaluations = _search_family(family, counting, list(FAMILY_PRESETS[family]),
+                                               SearchConfig(), 1)
+        # one call per round for all 21 starts makes 238; one call per start
+        # and sweep would make over 3 000
+        assert len(batches) <= 400
+        assert evaluations == sum(batches)
+        assert abs(value - 2 / 3) < 1e-12
+
+    def test_ties_go_to_the_first_start(self):
+        # a flat payoff never improves, so all five starts end on the same value
+        params, value, _ = _search_family(Family.FULL_SU2, lambda p: np.zeros(len(p)), [],
+                                          SearchConfig(grid_points_per_axis=3), 1)
+        assert value == 0.0
+        assert params == tuple(lo for lo, _ in solver._search_box(Family.FULL_SU2))
 
     def test_streamed_grid_matches_meshgrid(self, monkeypatch):
         monkeypatch.setattr(solver, "_EVAL_CHUNK", 64)
@@ -863,8 +889,8 @@ def eight_axis_search(family, evaluate_batch, extra_starts, cfg):
     starts += [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
                for _ in range(solver._RANDOM_STARTS)]
     values = evaluate_batch(np.asarray(starts))
-    return max(solver._refine(evaluate_batch, start, float(value), box, cfg, rng)[1]
-               for start, value in zip(starts, values))
+    return solver._refine(evaluate_batch, np.asarray(starts), values, box, cfg,
+                          rng.spawn(len(starts)))[1].max()
 
 
 RANDOM_QUTRIT3 = random_table_game(3, 3, 8)

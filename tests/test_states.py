@@ -15,9 +15,9 @@ from qgames.states import (
     bell,
     check_fidelity,
     ghz,
-    index_to_label,
     label_to_index,
     labels,
+    parse_label,
 )
 from qgames.strategies import cyclic_s, pauli, su2_full, su3_frame
 
@@ -50,8 +50,10 @@ class TestShapeAndLabels:
 
     def test_label_round_trip(self):
         shape = SystemShape(3, 3)
-        for index in range(shape.dim):
-            assert label_to_index(shape, index_to_label(shape, index)) == index
+        texts = list(labels(shape))
+        assert len(texts) == shape.dim
+        for index, text in enumerate(texts):
+            assert label_to_index(shape, parse_label(shape, text)) == index
 
     def test_index_arithmetic_oracle(self):
         # player i contributes digit * d**(i-1); recompute positionally
