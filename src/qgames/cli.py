@@ -13,6 +13,7 @@ a given seed at any ``--threads`` value (``QGAMES_THREADS`` is the fallback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -321,7 +322,9 @@ def _cmd_verify(args, out: IO[str]) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qgames argument parser, built once per process and shared by every run."""
     parser = argparse.ArgumentParser(
         prog="qgames",
         description="Quantum game engine: entangled dilemma, minority and "

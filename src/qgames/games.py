@@ -33,7 +33,9 @@ import numpy as np
 from .states import (
     PureState,
     SystemShape,
+    apply_local_batch,
     apply_local_pure,
+    batch_rows,
     check_fidelity,
     ghz,
     labels,
@@ -46,9 +48,6 @@ MINORITY = "minority"
 KOLKATA = "kolkata"
 
 ATOL_PAYOFF = 1e-9
-# complex amplitudes per batch of classical profiles in the embedding check:
-# 64 kB arrays, a working set that stays in cache and off the process's peak memory
-_EMBEDDING_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,26 +219,22 @@ def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> Embe
     Every combination of classical operators (player-n-first powers) is
     played through the full quantum protocol and compared against the table
     entry of the classical outcome string.  The profiles are played in
-    batches of at most _EMBEDDING_BUDGET amplitudes: each batch starts from
-    the resource state, applies every player's operator for each profile,
-    then J-dagger for the dilemma, and reads the payoffs off |amplitude|^2.
+    batches of at most ``states.BATCH_BUDGET`` amplitudes: each batch starts
+    from the resource state, applies every player's operator for each
+    profile through :func:`qgames.states.apply_local_batch`, then J-dagger
+    for the dilemma, and reads the payoffs off |amplitude|^2.
     """
     n, d, dim = game.shape.n, game.shape.d, game.shape.dim
     operators = np.stack([require_unitary(op, name="classical operator")
                           for op in classical_set(d)])
     total = len(operators) ** n
-    rows = max(1, _EMBEDDING_BUDGET // dim)
+    rows = batch_rows(dim)
     initial = resource_state(game).amplitudes
     worst = 0.0
     for first in range(0, total, rows):
         profiles = np.arange(first, min(first + rows, total))
-        count = len(profiles)
         powers = np.unravel_index(profiles, (len(operators),) * n)
-        amplitudes = np.broadcast_to(initial, (count, dim))
-        for axis, ks in enumerate(powers):
-            # each profile's move for player n - axis, on tensor axis ``axis``
-            amplitudes = operators[ks][:, None] @ amplitudes.reshape(count, d ** axis, d, -1)
-        amplitudes = amplitudes.reshape(count, dim)
+        amplitudes = apply_local_batch(operators[np.stack(powers, axis=1)], initial, d)
         if game.use_entangler_pair:
             amplitudes = amplitudes @ entangler().conj()  # each row v -> J-dagger v
         payoffs = np.abs(amplitudes) ** 2 @ game.payoffs.T

@@ -13,6 +13,13 @@ Conventions used everywhere in this package:
 Everything here works on state vectors; no D x D matrix is built.  White
 noise enters the protocols in closed form (see :mod:`qgames.games`).  The
 unitarity checks every local move passes through live here too.
+
+:func:`apply_local_batch` is the one batched propagation kernel: a batch of
+per-player operator profiles applied to a batch of states, one batched
+matmul per player, with no unitarity check (its callers check their
+operators once).  Batched callers (the classical embedding check and the
+property suite of ``qgames verify``) split their work into batches of at
+most ``BATCH_BUDGET`` complex amplitudes, sized by :func:`batch_rows`.
 """
 
 from __future__ import annotations
@@ -31,6 +38,14 @@ DIMENSION_CAP = 3 ** 9
 ATOL_NORM = 1e-9
 # Tolerance for accepting a matrix as unitary.
 ATOL_UNITARY = 1e-9
+# complex amplitudes per batch of the batched callers: 64 kB arrays, a working
+# set that stays in cache and off the process's peak memory
+BATCH_BUDGET = 1 << 12
+
+
+def batch_rows(width: int) -> int:
+    """Rows of ``width`` complex amplitudes per batch under ``BATCH_BUDGET``."""
+    return max(1, BATCH_BUDGET // width)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -203,6 +218,21 @@ def apply_local_pure(ops: Sequence, psi: PureState, strict: bool = True) -> Pure
     for axis, mat in enumerate(mats):
         tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
     return PureState(shape, tensor.reshape(-1))
+
+
+def apply_local_batch(ops: np.ndarray, amplitudes: np.ndarray, d: int) -> np.ndarray:
+    """(U_n (x) ... (x) U_1)|psi> for a batch of profiles and states.
+
+    ``ops`` is (B, n, d, d), each profile player-n-first; ``amplitudes`` is
+    (B, d**n) or broadcasts to it.  Returns the (B, d**n) moved amplitudes.
+    The operators are not checked.
+    """
+    count, n = ops.shape[:2]
+    amplitudes = np.broadcast_to(amplitudes, (count, d ** n))
+    for axis in range(n):
+        # player n - axis acts on tensor axis ``axis``
+        amplitudes = ops[:, axis, None] @ amplitudes.reshape(count, d ** axis, d, -1)
+    return amplitudes.reshape(count, d ** n)
 
 
 def check_fidelity(fidelity: float) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .solver import (
     pareto_check_symmetric,
     verify_nash,
 )
-from .states import PureState, SystemShape, apply_local_pure
+from .states import SystemShape, apply_local_batch, batch_rows
 from .strategies import (
     Family,
     KOLKATA_OPTIMAL_PARAMS,
@@ -43,6 +42,8 @@ from .strategies import (
 
 PROPERTY_DRAWS = 1000
 _PROPERTY_SEED = 20240917
+# the shapes of the norm and trace draws, PROPERTY_DRAWS // 3 draws each
+_PROPERTY_SHAPES = (SystemShape(2, 2), SystemShape(4, 2), SystemShape(3, 3))
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,77 @@ def _batch_unitarity_residual(mats: np.ndarray) -> float:
     return float(np.max(np.abs(products - np.eye(d))))
 
 
+def _dense_trace_residual(ops: np.ndarray, psi: np.ndarray, fs: np.ndarray) -> float:
+    """max |tr(U rho U-dagger) - 1| over a batch, on the dense D x D path.
+
+    Row k has rho = f_k |psi_k><psi_k| + (1 - f_k)/D I and U the dense
+    U_n (x) ... (x) U_1 of its (n, d, d) profile ``ops[k]``.
+    """
+    count, dim = psi.shape
+    full = ops[:, 0]
+    for axis in range(1, ops.shape[1]):
+        # batched Kronecker product: full[k] (x) ops[k, axis]
+        full = full[:, :, None, :, None] * ops[:, axis, None, :, None, :]
+        side = full.shape[1] * full.shape[2]
+        full = full.reshape(count, side, side)
+    rho = fs[:, None, None] * (psi[:, :, None] * psi[:, None, :].conj())
+    rho += ((1.0 - fs) / dim)[:, None, None] * np.eye(dim)
+    moved = full @ rho @ full.conj().transpose(0, 2, 1)
+    return float(np.max(np.abs(np.trace(moved, axis1=1, axis2=2) - 1.0)))
+
+
+def _preservation_residuals(rng: np.random.Generator, shape: SystemShape,
+                            source: np.ndarray) -> tuple[float, float]:
+    """Worst norm and trace residuals over one shape's property draws."""
+    n, d, dim = shape.n, shape.d, shape.dim
+    count = PROPERTY_DRAWS // len(_PROPERTY_SHAPES)
+    raw = rng.standard_normal((count, 2, dim))
+    # filled in place and the draw dropped: one (count, dim) copy at the peak
+    psi = np.empty((count, dim), dtype=complex)
+    psi.real, psi.imag = raw[:, 0], raw[:, 1]
+    del raw
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    picks = rng.integers(len(source), size=(count, n))
+    dense = np.arange(0, count, 4)
+    fs = rng.uniform(0, 1, len(dense))
+
+    worst_norm = 0.0
+    rows = batch_rows(dim)
+    for first in range(0, count, rows):
+        chunk = slice(first, first + rows)
+        moved = apply_local_batch(source[picks[chunk]], psi[chunk], d)
+        worst_norm = max(worst_norm, float(np.max(np.abs(np.linalg.norm(moved, axis=1) - 1.0))))
+    worst_trace = 0.0
+    rows = batch_rows(dim * dim)
+    for first in range(0, len(dense), rows):
+        draws = dense[first:first + rows]
+        worst_trace = max(worst_trace, _dense_trace_residual(
+            source[picks[draws]], psi[draws], fs[first:first + rows]))
+    return worst_norm, worst_trace
+
+
 def check_property_suites() -> list[CheckResult]:
+    """Criterion 7: seeded property draws, evaluated in batches.
+
+    Draw plan, one generator seeded with ``_PROPERTY_SEED``:
+
+    1. the family batches of ``_random_family_batches`` (1000 full SU(2),
+       1000 Eisert SU(2), 1000 SU(3) frame matrices), checked for unitarity
+       and, for full SU(2) and SU(3), unit determinant;
+    2. then for each shape (n, d) in (2, 2), (4, 2), (3, 3), with D = d**n and
+       333 draws per shape: ``standard_normal((333, 2, D))`` for the states
+       (real and imaginary parts, normalised per row), ``integers(1000,
+       size=(333, n))`` for each draw's player-n-first operators from the
+       full SU(2) (d = 2) or SU(3) batch, and ``uniform(0, 1, 84)`` for the
+       fidelities of the dense draws 0, 4, 8, ....
+
+    Every draw goes through :func:`qgames.states.apply_local_batch` for the
+    norm check; every dense draw also builds f |psi><psi| + (1 - f)/D I and
+    the dense U_n (x) ... (x) U_1 for the trace check.  The draws are made
+    before any evaluation and evaluated in batches of at most
+    ``states.BATCH_BUDGET`` amplitudes (D per state, D**2 per dense draw),
+    so the sample does not depend on the budget.
+    """
     rng = np.random.default_rng(_PROPERTY_SEED)
 
     worst_residual = 0.0
@@ -215,26 +286,13 @@ def check_property_suites() -> list[CheckResult]:
             worst_det = max(worst_det, float(np.max(np.abs(np.linalg.det(mats) - 1))))
 
     # norm / trace preservation over random states and random local unitaries
-    shapes = [SystemShape(2, 2), SystemShape(4, 2), SystemShape(3, 3)]
     worst_norm = 0.0
     worst_trace = 0.0
-    per_shape = PROPERTY_DRAWS // len(shapes)
-    for shape in shapes:
+    for shape in _PROPERTY_SHAPES:
         source = batches[Family.FULL_SU2 if shape.d == 2 else Family.FRAME_SU3]
-        for i in range(per_shape):
-            raw = rng.standard_normal(shape.dim) + 1j * rng.standard_normal(shape.dim)
-            psi = PureState(shape, raw / np.linalg.norm(raw))
-            ops = [source[rng.integers(len(source))] for _ in range(shape.n)]
-            moved = apply_local_pure(ops, psi)
-            worst_norm = max(worst_norm, abs(np.linalg.norm(moved.amplitudes) - 1.0))
-            if i % 4 == 0:
-                # the dense path: f |psi><psi| + (1-f)/D I conjugated by U_n (x) ... (x) U_1
-                f = float(rng.uniform(0, 1))
-                amp = psi.amplitudes
-                rho = f * np.outer(amp, amp.conj()) + (1.0 - f) / shape.dim * np.eye(shape.dim)
-                full = reduce(np.kron, ops)
-                rho_out = full @ rho @ full.conj().T
-                worst_trace = max(worst_trace, abs(complex(np.trace(rho_out)) - 1.0))
+        norm, trace = _preservation_residuals(rng, shape, source)
+        worst_norm = max(worst_norm, norm)
+        worst_trace = max(worst_trace, trace)
 
     # the float payoff tables equal the exact numerators over the denominator
     worst_table = 0.0
@@ -265,6 +323,14 @@ _DETERMINISM_ARGS = [
 
 
 def check_search_determinism() -> list[CheckResult]:
+    """The same search through the CLI at ``--threads 1`` and ``8``.
+
+    The search, a dilemma ``eisert`` Nash scan, gets exact best responses, so
+    it never opens the thread pool: this checks that an exact search ignores
+    the thread count.  The threaded grid search is covered by the CLI thread
+    tests in ``tests/test_cli.py`` and by the byte-diffs of searches at 1 and
+    2 threads in CI.
+    """
     from . import cli
 
     outputs = []
@@ -277,7 +343,7 @@ def check_search_determinism() -> list[CheckResult]:
         CheckResult(
             "search-thread-determinism",
             bool(identical),
-            "byte-identical reports at --threads 1 and 8",
+            "byte-identical reports at --threads 1 and 8 for an exact search",
             "identical" if identical else "different",
             None,
         )

@@ -302,6 +302,22 @@ class TestDeterminism:
         assert cli.format_float(1.0) == "1"
 
 
+class TestParserCache:
+    ARGV = ["minority", "-n", "3", "--fidelity", "0.5"]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_failed_runs_do_not_leak_into_the_next(self):
+        before = run_cli(self.ARGV)
+        assert before[0] == 0
+        code, out = run_cli(["minority", "-n", "1", "--fidelity", "0.9"])
+        assert code == 2 and "error" in json.loads(out)
+        with pytest.raises(SystemExit):
+            run_cli(["minority", "--fidelity", "0.2", "--no-such-flag"])
+        assert run_cli(self.ARGV) == before
+
+
 class TestPresetExpansion:
     def test_table2_token_expansion(self):
         _, payload = run_json(["kolkata", "--strategy", "su3:table2"])

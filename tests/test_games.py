@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from qgames import games
+from qgames import games, states
 from qgames.games import (
     EmbeddingCheck,
     GameSpec,
@@ -364,7 +364,7 @@ class TestClassicalEmbedding:
 
     def test_batches_stay_under_the_amplitude_budget(self, monkeypatch):
         # 1024 profiles of 1024 amplitudes: 16 MB in one batch, 32 kB per batch of 2
-        monkeypatch.setattr(games, "_EMBEDDING_BUDGET", 2048)
+        monkeypatch.setattr(states, "BATCH_BUDGET", 2048)
         tracemalloc.start()
         try:
             result = classical_embedding_check(minority(10))

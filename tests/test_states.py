@@ -10,6 +10,7 @@ from qgames.games import kolkata, play_symmetric
 from qgames.states import (
     PureState,
     SystemShape,
+    apply_local_batch,
     apply_local_pure,
     basis_state,
     bell,
@@ -175,6 +176,21 @@ class TestLocalOperations:
         psi = random_state(rng, shape)
         out = apply_local_pure([random_su2(rng) for _ in range(3)], psi)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
+
+
+class TestApplyLocalBatch:
+    @pytest.mark.parametrize("n, d", [(2, 2), (4, 2), (3, 3), (11, 2)])
+    def test_matches_apply_local_pure(self, n, d):
+        rng = np.random.default_rng(17 + n * d)
+        shape = SystemShape(n, d)
+        draw = random_su2 if d == 2 else random_su3
+        states = [random_state(rng, shape) for _ in range(5)]
+        profiles = [[draw(rng) for _ in range(n)] for _ in states]
+        moved = apply_local_batch(np.array(profiles),
+                                  np.array([psi.amplitudes for psi in states]), d)
+        for row, ops, psi in zip(moved, profiles, states):
+            np.testing.assert_allclose(row, apply_local_pure(ops, psi).amplitudes,
+                                       rtol=0, atol=1e-13)
 
 
 class TestDensityOperations:
