@@ -77,12 +77,11 @@ print(f"kolkata 4/9: optimal={witness.is_optimal} via {witness.certificate}; "
 print("\n=== determinism ===")
 runs = [
     best_response(kg, profile, 1, Family.FRAME_SU3,
-                  SearchConfig(grid_points_per_axis=2, refine_iterations=20, seed=11),
-                  threads=threads)
-    for threads in (1, 8)
+                  SearchConfig(grid_points_per_axis=2, refine_iterations=20, seed=11))
+    for _ in range(2)
 ]
-print(f"same seed at 1 and 8 threads -> identical su3 searches: {runs[0] == runs[1]}")
-print("eigenvectors are signed by a fixed rule, grids are traversed")
-print("lexicographically, ties go to the first candidate, each refinement")
-print("start draws its axis orders from its own stream spawned from the seed,")
-print("and chunked evaluation merges by index, so reports are reproducible.")
+print(f"two runs with the same seed -> identical su3 searches: {runs[0] == runs[1]}")
+print("eigenvectors are signed by a fixed rule, grids are streamed in")
+print("lexicographic order in fixed-size chunks, ties go to the first candidate,")
+print("and each refinement start draws its axis orders from its own stream")
+print("spawned from the seed, so reports are reproducible.")

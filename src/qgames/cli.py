@@ -7,7 +7,9 @@ report on stdout).
 
 Identical invocations produce byte-identical output: floats are rendered at
 12 significant digits, key order is fixed, and searches are deterministic for
-a given seed at any ``--threads`` value (``QGAMES_THREADS`` is the fallback).
+a given seed.  Every search runs in one thread; ``search --threads N`` is
+accepted for compatibility and has no effect, and ``QGAMES_THREADS`` is
+ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import IO, Sequence
 
@@ -32,8 +33,6 @@ from .solver import (
     verify_nash,
 )
 from .strategies import Family, StrategySpec, parse_strategy
-
-THREADS_ENV = "QGAMES_THREADS"
 
 _DEFAULT_PROFILE_LITERAL = {
     "pd": "eisert:0,pi/2",
@@ -102,15 +101,6 @@ def _emit(report: dict, fmt: str, out: IO[str]) -> None:
         out.write(render_json(report) + "\n")
     else:
         out.write(_render_text(report) + "\n")
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _probabilities_payload(probabilities: dict[str, float]) -> dict:
@@ -234,7 +224,6 @@ def _cmd_search(args, out: IO[str]) -> int:
     game = game_by_name(args.game, args.n)
     space = Family(args.space)
     cfg = _config_from_args(args)
-    threads = _resolve_threads(args.threads)
     literals = args.profile or [_DEFAULT_PROFILE_LITERAL[game.name]]
     profile = _parse_profile(game, literals)
     payload = {
@@ -247,7 +236,7 @@ def _cmd_search(args, out: IO[str]) -> int:
         "config": cfg.to_json(),
     }
     if args.mode == "nash":
-        verdict = verify_nash(game, profile, space, cfg, args.fidelity, threads)
+        verdict = verify_nash(game, profile, space, cfg, args.fidelity)
         payload.update(
             {
                 "is_equilibrium": verdict.is_equilibrium,
@@ -266,8 +255,7 @@ def _cmd_search(args, out: IO[str]) -> int:
             }
         )
     elif args.mode == "best-response":
-        result = best_response(game, profile, args.player, space, cfg,
-                               args.fidelity, threads)
+        result = best_response(game, profile, args.player, space, cfg, args.fidelity)
         payload.update(
             {
                 "player": args.player,
@@ -278,8 +266,7 @@ def _cmd_search(args, out: IO[str]) -> int:
             }
         )
     else:  # pareto
-        result = pareto_check_symmetric(game, args.payoff, space, cfg,
-                                        args.fidelity, threads)
+        result = pareto_check_symmetric(game, args.payoff, space, cfg, args.fidelity)
         payload.update(
             {
                 "target_payoff": args.payoff,
@@ -398,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--epsilon", type=float, default=1e-6)
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (fallback: ${THREADS_ENV})")
+                        help="accepted for compatibility; has no effect")
     add_format(search)
 
     verify = sub.add_parser("verify", help="run the full verification suite")

@@ -6,9 +6,17 @@ from the propagated pure state: the other players' moves are applied to the
 shared state once, the deviating slot is opened with each matrix unit E_ab,
 and white noise enters in closed form, which costs O(d^2 D) instead of the
 O(d^2 D^3) of a density-matrix build.  Symmetric scans over the GHZ games
-use the product structure of the shared state, in sub-batches under a fixed
-element budget.  Both reductions are cross-checked against a dense
-density-matrix reference in the tests.
+use the product structure of the shared state.  Both reductions are
+cross-checked against a dense density-matrix reference in the tests.
+
+Every search streams its work under one budget, ``_SEARCH_BUDGET`` complex
+amplitudes (16 * ``states.BATCH_BUDGET``, 1 MB): the grid is evaluated in
+sequential chunks of as many rows as the budget holds d x d strategy
+matrices, and a symmetric GHZ scan splits each chunk again into sub-batches
+of d^n * d amplitudes per row.  A search's working memory is therefore a
+small constant, whatever the grid size or the number of players.  A
+symmetric Pareto search whose grid would evaluate more than
+``_WORK_BUDGET`` amplitudes (rows x D x d) is rejected before it starts.
 
 Best responses are exact wherever the form allows it, and each result names
 how it was obtained (``BestResponseResult.certificate``):
@@ -50,16 +58,17 @@ how it was obtained (``BestResponseResult.certificate``):
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
-candidate encountered, chunked evaluation merges results by index regardless
-of thread count, and the only randomness (the supplementary random starts and
-each start's axis orders) comes from the seed in `SearchConfig`.
+candidate encountered, and the only randomness (the supplementary random
+starts and each start's axis orders) comes from the seed in `SearchConfig`.
+The budget is a constant, not a setting: a symmetric sub-batch ends in one
+matrix-vector product, which BLAS may round differently by a row's place in
+its block, so another budget can move grid values by an ulp.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -67,7 +76,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .games import GameSpec, entangler, play_symmetric, resource_state
-from .states import apply_local_pure, check_fidelity
+from .states import BATCH_BUDGET, apply_local_pure, check_fidelity
 from .strategies import (
     FAMILY_PRESETS,
     LOCAL_DIMENSION,
@@ -79,10 +88,11 @@ from .strategies import (
     su3_frame_batch,
 )
 
-_EVAL_CHUNK = 65536  # fixed so results do not depend on the thread count
-# complex elements per symmetric sub-batch, at d^n * d per row: one whole Kolkata
-# chunk (81 per row); the kernel's two largest arrays hold d^n per row each
-_AMPLITUDE_BUDGET = _EVAL_CHUNK * 27 * 3
+# complex amplitudes per grid chunk (d * d per row) and per symmetric sub-batch
+# (d^n * d per row): 2^16, 1 MB
+_SEARCH_BUDGET = 16 * BATCH_BUDGET
+# amplitudes a symmetric Pareto search may evaluate on its grid, rows * D * d
+_WORK_BUDGET = 1 << 30
 _MIN_STEP = 1e-8
 _RANDOM_STARTS = 4
 _MAX_GRID_POINTS = 256  # a 3-parameter grid then streams at most 16.7 M rows
@@ -96,8 +106,7 @@ class SearchConfig:
     seed sets the supplementary random refinement starts, drawn first, and
     then the per-start axis-order streams: the generator spawns one child
     stream per start, and each sweep of that start draws its axis order from
-    it.  Given the same seed, results are reproducible bit for bit at any
-    thread count.
+    it.  Given the same seed, results are reproducible bit for bit.
     """
 
     grid_points_per_axis: int = 24
@@ -317,7 +326,7 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
         final = np.einsum("ij,gj->gi", j.conj().T,
                           np.einsum("gij,j->gi", pair, seed_state))
         return (np.abs(final) ** 2) @ diag
-    rows = max(1, _AMPLITUDE_BUDGET // (d ** n * d))
+    rows = _search_rows(d ** n * d)
     pure = np.concatenate([_ghz_pure_payoffs(matrices[i:i + rows], n, d, diag)
                            for i in range(0, len(matrices), rows)])
     if fidelity < 1.0:
@@ -342,27 +351,25 @@ def _ghz_pure_payoffs(matrices: np.ndarray, n: int, d: int, diag: np.ndarray) ->
     return (amplitudes.real ** 2 + amplitudes.imag ** 2) @ diag / d
 
 
-def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], axes: Sequence[np.ndarray],
-             threads: int) -> np.ndarray:
-    """Evaluate every grid row in fixed-size chunks, stored in index order.
+def _search_rows(width: int) -> int:
+    """Rows of ``width`` complex amplitudes per chunk or sub-batch under ``_SEARCH_BUDGET``."""
+    return max(1, _SEARCH_BUDGET // width)
 
-    A chunk's rows are built from its flat indices when it runs, so at most
-    one chunk per thread exists at a time.
+
+def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], axes: Sequence[np.ndarray],
+             width: int) -> np.ndarray:
+    """Evaluate every grid row, in index order, one chunk at a time.
+
+    A chunk holds ``_search_rows(width)`` rows, where ``width`` is the size of
+    the strategy matrix each row builds; its rows are built from their flat
+    indices when it runs, so only one chunk exists at a time.
     """
     total = math.prod(len(axis) for axis in axes)
+    rows = _search_rows(width)
     payoffs = np.empty(total)
-
-    def run(start: int) -> None:
-        stop = min(start + _EVAL_CHUNK, total)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
         payoffs[start:stop] = evaluate(_grid_rows(axes, np.arange(start, stop)))
-
-    starts = range(0, total, _EVAL_CHUNK)
-    if threads <= 1 or len(starts) <= 1:
-        for start in starts:
-            run(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))  # reading every result re-raises a worker's error
     return payoffs
 
 
@@ -431,7 +438,7 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
 
 
 def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConfig,
-                   threads: int, extra_values=None) -> tuple[tuple[float, ...], float, int]:
+                   extra_values=None) -> tuple[tuple[float, ...], float, int]:
     """Grid + multi-start refinement over one continuous family's search box.
 
     The best grid points start refinement with the values the grid scan gave
@@ -445,7 +452,7 @@ def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConf
     """
     box = _search_box(family)
     axes = _grid_axes(family, cfg.grid_points_per_axis)
-    grid_payoffs = _chunked(evaluate_batch, axes, threads)
+    grid_payoffs = _chunked(evaluate_batch, axes, LOCAL_DIMENSION[family] ** 2)
 
     start_count = 16 if len(box) >= 4 else 1
     # a full stable argsort: a partition saves little on the gauge-fixed grids
@@ -544,7 +551,7 @@ def _exact_su2_params(family: Family, form: np.ndarray) -> tuple[float, ...]:
 
 
 def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, space,
-             cfg: SearchConfig, threads: int) -> BestResponseResult:
+             cfg: SearchConfig) -> BestResponseResult:
     """Best response for one player, given that player's deviation form."""
     discrete = _discrete_candidates(space)
     if discrete is not None:
@@ -575,8 +582,7 @@ def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, spa
             if value >= bound - _BOUND_RTOL * max(1.0, abs(bound)):
                 return BestResponseResult(StrategySpec(family, params), float(value),
                                           len(extra), "bound")
-    params, value, evaluations = _search_family(family, evaluate_batch, extra, cfg, threads,
-                                                values)
+    params, value, evaluations = _search_family(family, evaluate_batch, extra, cfg, values)
     return BestResponseResult(StrategySpec(family, params), value, evaluations, "search")
 
 
@@ -602,7 +608,8 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
     sequence of StrategySpec candidates.  Discrete spaces are enumerated and
     the qubit families solved exactly; SU(3) returns a strategy that attains
     the d * lambda_max bound if the current one or a preset does, and
-    otherwise searches by grid plus refinement.
+    otherwise searches by grid plus refinement.  ``threads`` is accepted for
+    compatibility and ignored: every search runs in one thread.
     """
     cfg = cfg or SearchConfig()
     n = game.shape.n
@@ -610,7 +617,7 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range 1..{n}")
     form = _deviation_form(game, ordered, player, fidelity)
-    return _respond(form, profile, player, space, cfg, threads)
+    return _respond(form, profile, player, space, cfg)
 
 
 def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
@@ -619,7 +626,8 @@ def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
     """Scan every player for profitable unilateral deviations.
 
     Each player's deviation form is built once and gives both the profile
-    payoff and the best response.
+    payoff and the best response.  ``threads`` is accepted for compatibility
+    and ignored.
     """
     cfg = cfg or SearchConfig()
     ordered = _validated_ops(game, profile, space)
@@ -630,7 +638,7 @@ def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
         form = _deviation_form(game, ordered, player, fidelity)
         own = ordered[_tensor_slot(n, player)][None, :, :]
         profile_payoffs.append(float(_deviation_payoffs(form, own)[0]))
-        responses.append(_respond(form, profile, player, space, cfg, threads))
+        responses.append(_respond(form, profile, player, space, cfg))
     gains = [r.payoff - base for r, base in zip(responses, profile_payoffs)]
     max_gain = max(gains)
     return EquilibriumVerdict(
@@ -676,11 +684,21 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     value, that analytic certificate is returned.  Otherwise symmetric
     profiles over the space are searched for one that beats the value by
     more than epsilon; finding one disproves optimality with a witness.
+    A grid that would evaluate more than ``_WORK_BUDGET`` amplitudes
+    (rows x D x d) is rejected before any work.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     cfg = cfg or SearchConfig()
     check_fidelity(fidelity)
     if _space_dimension(space) != game.shape.d:
         raise ValueError("strategy space dimension does not match the game")
+    if _discrete_candidates(space) is None:
+        rows = math.prod(len(axis) for axis in _grid_axes(space, cfg.grid_points_per_axis))
+        work = rows * game.shape.dim * game.shape.d
+        if work > _WORK_BUDGET:
+            raise ValueError(
+                f"a symmetric search over {rows} grid rows evaluates {work} amplitudes "
+                f"(rows x D x d), above the cap of {_WORK_BUDGET}")
     n = game.shape.n
     bound = _payoff_sum_bound(game) / n
     if payoff >= float(bound) - 1e-9:
@@ -699,7 +717,7 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
             return _symmetric_payoffs(game, _family_matrices(family, params), fidelity)
 
         extra = _presets_for(space)
-        params, best_value, _ = _search_family(family, evaluate_batch, extra, cfg, threads)
+        params, best_value, _ = _search_family(family, evaluate_batch, extra, cfg)
         best_spec = StrategySpec(family, params)
 
     if best_value > payoff + cfg.epsilon_nash:

@@ -325,11 +325,11 @@ _DETERMINISM_ARGS = [
 def check_search_determinism() -> list[CheckResult]:
     """The same search through the CLI at ``--threads 1`` and ``8``.
 
-    The search, a dilemma ``eisert`` Nash scan, gets exact best responses, so
-    it never opens the thread pool: this checks that an exact search ignores
-    the thread count.  The threaded grid search is covered by the CLI thread
-    tests in ``tests/test_cli.py`` and by the byte-diffs of searches at 1 and
-    2 threads in CI.
+    Every search runs in one thread, and ``--threads`` is accepted for
+    compatibility only: this guards that the flag stays output-neutral.  The
+    search, a dilemma ``eisert`` Nash scan, gets exact best responses.  Grid
+    searches are covered by the CLI determinism tests in ``tests/test_cli.py``
+    and by the byte-diffs of searches at 1 and 2 threads in CI.
     """
     from . import cli
 

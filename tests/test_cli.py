@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ class TestErrors:
                              "--payoff", "0.5", "--grid", "257"])
         assert code == 2
         assert json.loads(out) == {"error": "grid_points_per_axis must lie in [2, 256], got 257"}
+
+    def test_search_above_work_budget(self):
+        # 256^3 rows at D = 2^14, d = 2: 5.5e11 amplitudes, rejected before any work
+        start = time.perf_counter()
+        code, out = run_cli(["search", "--game", "minority", "-n", "14", "--mode", "pareto",
+                             "--payoff", "0.05", "--grid", "256"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": (
+            "a symmetric search over 16777216 grid rows evaluates 549755813888 amplitudes "
+            "(rows x D x d), above the cap of 1073741824")}
 
     @pytest.mark.parametrize("fidelities,message", [
         (",", "--fidelities entry 1 is empty"),
@@ -255,44 +268,25 @@ class TestDeterminism:
         second = run_cli(argv)
         assert first == second
 
-    # a Kolkata su3 Pareto search scans a grid; at --grid 2 the gauge-fixed grid
-    # has 64 rows, 8 chunks of 8
+    # a Kolkata su3 Pareto search scans a grid and refines; the flag and the
+    # variable are accepted and have no effect
     SCAN = ["search", "--game", "kolkata", "--mode", "pareto", "--payoff", "0.4444444",
             "--grid", "2", "--refine-iterations", "20", "--seed", "7"]
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """(workers, chunks) of every thread pool the search opens."""
-        opened = []
-
-        class CountingPool(solver.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                opened.append([max_workers, 0])
-                super().__init__(max_workers, **kwargs)
-
-            def map(self, fn, *iterables, **kwargs):
-                opened[-1][1] += len(iterables[0])
-                return super().map(fn, *iterables, **kwargs)
-
-        monkeypatch.setattr(solver, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(solver, "_EVAL_CHUNK", 8)
-        return opened
-
-    def test_threads_do_not_change_output(self, pools):
+    def test_threads_do_not_change_output(self, monkeypatch):
         single = run_cli(self.SCAN + ["--threads", "1"])
-        assert pools == []
+        # and a search budget of 8 rows per chunk, 1 per sub-batch: the 64-row
+        # grid in 8 chunks
+        monkeypatch.setattr(solver, "_SEARCH_BUDGET", 72)
         eight = run_cli(self.SCAN + ["--threads", "8"])
-        assert pools == [[8, 8]]
         assert single[0] == 0
         assert single == eight
 
-    def test_threads_env_fallback(self, monkeypatch, pools):
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
+    def test_threads_env_fallback(self, monkeypatch):
+        monkeypatch.setenv("QGAMES_THREADS", "4")
         with_env = run_cli(self.SCAN)
-        assert pools == [[4, 8]]
-        monkeypatch.delenv(cli.THREADS_ENV)
-        without = run_cli(self.SCAN)
-        assert pools == [[4, 8]]
+        monkeypatch.delenv("QGAMES_THREADS")
+        without = run_cli(self.SCAN + ["--threads", "1"])
         assert with_env[0] == 0
         assert with_env == without
 

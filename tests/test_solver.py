@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -39,6 +42,7 @@ from qgames.strategies import (
     FAMILY_PRESETS,
     Family,
     KOLKATA_OPTIMAL_PARAMS,
+    LOCAL_DIMENSION,
     MINORITY_OPTIMAL_PARAMS,
     PD_EQUILIBRIUM_PARAMS,
     StrategySpec,
@@ -235,11 +239,11 @@ class TestLargeSystems:
     def test_minority_ten_symmetric_grid_batch_is_sub_batched(self):
         # the 13 824-point full grid at D = 1024: one unsplit (rows, 2^10, 2)
         # tensor would be 453 MB; a sub-batch holds its products and its
-        # amplitudes, (rows, 2^10) each, within its budget
+        # amplitudes, (rows, 2^10) each, within the search budget
         game = minority(10)
         grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 ** 3))
         matrices = _family_matrices(Family.FULL_SU2, grid)
-        budget_bytes = solver._AMPLITUDE_BUDGET * 16
+        budget_bytes = solver._SEARCH_BUDGET * 16
         assert len(grid) * 2 ** 10 * 2 * 16 > 4 * budget_bytes
         tracemalloc.start()
         try:
@@ -253,18 +257,50 @@ class TestLargeSystems:
             assert abs(values[i] - single) < 1e-12
 
 
-    def test_kolkata_su3_pareto_grid_is_streamed(self):
-        # streamed, the scan holds one chunk's rows, matrices and amplitudes at a
-        # time; the gauge-fixed 6^6-point grid is a single chunk
+    @staticmethod
+    def pareto_peak(game, payoff, family):
         cfg = SearchConfig(refine_iterations=0)
         tracemalloc.start()
         try:
-            verdict = pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg)
+            verdict = pareto_check_symmetric(game, payoff, family, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2 ** 20
         assert verdict.certificate == "symmetric-witness"
+        return peak
+
+    def test_kolkata_su3_pareto_grid_is_streamed(self):
+        # streamed, the scan holds one chunk's rows, matrices and amplitudes at a
+        # time: the gauge-fixed 6^6-point grid runs in 7 chunks of 7 281 rows
+        assert self.pareto_peak(KOLKATA, 4 / 9, Family.FRAME_SU3) < 8 * 2 ** 20
+
+    def test_minority_ten_pareto_grid_is_streamed(self):
+        # the 24^3 grid is one chunk, whose D = 1024 sub-batches hold 32 rows
+        assert self.pareto_peak(minority(10), 0.05, Family.FULL_SU2) < 8 * 2 ** 20
+
+    def test_default_minority_fourteen_grid_passes_the_work_budget(self, monkeypatch):
+        # 24^3 rows x 2^14 x 2 = 4.5e8 amplitudes, under the 2^30 cap; the
+        # search itself is stubbed out
+        searched = []
+
+        def stub(family, evaluate_batch, extra_starts, cfg, extra_values=None):
+            searched.append(cfg.grid_points_per_axis)
+            return (0.0, 0.0, 0.0), 0.0, 0
+
+        monkeypatch.setattr(solver, "_search_family", stub)
+        verdict = pareto_check_symmetric(minority(14), 0.05, Family.FULL_SU2)
+        assert searched == [24]
+        assert verdict.certificate == "symmetric-search-exhausted"
+
+
+def test_import_loads_no_thread_pool():
+    # every search runs in one thread, so importing the package must not pay
+    # for concurrent.futures
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    code = "import sys, qgames; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out == "False\n"
 
 
 class TestFidelityValidation:
@@ -339,16 +375,20 @@ class TestBestResponse:
 
     def test_reproducible_across_threads_and_runs(self, monkeypatch):
         # an SU(3) profile whose deviation bound is not attained still searches;
-        # a small chunk splits the 64-point gauge-fixed grid over the worker threads
-        monkeypatch.setattr(solver, "_EVAL_CHUNK", 8)
+        # the ignored threads keyword and a budget of 8 rows per chunk, which
+        # splits the 64-point gauge-fixed grid into 8 chunks, change nothing
         profile = [parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")] * 3
         cfg = SearchConfig(grid_points_per_axis=2, refine_iterations=8, seed=5)
-        results = [
-            best_response(KOLKATA, profile, 2, Family.FRAME_SU3, cfg, threads=t)
-            for t in (1, 8, 1)
-        ]
-        assert results[0].certificate == "search"
-        assert results[0] == results[1] == results[2]
+
+        def search(threads):
+            return best_response(KOLKATA, profile, 2, Family.FRAME_SU3, cfg, threads=threads)
+
+        default = search(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_SEARCH_BUDGET", 72)
+            small = search(8)
+        assert default.certificate == "search"
+        assert default == small == search(1)
 
     def test_seed_changes_are_still_deterministic(self):
         a = best_response(PD, [EQ, EQ], 1, Family.EISERT_SU2, SearchConfig(seed=1))
@@ -377,7 +417,7 @@ def search_reference(game, profile, player, family, fidelity=1.0, cfg=None):
     extra = list(FAMILY_PRESETS.get(family, ()))
     if profile[player - 1].family == family:
         extra = [profile[player - 1].params] + extra
-    return _search_family(family, evaluate, extra, cfg or SearchConfig(), 1)[1]
+    return _search_family(family, evaluate, extra, cfg or SearchConfig())[1]
 
 
 def played_payoff(game, profile, player, strategy, fidelity=1.0):
@@ -791,7 +831,7 @@ class TestBatchedRefinement:
     def test_matches_single_row_reference(self, case):
         family, evaluate, cfg = BATCHED_CASES[case]
         extra = list(FAMILY_PRESETS.get(family, ()))
-        params, value, _ = _search_family(family, evaluate, extra, cfg, 1)
+        params, value, _ = _search_family(family, evaluate, extra, cfg)
         _, reference = reference_search(family, evaluate, extra, cfg)
         assert value >= reference - 1e-12
         assert abs(value - reference) <= 1e-12
@@ -840,7 +880,7 @@ class TestBatchedRefinement:
             return evaluate(params)
 
         _, value, evaluations = _search_family(family, counting, list(FAMILY_PRESETS[family]),
-                                               SearchConfig(), 1)
+                                               SearchConfig())
         # one call per round for all 21 starts makes 238; one call per start
         # and sweep would make over 3 000
         assert len(batches) <= 400
@@ -850,30 +890,50 @@ class TestBatchedRefinement:
     def test_ties_go_to_the_first_start(self):
         # a flat payoff never improves, so all five starts end on the same value
         params, value, _ = _search_family(Family.FULL_SU2, lambda p: np.zeros(len(p)), [],
-                                          SearchConfig(grid_points_per_axis=3), 1)
+                                          SearchConfig(grid_points_per_axis=3))
         assert value == 0.0
         assert params == tuple(lo for lo, _ in solver._search_box(Family.FULL_SU2))
 
     def test_streamed_grid_matches_meshgrid(self, monkeypatch):
-        monkeypatch.setattr(solver, "_EVAL_CHUNK", 64)
-        for family in (Family.EISERT_SU2, Family.FULL_SU2, Family.FRAME_SU3):
+        profiles = {Family.EISERT_SU2: (MINORITY4, [MINORITY_OPT] * 4),
+                    Family.FULL_SU2: (MINORITY4, [MINORITY_OPT] * 4),
+                    Family.FRAME_SU3: (KOLKATA, SU3_OFF_BOUND)}
+        for family, (game, profile) in profiles.items():
+            width = LOCAL_DIMENSION[family] ** 2
             axes = solver._grid_axes(family, 3)
             mesh = np.meshgrid(*axes, indexing="ij")
             grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
             np.testing.assert_array_equal(solver._grid_rows(axes, np.arange(len(grid))), grid)
-            evaluate = symmetric_evaluator(KOLKATA if family == Family.FRAME_SU3 else MINORITY4,
-                                           family)
-            np.testing.assert_array_equal(solver._chunked(evaluate, axes, 1),
-                                          np.concatenate([evaluate(grid[i:i + 64])
-                                                          for i in range(0, len(grid), 64)]))
+            deviation = deviation_evaluator(game, profile, 2, family)
+            symmetric = symmetric_evaluator(game, family)
+            np.testing.assert_array_equal(solver._chunked(symmetric, axes, width),
+                                          symmetric(grid))
+            with monkeypatch.context() as patch:
+                # 8 rows per chunk, 1 per symmetric sub-batch
+                patch.setattr(solver, "_SEARCH_BUDGET", 8 * width)
+                np.testing.assert_array_equal(solver._chunked(deviation, axes, width),
+                                              deviation(grid))
+                # the symmetric kernel ends in one matrix-vector product per
+                # sub-batch, which BLAS rounds by the row's place in its block
+                np.testing.assert_allclose(solver._chunked(symmetric, axes, width),
+                                           symmetric(grid), rtol=0, atol=1e-15)
 
     def test_kolkata_pareto_identical_across_threads(self, monkeypatch):
-        monkeypatch.setattr(solver, "_EVAL_CHUNK", 8)  # 8 chunks of the 64-point grid
+        # the ignored threads keyword, and 8 chunks of the 64-point grid with
+        # 1-row sub-batches, give the default budget's verdict bit for bit
         cfg = SearchConfig(grid_points_per_axis=2, refine_iterations=8, seed=5)
-        verdicts = [pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg, threads=t)
-                    for t in (1, 8, 1)]
-        assert verdicts[0].certificate == "symmetric-witness"
-        assert verdicts[0] == verdicts[1] == verdicts[2]
+
+        def search(threads):
+            return pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg,
+                                          threads=threads)
+
+        default = search(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_SEARCH_BUDGET", 72)
+            assert solver._search_rows(9) == 8 and solver._search_rows(81) == 1
+            small = search(8)
+        assert default.certificate == "symmetric-witness"
+        assert default == small == search(1)
 
 
 def eight_axis_search(family, evaluate_batch, extra_starts, cfg):
@@ -881,7 +941,7 @@ def eight_axis_search(family, evaluate_batch, extra_starts, cfg):
     every axis of the parameter box gridded and refined, streamed and batched."""
     box = parameter_box(family)
     axes = [np.linspace(lo, hi, min(cfg.grid_points_per_axis, 6)) for lo, hi in box]
-    grid_payoffs = solver._chunked(evaluate_batch, axes, 1)
+    grid_payoffs = solver._chunked(evaluate_batch, axes, 9)
     order = np.argsort(-grid_payoffs, kind="stable")[:16]
     starts = [tuple(map(float, row)) for row in solver._grid_rows(axes, order)]
     starts += [solver._clamp_to_box(params, box) for params in extra_starts]
@@ -944,7 +1004,7 @@ class TestPhaseGauge:
     def test_not_below_the_eight_axis_search(self, case):
         family, evaluate, cfg = BATCHED_CASES[case]
         extra = list(FAMILY_PRESETS[family])
-        params, value, _ = _search_family(family, evaluate, extra, cfg, 1)
+        params, value, _ = _search_family(family, evaluate, extra, cfg)
         assert params[3:5] == (0.0, 0.0)
         assert value >= eight_axis_search(family, evaluate, extra, cfg) - 1e-12
 
