@@ -55,7 +55,7 @@ print(f"probability that all three collide: {crowded:.4f} "
 print("\n=== payoff is affine in the resource fidelity ===")
 sweep = fidelity_sweep(game, optimal, [i / 10 for i in range(11)])
 print(sweep_to_csv(sweep).strip())
-print(f"least-squares fit: payoff(f) = {sweep.slope:.9f} * f + "
+print(f"exact affine law: payoff(f) = {sweep.slope:.9f} * f + "
       f"{sweep.intercept:.9f} (max residual {sweep.max_residual:.1e})")
 print("slope 2/9 and intercept 4/9: the noisy game interpolates between the"
       " classical value at f=0 and 2/3 at f=1")

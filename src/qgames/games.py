@@ -166,6 +166,13 @@ def play_pd(u_alice, u_bob, strict: bool = True) -> PureState:
     return PureState(shape, j.conj().T @ moved.amplitudes)
 
 
+def protocol_fidelity(game: GameSpec, fidelity: float) -> float:
+    """The fidelity as a float, in [0, 1]; the dilemma protocol takes only 1."""
+    if game.use_entangler_pair and fidelity != 1.0:
+        raise ValueError("the dilemma protocol is pure; fidelity must be 1")
+    return check_fidelity(fidelity)
+
+
 def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
                  strict: bool = True) -> PayoffReport:
     """Run one round with independent per-player operators (player-n-first).
@@ -179,13 +186,10 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
     n = game.shape.n
     if len(ops) != n:
         raise ValueError(f"{game.name} needs {n} operators, got {len(ops)}")
+    f = protocol_fidelity(game, fidelity)
     if game.use_entangler_pair:
-        if fidelity != 1.0:
-            raise ValueError("the dilemma protocol is pure; fidelity must be 1")
-        f = 1.0
         final = play_pd(u_alice=ops[1], u_bob=ops[0], strict=strict)
     else:
-        f = check_fidelity(fidelity)
         final = apply_local_pure(ops, ghz(game.shape), strict=strict)
     probs = f * np.abs(final.amplitudes) ** 2 + (1.0 - f) / game.shape.dim
     payoffs = tuple((game.payoffs @ probs).tolist())

@@ -3,11 +3,16 @@
 Payoff evaluation for a unilateral deviation is reduced once per player to a
 d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)).  T is built
 from the propagated pure state: the other players' moves are applied to the
-shared state once, the deviating slot is opened with each matrix unit E_ab,
-and white noise enters in closed form, which costs O(d^2 D) instead of the
-O(d^2 D^3) of a density-matrix build.  Symmetric scans over the GHZ games
-use the product structure of the shared state.  Both reductions are
-cross-checked against a dense density-matrix reference in the tests.
+shared state once and the deviating slot is opened with each matrix unit
+E_ab, which costs O(d^2 D) instead of the O(d^2 D^3) of a density-matrix
+build.  Symmetric scans over the GHZ games use the product structure of the
+shared state.  Both are checked against a dense reference in the tests.
+
+Fidelity is affine.  White noise commutes with the local moves, and the rows
+of a unitary have unit norm, so the noise adds the same (1 - f) * u to every
+payoff, u being the player's payoff under uniform play: E_f = f * E_1 +
+(1 - f) * u.  Every form, bound and search is built at f = 1, and
+``_at_fidelity`` maps the payoffs returned.
 
 Every search streams its work under one budget, ``_SEARCH_BUDGET`` complex
 amplitudes (16 * ``states.BATCH_BUDGET``, 1 MB): the grid is evaluated in
@@ -28,7 +33,8 @@ how it was obtained (``BestResponseResult.certificate``):
             the non-negative orthant of the (q0, q1, q3) subspace, whose
             optimum is an eigenvector of one of its 7 principal submatrices.
 ``bound``   Every unitary has |vec(U)|^2 = d, so no deviation pays more than
-            d * lambda_max(T).  For SU(3) the current strategy and the family
+            d * lambda_max(T) at f = 1, or f * d * lambda_max(T) + (1 - f) * u
+            at fidelity f.  For SU(3) the current strategy and the family
             presets are tried first; one that reaches the bound is returned.
 ``search``  Otherwise (SU(3) without an attained bound, and the symmetric
             Pareto scan) an exhaustive grid over the family's search box is
@@ -75,8 +81,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import GameSpec, entangler, play_symmetric, resource_state
-from .states import BATCH_BUDGET, apply_local_pure, check_fidelity
+from .games import GameSpec, entangler, play_symmetric, protocol_fidelity, resource_state
+from .states import BATCH_BUDGET, apply_local_pure
 from .strategies import (
     FAMILY_PRESETS,
     LOCAL_DIMENSION,
@@ -258,36 +264,23 @@ def _clamp_to_box(params: Sequence[float], box) -> tuple[float, ...]:
 
 # --- payoff evaluators ---------------------------------------------------------
 
-def _tensor_slot(n: int, player: int) -> int:
-    """Index of player's factor in a player-n-first operator list."""
-    return n - player
+def _at_fidelity(values, fidelity: float, uniform):
+    """Noise-free payoffs mapped to fidelity f: f * values + (1 - f) * uniform."""
+    return fidelity * values + (1.0 - fidelity) * uniform
 
 
-def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int,
-                    fidelity: float) -> np.ndarray:
-    """Hermitian form T with payoff(U) = vec(U) . T . conj(vec(U)).
+def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int) -> np.ndarray:
+    """Noise-free Hermitian form T with payoff(U) = vec(U) . T . conj(vec(U)).
 
     ``fixed_ops`` is the player-n-first operator list; the entry at the
     deviating player's slot is ignored.  The form folds in the shared state,
-    the noise mix, the entangler pair for the dilemma, and the player's
-    payoff operator.
-
+    the entangler pair for the dilemma, and the player's payoff operator.
     With the fixed moves applied to the shared state, E_ab at the deviating
-    slot gives d^2 vectors v_ab, and the pure part is
-    sum_K diag_K v_ab[K] conj(v_a'b'[K]).  White noise contributes
-    (1 - f)/D * sum_K diag_K (C_ab C_a'b'^dagger)_KK, which for unitary fixed
-    moves is diagonal: the sum of diag_K over the K whose slot digit is a, at
-    entry (ab, ab).
+    slot gives d^2 vectors v_ab, and T = sum_K diag_K v_ab[K] conj(v_a'b'[K]).
     """
     n, d = game.shape.n, game.shape.d
-    slot = _tensor_slot(n, player)
+    slot = n - player  # the player's factor in the player-n-first list
     diag = game.payoffs[player - 1]
-    if game.use_entangler_pair:
-        if fidelity != 1.0:
-            raise ValueError("the dilemma protocol is pure; fidelity must be 1")
-    else:
-        fidelity = check_fidelity(fidelity)
-
     ops = list(fixed_ops)
     ops[slot] = np.eye(d)
     moved = apply_local_pure(ops, resource_state(game)).amplitudes
@@ -298,11 +291,7 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     units = np.moveaxis(units, 2, 2 + slot).reshape(d * d, -1)
     if game.use_entangler_pair:
         units = units @ entangler().conj()   # each row v -> J-dagger v
-    form = fidelity * ((units * diag) @ units.conj().T)
-    if fidelity < 1.0:
-        slot_weights = np.moveaxis(diag.reshape((d,) * n), slot, 0).reshape(d, -1).sum(axis=1)
-        form += np.diag(np.repeat(slot_weights, d) * ((1.0 - fidelity) / game.shape.dim))
-    return form
+    return (units * diag) @ units.conj().T
 
 
 def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -312,14 +301,11 @@ def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("gi,ij,gj->g", flat, form, flat.conj()))
 
 
-def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
-                       fidelity: float) -> np.ndarray:
-    """Player-1 payoff for symmetric profiles, batched over (N, d, d)."""
+def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
+    """Noise-free player-1 payoff for symmetric profiles, batched over (N, d, d)."""
     n, d = game.shape.n, game.shape.d
     diag = game.payoffs[0]
     if game.use_entangler_pair:
-        if fidelity != 1.0:
-            raise ValueError("the dilemma protocol is pure; fidelity must be 1")
         j = entangler()
         seed_state = resource_state(game).amplitudes
         pair = np.einsum("gab,gcd->gacbd", matrices, matrices).reshape(-1, 4, 4)
@@ -327,11 +313,8 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray,
                           np.einsum("gij,j->gi", pair, seed_state))
         return (np.abs(final) ** 2) @ diag
     rows = _search_rows(d ** n * d)
-    pure = np.concatenate([_ghz_pure_payoffs(matrices[i:i + rows], n, d, diag)
+    return np.concatenate([_ghz_pure_payoffs(matrices[i:i + rows], n, d, diag)
                            for i in range(0, len(matrices), rows)])
-    if fidelity < 1.0:
-        return fidelity * pure + (1.0 - fidelity) * float(diag.mean())
-    return pure
 
 
 def _ghz_pure_payoffs(matrices: np.ndarray, n: int, d: int, diag: np.ndarray) -> np.ndarray:
@@ -477,12 +460,6 @@ def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConf
             len(grid_payoffs) + len(others) + used)
 
 
-def _presets_for(space) -> list[tuple[float, ...]]:
-    if isinstance(space, Family):
-        return list(FAMILY_PRESETS.get(space, ()))
-    return []
-
-
 # --- exact and bounded best responses -------------------------------------------
 
 # vec(U) = _QUATERNION_BASIS @ q for U = q0 I + i(q1 Z + q2 Y + q3 X), vec row-major
@@ -551,14 +528,22 @@ def _exact_su2_params(family: Family, form: np.ndarray) -> tuple[float, ...]:
 
 
 def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, space,
-             cfg: SearchConfig) -> BestResponseResult:
-    """Best response for one player, given that player's deviation form."""
+             cfg: SearchConfig, fidelity: float, uniform: float) -> BestResponseResult:
+    """Best response for one player, given that player's noise-free deviation form.
+
+    Deviations are compared at f = 1; the payoff returned is mapped to ``fidelity``.
+    """
+    def found(strategy: StrategySpec, value: float, evaluations: int,
+              certificate: str) -> BestResponseResult:
+        payoff = float(_at_fidelity(value, fidelity, uniform))
+        return BestResponseResult(strategy, payoff, evaluations, certificate)
+
     discrete = _discrete_candidates(space)
     if discrete is not None:
         matrices = np.stack([spec.matrix() for spec in discrete])
         payoffs = _deviation_payoffs(form, matrices)
         index = int(np.argmax(payoffs))
-        return BestResponseResult(discrete[index], float(payoffs[index]), len(discrete), "exact")
+        return found(discrete[index], payoffs[index], len(discrete), "exact")
 
     family = space
 
@@ -567,23 +552,24 @@ def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, spa
 
     if family in (Family.FULL_SU2, Family.EISERT_SU2):
         params = _exact_su2_params(family, form)
-        value = float(evaluate_batch(np.asarray([params]))[0])
-        return BestResponseResult(StrategySpec(family, params), value, 1, "exact")
+        value = evaluate_batch(np.asarray([params]))[0]
+        return found(StrategySpec(family, params), value, 1, "exact")
 
-    extra = _presets_for(space)
+    extra = list(FAMILY_PRESETS.get(family, ()))
     current = profile[player - 1]
     if current.family == family:
         extra = [current.params] + extra
     values = None
     if extra:
-        bound = current.local_dimension * float(np.linalg.eigvalsh(form)[-1])
+        top = current.local_dimension * float(np.linalg.eigvalsh(form)[-1])
+        bound = _at_fidelity(top, fidelity, uniform)
         values = evaluate_batch(np.asarray(extra))
         for params, value in zip(extra, values):
-            if value >= bound - _BOUND_RTOL * max(1.0, abs(bound)):
-                return BestResponseResult(StrategySpec(family, params), float(value),
-                                          len(extra), "bound")
+            # the gap to the bound shrinks with f: at f = 0 every deviation attains it
+            if fidelity * (top - value) <= _BOUND_RTOL * max(1.0, abs(bound)):
+                return found(StrategySpec(family, params), value, len(extra), "bound")
     params, value, evaluations = _search_family(family, evaluate_batch, extra, cfg, values)
-    return BestResponseResult(StrategySpec(family, params), value, evaluations, "search")
+    return found(StrategySpec(family, params), value, evaluations, "search")
 
 
 def _validated_ops(game: GameSpec, profile: Sequence[StrategySpec], space) -> list[np.ndarray]:
@@ -607,17 +593,19 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
     ``profile`` is player-1-first.  ``space`` is a Family or an explicit
     sequence of StrategySpec candidates.  Discrete spaces are enumerated and
     the qubit families solved exactly; SU(3) returns a strategy that attains
-    the d * lambda_max bound if the current one or a preset does, and
-    otherwise searches by grid plus refinement.  ``threads`` is accepted for
-    compatibility and ignored: every search runs in one thread.
+    the bound f * d * lambda_max(T) + (1 - f) * u if the current one or a
+    preset does, and otherwise searches by grid plus refinement.  ``threads``
+    is accepted for compatibility and ignored: every search runs in one thread.
     """
     cfg = cfg or SearchConfig()
     n = game.shape.n
     ordered = _validated_ops(game, profile, space)
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range 1..{n}")
-    form = _deviation_form(game, ordered, player, fidelity)
-    return _respond(form, profile, player, space, cfg)
+    fidelity = protocol_fidelity(game, fidelity)
+    form = _deviation_form(game, ordered, player)
+    uniform = game.payoffs.mean(axis=1)[player - 1]
+    return _respond(form, profile, player, space, cfg, fidelity, uniform)
 
 
 def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
@@ -631,14 +619,16 @@ def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
     """
     cfg = cfg or SearchConfig()
     ordered = _validated_ops(game, profile, space)
+    fidelity = protocol_fidelity(game, fidelity)
     n = game.shape.n
     profile_payoffs = []
     responses = []
-    for player in range(1, n + 1):
-        form = _deviation_form(game, ordered, player, fidelity)
-        own = ordered[_tensor_slot(n, player)][None, :, :]
-        profile_payoffs.append(float(_deviation_payoffs(form, own)[0]))
-        responses.append(_respond(form, profile, player, space, cfg))
+    for player, uniform in enumerate(game.payoffs.mean(axis=1), 1):
+        form = _deviation_form(game, ordered, player)
+        own = ordered[n - player][None, :, :]
+        value = _deviation_payoffs(form, own)[0]
+        profile_payoffs.append(float(_at_fidelity(value, fidelity, uniform)))
+        responses.append(_respond(form, profile, player, space, cfg, fidelity, uniform))
     gains = [r.payoff - base for r, base in zip(responses, profile_payoffs)]
     max_gain = max(gains)
     return EquilibriumVerdict(
@@ -689,10 +679,11 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     compatibility and ignored.
     """
     cfg = cfg or SearchConfig()
-    check_fidelity(fidelity)
+    fidelity = protocol_fidelity(game, fidelity)
     if _space_dimension(space) != game.shape.d:
         raise ValueError("strategy space dimension does not match the game")
-    if _discrete_candidates(space) is None:
+    discrete = _discrete_candidates(space)
+    if discrete is None:
         rows = math.prod(len(axis) for axis in _grid_axes(space, cfg.grid_points_per_axis))
         work = rows * game.shape.dim * game.shape.d
         if work > _WORK_BUDGET:
@@ -704,22 +695,22 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     if payoff >= float(bound) - 1e-9:
         return ParetoVerdict(True, "payoff-sum-bound", None, None)
 
-    discrete = _discrete_candidates(space)
     if discrete is not None:
         matrices = np.stack([spec.matrix() for spec in discrete])
-        values = _symmetric_payoffs(game, matrices, fidelity)
+        values = _symmetric_payoffs(game, matrices)
         index = int(np.argmax(values))
         best_spec, best_value = discrete[index], float(values[index])
     else:
         family = space
 
         def evaluate_batch(params: np.ndarray) -> np.ndarray:
-            return _symmetric_payoffs(game, _family_matrices(family, params), fidelity)
+            return _symmetric_payoffs(game, _family_matrices(family, params))
 
-        extra = _presets_for(space)
+        extra = list(FAMILY_PRESETS.get(family, ()))
         params, best_value, _ = _search_family(family, evaluate_batch, extra, cfg)
         best_spec = StrategySpec(family, params)
-
+    # searched at f = 1: for f > 0 the map keeps the argmax
+    best_value = float(_at_fidelity(best_value, fidelity, game.payoffs.mean(axis=1)[0]))
     if best_value > payoff + cfg.epsilon_nash:
         return ParetoVerdict(False, "symmetric-witness", best_spec, best_value)
     return ParetoVerdict(True, "symmetric-search-exhausted", best_spec, best_value)
@@ -727,27 +718,29 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
 
 def fidelity_sweep(game: GameSpec, strategy: StrategySpec | np.ndarray,
                    f_grid: Sequence[float]) -> FidelitySweep:
-    """Symmetric payoffs across fidelities, with an affine least-squares fit."""
+    """Symmetric payoffs across fidelities, by the exact affine law from one play.
+
+    Row f is f * p + (1 - f) * u for the noise-free payoffs p and uniform-play
+    payoffs u; ``max_residual`` is the round-off of the mean row against the law.
+    """
     if len(f_grid) > _MAX_SWEEP_POINTS:
         raise ValueError(
             f"a sweep takes at most {_MAX_SWEEP_POINTS} fidelities, got {len(f_grid)}")
-    fs = [check_fidelity(f) for f in f_grid]
+    fs = [protocol_fidelity(game, f) for f in f_grid]
     if not fs:
         raise ValueError("fidelity grid must be non-empty")
     matrix = strategy.matrix() if isinstance(strategy, StrategySpec) else strategy
-    rows = [play_symmetric(game, matrix, fidelity=f).payoffs for f in fs]
-    means = np.array([float(np.mean(row)) for row in rows])
+    pure = np.array(play_symmetric(game, matrix).payoffs)
+    uniform = game.payoffs.mean(axis=1)
     xs = np.array(fs)
-    if len(fs) >= 2 and float(np.ptp(xs)) > 0:
-        slope, intercept = np.polyfit(xs, means, 1)
-    else:
-        slope, intercept = 0.0, float(means[0])
-    residual = float(np.max(np.abs(means - (slope * xs + intercept))))
+    rows = _at_fidelity(pure, xs[:, None], uniform)
+    slope, intercept = float(pure.mean() - uniform.mean()), float(uniform.mean())
+    residual = float(np.max(np.abs(rows.mean(axis=1) - (slope * xs + intercept))))
     return FidelitySweep(
         fidelities=tuple(fs),
-        payoffs=tuple(tuple(row) for row in rows),
-        slope=float(slope),
-        intercept=float(intercept),
+        payoffs=tuple(map(tuple, rows.tolist())),
+        slope=slope,
+        intercept=intercept,
         max_residual=residual,
     )
 

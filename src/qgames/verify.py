@@ -147,15 +147,18 @@ def check_kolkata() -> list[CheckResult]:
     classical = classical_uniform_payoff(game)
     oracle_ok = all(value == Fraction(4, 9) for value in classical)
 
-    spec = StrategySpec(Family.FRAME_SU3, KOLKATA_OPTIMAL_PARAMS)
-    report = play_symmetric(game, spec.matrix())
+    u = StrategySpec(Family.FRAME_SU3, KOLKATA_OPTIMAL_PARAMS).matrix()
+    report = play_symmetric(game, u)
     payoff_error = max(abs(p - 2.0 / 3.0) for p in report.payoffs)
 
-    sweep = fidelity_sweep(game, spec, [i / 10 for i in range(11)])
+    # the sweep's rows come from the law, so each is checked against a noisy play
+    sweep = fidelity_sweep(game, u, [i / 10 for i in range(11)])
+    played = [play_symmetric(game, u, fidelity=f).payoffs for f in sweep.fidelities]
     law_error = max(
         abs(sweep.slope - 2.0 / 9.0),
         abs(sweep.intercept - 4.0 / 9.0),
         sweep.max_residual,
+        float(np.max(np.abs(np.subtract(sweep.payoffs, played)))),
     )
     return [
         CheckResult("kolkata-classical-oracle", oracle_ok, "4/9",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import dense_reference as dense
 from qgames.games import (
     GameSpec,
+    classical_uniform_payoff,
     entangler,
     kolkata,
     minority,
@@ -115,10 +116,11 @@ class TestReducedEvaluators:
             f = float(rng.uniform(0, 1))
             direct = play_profile(MINORITY4, ops, fidelity=f)
             for player in range(1, 5):
-                form = _deviation_form(MINORITY4, ops, player, f)
+                form = _deviation_form(MINORITY4, ops, player)
                 value = _deviation_payoffs(
                     form, profile[player - 1].matrix()[None, :, :]
                 )[0]
+                value = at_fidelity(MINORITY4, player, f, value)
                 assert abs(value - direct.payoffs[player - 1]) < 1e-10
 
     def test_deviation_form_matches_pd_protocol(self):
@@ -128,7 +130,7 @@ class TestReducedEvaluators:
             bob = su2_eisert(rng.uniform(0, np.pi), rng.uniform(0, np.pi / 2))
             state = play_pd(alice, bob)
             rho = dense.density(state.amplitudes)
-            form = _deviation_form(PD, [bob, alice], 1, 1.0)
+            form = _deviation_form(PD, [bob, alice], 1)
             value = _deviation_payoffs(form, alice[None, :, :])[0]
             assert abs(value - dense.expectation(PD.payoffs[0], rho)) < 1e-10
 
@@ -136,7 +138,7 @@ class TestReducedEvaluators:
         rng = np.random.default_rng(43)
         mats = su3_frame_batch(*[rng.uniform(0, 1, 6) for _ in range(8)])
         for f in (1.0, 0.4):
-            batch = _symmetric_payoffs(KOLKATA, mats, f)
+            batch = at_fidelity(KOLKATA, 1, f, _symmetric_payoffs(KOLKATA, mats))
             for i in range(6):
                 direct = play_symmetric(KOLKATA, mats[i], fidelity=f)
                 assert abs(batch[i] - direct.payoffs[0]) < 1e-10
@@ -146,7 +148,7 @@ class TestReducedEvaluators:
         mats = su2_full_batch(rng.uniform(0, np.pi, 6),
                               rng.uniform(-np.pi, np.pi, 6),
                               rng.uniform(-np.pi, np.pi, 6))
-        batch = _symmetric_payoffs(PD, mats, 1.0)
+        batch = _symmetric_payoffs(PD, mats)
         for i in range(6):
             direct = play_symmetric(PD, mats[i])
             assert abs(batch[i] - direct.payoffs[0]) < 1e-10
@@ -178,6 +180,20 @@ def dense_deviation_form(game, fixed_ops, player, fidelity):
     return np.einsum("K,aKV,bKV->ab", diag, units_arr @ rho_in, units_arr.conj())
 
 
+def at_fidelity(game, player, fidelity, values):
+    """Noise-free payoffs mapped to ``fidelity`` with the player's uniform payoff."""
+    uniform = float(classical_uniform_payoff(game)[player - 1])
+    return fidelity * np.asarray(values) + (1.0 - fidelity) * uniform
+
+
+def random_unitaries(rng, count, d):
+    """``count`` Haar-random d x d unitaries: QR of complex Gaussians, phases fixed."""
+    z = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
 def random_table_game(n, d, seed):
     """A GHZ game with a random payoff table: no symmetry between digits."""
     rng = np.random.default_rng(seed)
@@ -197,6 +213,7 @@ FORM_CASES = [(PD, (1.0,))] + [
                          ids=[f"{g.name}{g.shape.n}" for g, _ in FORM_CASES])
 def test_deviation_form_matches_dense_reference(game, fidelities):
     rng = np.random.default_rng(71 + game.shape.n)
+    deviations = np.random.default_rng(171 + game.shape.n)
     n, d = game.shape.n, game.shape.d
     for f in fidelities:
         if d == 2:
@@ -206,9 +223,18 @@ def test_deviation_form_matches_dense_reference(game, fidelities):
             ops = [su3_frame(*rng.uniform(0, np.pi / 2, 3), *rng.uniform(0, 2 * np.pi, 5))
                    for _ in range(n)]
         for player in range(1, n + 1):
-            np.testing.assert_allclose(_deviation_form(game, ops, player, f),
-                                       dense_deviation_form(game, ops, player, f),
-                                       rtol=0, atol=1e-12)
+            form = _deviation_form(game, ops, player)
+            reference = dense_deviation_form(game, ops, player, f)
+            if f == 1.0:
+                np.testing.assert_allclose(form, reference, rtol=0, atol=1e-12)
+                continue
+            # where slot weights differ the noisy form is not f * T_1 + c * I as
+            # a matrix, but it agrees with the affine map on every unitary
+            unitaries = random_unitaries(deviations, 16, d)
+            np.testing.assert_allclose(
+                _deviation_payoffs(reference, unitaries),
+                at_fidelity(game, player, f, _deviation_payoffs(form, unitaries)),
+                rtol=0, atol=1e-12)
 
 
 class TestLargeSystems:
@@ -224,16 +250,16 @@ class TestLargeSystems:
             report = play_symmetric(game, u, fidelity=0.5)
             _, play_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            form = _deviation_form(game, [u] * 14, 1, 0.5)
+            form = _deviation_form(game, [u] * 14, 1)
             _, form_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert play_peak < self.BOUND and form_peak < self.BOUND
-        expected = _symmetric_payoffs(game, u[None, :, :], 0.5)[0]
+        expected = at_fidelity(game, 1, 0.5, _symmetric_payoffs(game, u[None, :, :])[0])
         np.testing.assert_allclose(report.payoffs, [expected] * 14, rtol=0, atol=1e-12)
         assert abs(sum(report.probabilities.values()) - 1.0) < 1e-12
         assert len(report.probabilities) == 2 ** 14
-        value = _deviation_payoffs(form, u[None, :, :])[0]
+        value = at_fidelity(game, 1, 0.5, _deviation_payoffs(form, u[None, :, :])[0])
         assert abs(value - expected) < 1e-12
 
     def test_minority_ten_symmetric_grid_batch_is_sub_batched(self):
@@ -247,13 +273,13 @@ class TestLargeSystems:
         assert len(grid) * 2 ** 10 * 2 * 16 > 4 * budget_bytes
         tracemalloc.start()
         try:
-            values = _symmetric_payoffs(game, matrices, 0.5)
+            values = _symmetric_payoffs(game, matrices)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * budget_bytes
         for i in range(0, len(grid), 997):
-            single = _symmetric_payoffs(game, matrices[i:i + 1], 0.5)[0]
+            single = _symmetric_payoffs(game, matrices[i:i + 1])[0]
             assert abs(values[i] - single) < 1e-12
 
 
@@ -407,9 +433,10 @@ class TestBestResponse:
 
 
 def search_reference(game, profile, player, family, fidelity=1.0, cfg=None):
-    """The grid + refinement search that best_response ran before its exact paths."""
+    """The grid + refinement search that best_response ran before its exact
+    paths, at f = 1 with its best value mapped to ``fidelity``."""
     ops = [spec.matrix() for spec in reversed(profile)]
-    form = _deviation_form(game, ops, player, fidelity)
+    form = _deviation_form(game, ops, player)
 
     def evaluate(params):
         return _deviation_payoffs(form, _family_matrices(family, params))
@@ -417,7 +444,8 @@ def search_reference(game, profile, player, family, fidelity=1.0, cfg=None):
     extra = list(FAMILY_PRESETS.get(family, ()))
     if profile[player - 1].family == family:
         extra = [profile[player - 1].params] + extra
-    return _search_family(family, evaluate, extra, cfg or SearchConfig())[1]
+    return at_fidelity(game, player, fidelity,
+                       _search_family(family, evaluate, extra, cfg or SearchConfig())[1])
 
 
 def played_payoff(game, profile, player, strategy, fidelity=1.0):
@@ -469,10 +497,11 @@ class TestExactBestResponse:
                    for _ in range(2)]
         result = best_response(RANDOM_QUTRIT, profile, 1, Family.FRAME_SU3, cfg, 0.37)
         searched = search_reference(RANDOM_QUTRIT, profile, 1, Family.FRAME_SU3, 0.37, cfg)
-        form = _deviation_form(RANDOM_QUTRIT, [s.matrix() for s in reversed(profile)], 1, 0.37)
+        form = _deviation_form(RANDOM_QUTRIT, [s.matrix() for s in reversed(profile)], 1)
         assert result.certificate in ("bound", "search")
         assert result.payoff >= searched - 1e-12
-        assert result.payoff <= 3 * np.linalg.eigvalsh(form)[-1] + 1e-12
+        bound = at_fidelity(RANDOM_QUTRIT, 1, 0.37, 3 * np.linalg.eigvalsh(form)[-1])
+        assert result.payoff <= bound + 1e-12
 
     @pytest.mark.parametrize("literals,face", [
         (("full:2.6,-0.57,0.31", "full:0.087,1.59,0.24"), 0),   # theta = 0
@@ -484,7 +513,7 @@ class TestExactBestResponse:
         assert result.strategy.params[face] == 0.0
         assert 0.0 < result.strategy.params[1 - face]
         # the unconstrained optimum over (q0, q1, q3) leaves the box, so the face binds
-        form = _deviation_form(PD, [s.matrix() for s in reversed(profile)], 1, 1.0)
+        form = _deviation_form(PD, [s.matrix() for s in reversed(profile)], 1)
         axes = np.ix_(solver._EISERT_AXES, solver._EISERT_AXES)
         assert np.linalg.eigvalsh(solver._quaternion_form(form)[axes])[-1] > result.payoff + 1e-6
         searched = search_reference(PD, profile, 1, Family.EISERT_SU2)
@@ -534,9 +563,9 @@ class TestVerifyNash:
         built = []
         original = solver._deviation_form
 
-        def counting(game, fixed_ops, player, fidelity):
+        def counting(game, fixed_ops, player):
             built.append(player)
-            return original(game, fixed_ops, player, fidelity)
+            return original(game, fixed_ops, player)
 
         monkeypatch.setattr(solver, "_deviation_form", counting)
         verdict = verify_nash(MINORITY4, [MINORITY_OPT] * 4, Family.FULL_SU2)
@@ -796,12 +825,14 @@ def reference_search(family, evaluate_batch, extra_starts, cfg):
 
 
 def deviation_evaluator(game, profile, player, family, fidelity=1.0):
-    form = _deviation_form(game, [spec.matrix() for spec in reversed(profile)], player, fidelity)
-    return lambda params: _deviation_payoffs(form, _family_matrices(family, params))
+    form = _deviation_form(game, [spec.matrix() for spec in reversed(profile)], player)
+    return lambda params: at_fidelity(game, player, fidelity,
+                                      _deviation_payoffs(form, _family_matrices(family, params)))
 
 
 def symmetric_evaluator(game, family, fidelity=1.0):
-    return lambda params: _symmetric_payoffs(game, _family_matrices(family, params), fidelity)
+    return lambda params: at_fidelity(game, 1, fidelity,
+                                      _symmetric_payoffs(game, _family_matrices(family, params)))
 
 
 SU3_OFF_BOUND = [parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")] * 3
@@ -976,9 +1007,11 @@ class TestPhaseGauge:
         moved[:, 5] -= np.sum(shifts, axis=1)
         # rows 0-2 are the profile, player-n-first; row 3 is the deviation
         before, after = (su3_frame_batch(*p.T) for p in (params, moved))
-        forms = [_deviation_form(game, list(m[:3]), player, fidelity) for m in (before, after)]
-        deviation = [_deviation_payoffs(form, m) for form, m in zip(forms, (before, after))]
-        symmetric = [_symmetric_payoffs(game, m, fidelity) for m in (before, after)]
+        forms = [_deviation_form(game, list(m[:3]), player) for m in (before, after)]
+        deviation = [at_fidelity(game, player, fidelity, _deviation_payoffs(form, m))
+                     for form, m in zip(forms, (before, after))]
+        symmetric = [at_fidelity(game, 1, fidelity, _symmetric_payoffs(game, m))
+                     for m in (before, after)]
         assert np.max(np.abs(deviation[0] - deviation[1])) <= 1e-12
         assert np.max(np.abs(symmetric[0] - symmetric[1])) <= 1e-12
 
@@ -1019,3 +1052,98 @@ class TestPhaseGauge:
         assert result.payoff >= reference - 1e-12
         played = played_payoff(KOLKATA, SU3_OFF_BOUND, 2, result.strategy, fidelity)
         assert abs(result.payoff - played) < 1e-12
+
+
+class TestAffineFidelity:
+    """Payoffs at fidelity f are f * E_1 + (1 - f) * u: every search runs at f = 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shape=st.sampled_from([(3, 2), (2, 3), (4, 2), (3, 3)]),
+        fidelity=st.floats(0, 1),
+    )
+    def test_play_is_affine_in_fidelity(self, seed, shape, fidelity):
+        # through play_profile alone, which does not use the solver
+        rng = np.random.default_rng(seed)
+        game = random_table_game(*shape, seed % 1000)
+        ops = list(random_unitaries(rng, shape[0], shape[1]))
+        pure = play_profile(game, ops).payoffs
+        noisy = play_profile(game, ops, fidelity=fidelity).payoffs
+        expected = [at_fidelity(game, player, fidelity, value)
+                    for player, value in enumerate(pure, 1)]
+        np.testing.assert_allclose(noisy, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("fidelity", [0.0, 0.37, 0.6])
+    @pytest.mark.parametrize("game", [minority(5), KOLKATA, RANDOM3, RANDOM_QUTRIT],
+                             ids=["minority5", "kolkata", "random3", "random-qutrit"])
+    def test_bound_holds_on_the_noisy_reference(self, game, fidelity):
+        rng = np.random.default_rng(23)
+        n, d = game.shape.n, game.shape.d
+        ops = list(random_unitaries(rng, n, d))
+        for player in range(1, n + 1):
+            form = _deviation_form(game, ops, player)
+            bound = at_fidelity(game, player, fidelity, d * np.linalg.eigvalsh(form)[-1])
+            noisy = dense_deviation_form(game, ops, player, fidelity)
+            sampled = _deviation_payoffs(noisy, random_unitaries(rng, 64, d))
+            assert sampled.max() <= bound + 1e-12
+            if fidelity == 0.0:
+                # every unitary pays u at f = 0, so no valid bound lies below it
+                assert bound <= d * np.linalg.eigvalsh(noisy)[-1] + 1e-12
+
+    def test_bound_is_tighter_on_an_asymmetric_table(self):
+        # the slot weights of RANDOM3 differ, so the noisy form's top eigenvalue
+        # sits above the noise that every deviation shares
+        ops = [parse_strategy("full:1,0.3,-0.5").matrix()] * 3
+        for fidelity, players in ((0.0, (1, 2, 3)), (0.37, (1, 2, 3)), (0.6, (2, 3))):
+            for player in players:
+                form = _deviation_form(RANDOM3, ops, player)
+                bound = at_fidelity(RANDOM3, player, fidelity, 2 * np.linalg.eigvalsh(form)[-1])
+                noisy = dense_deviation_form(RANDOM3, ops, player, fidelity)
+                assert bound < 2 * np.linalg.eigvalsh(noisy)[-1] - 1e-3
+
+    def test_su3_response_at_zero_fidelity_exits_on_the_bound(self):
+        rng = np.random.default_rng(92)
+        profile = [StrategySpec(Family.FRAME_SU3, (*rng.uniform(0, np.pi / 2, 3),
+                                                   *rng.uniform(0, 2 * np.pi, 5)))
+                   for _ in range(2)]
+        result = best_response(RANDOM_QUTRIT, profile, 1, Family.FRAME_SU3, fidelity=0.0)
+        assert result.certificate == "bound"
+        assert result.evaluations == 2
+        assert abs(result.payoff - float(classical_uniform_payoff(RANDOM_QUTRIT)[0])) <= 1e-15
+
+    @pytest.mark.parametrize("fidelity", [0.37, 0.6])
+    def test_off_bound_response_keeps_its_f1_strategy(self, fidelity):
+        exact = best_response(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3)
+        noisy = best_response(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, fidelity=fidelity)
+        assert noisy.strategy == exact.strategy
+        assert (noisy.certificate, noisy.evaluations) == ("search", exact.evaluations)
+        assert abs(noisy.payoff - at_fidelity(KOLKATA, 2, fidelity, exact.payoff)) < 1e-15
+
+    @pytest.mark.parametrize("fidelity", [0.37, 0.6])
+    def test_minority_six_nash_keeps_its_f1_deviations(self, fidelity):
+        game = minority(6)
+        exact = verify_nash(game, [MINORITY_OPT] * 6, Family.FULL_SU2)
+        noisy = verify_nash(game, [MINORITY_OPT] * 6, Family.FULL_SU2, fidelity=fidelity)
+        assert noisy.best_deviations == exact.best_deviations
+        assert noisy.certificates == exact.certificates
+        np.testing.assert_allclose(noisy.gains, fidelity * np.array(exact.gains),
+                                   rtol=0, atol=1e-15)
+
+    def test_sweep_plays_once(self, monkeypatch):
+        game = minority(12)
+        plays = []
+        original = solver.play_symmetric
+
+        def counting(*args, **kwargs):
+            plays.append(kwargs.get("fidelity", 1.0))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "play_symmetric", counting)
+        sweep = fidelity_sweep(game, MINORITY_OPT, [i / 1000 for i in range(1001)])
+        assert plays == [1.0]
+        pure = np.mean(original(game, MINORITY_OPT.matrix()).payoffs)
+        uniform = float(sum(classical_uniform_payoff(game)) / game.shape.n)
+        assert abs(sweep.slope - (pure - uniform)) <= 1e-15
+        assert abs(sweep.intercept - uniform) <= 1e-15
+        assert len(sweep.payoffs) == 1001 and sweep.max_residual < 1e-15
