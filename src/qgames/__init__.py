@@ -17,7 +17,6 @@ from .games import (
     game_to_json,
     kolkata,
     minority,
-    play_pd,
     play_profile,
     play_symmetric,
     prisoners_dilemma,
@@ -38,7 +37,6 @@ from .solver import (
 from .states import (
     PureState,
     SystemShape,
-    apply_local_pure,
     basis_state,
     bell,
     ghz,
@@ -77,7 +75,6 @@ __all__ = [
     "SearchConfig",
     "StrategySpec",
     "SystemShape",
-    "apply_local_pure",
     "basis_state",
     "bell",
     "best_response",
@@ -97,7 +94,6 @@ __all__ = [
     "parse_radians",
     "parse_strategy",
     "pauli",
-    "play_pd",
     "play_profile",
     "play_symmetric",
     "prisoners_dilemma",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,9 +34,10 @@ from .states import (
     PureState,
     SystemShape,
     apply_local_batch,
-    apply_local_pure,
     batch_rows,
     check_fidelity,
+    check_ops,
+    frozen,
     ghz,
     labels,
     require_unitary,
@@ -139,16 +140,18 @@ def game_by_name(name: str, n: int | None = None) -> GameSpec:
     raise ValueError(f"unknown game {name!r}; known: pd, minority, kolkata")
 
 
+@cache
 def entangler() -> np.ndarray:
-    """The dilemma entangler J = (I(x)I + i sigma_x(x)sigma_x)/sqrt(2).
+    """The dilemma entangler J = (I(x)I + i sigma_x(x)sigma_x)/sqrt(2), read-only.
 
     J|00> = (|00> + i|11>)/sqrt(2), J J-dagger = I, and J commutes with
     every V(x)W for V, W in {I, sigma_x}, which is what embeds the classical
-    game under the restricted operator set.
+    game under the restricted operator set.  Every dilemma play reads it
+    twice, so it is built once.
     """
     eye = pauli("I")
     flip = pauli("X")
-    return (np.kron(eye, eye) + 1j * np.kron(flip, flip)) / math.sqrt(2)
+    return frozen((np.kron(eye, eye) + 1j * np.kron(flip, flip)) / math.sqrt(2))
 
 
 def resource_state(game: GameSpec) -> PureState:
@@ -158,12 +161,17 @@ def resource_state(game: GameSpec) -> PureState:
     return ghz(game.shape)
 
 
-def play_pd(u_alice, u_bob, strict: bool = True) -> PureState:
-    """Final state J-dagger (U_B (x) U_A) J |00> of the dilemma protocol."""
-    j = entangler()
-    shape = SystemShape(2, 2)
-    moved = apply_local_pure([u_bob, u_alice], PureState(shape, j[:, 0]), strict=strict)
-    return PureState(shape, j.conj().T @ moved.amplitudes)
+def protocol_amplitudes(game: GameSpec, ops: np.ndarray) -> np.ndarray:
+    """Final amplitudes (B, D) of a batch of (B, n, d, d) player-n-first profiles.
+
+    The moves act on the resource state through the one propagation kernel,
+    :func:`qgames.states.apply_local_batch`, and the dilemma then applies
+    J-dagger.  The operators are not checked.
+    """
+    amplitudes = apply_local_batch(ops, resource_state(game).amplitudes, game.shape.d)
+    if game.use_entangler_pair:
+        amplitudes = amplitudes @ entangler().conj()  # each row v -> J-dagger v
+    return amplitudes
 
 
 def protocol_fidelity(game: GameSpec, fidelity: float) -> float:
@@ -177,20 +185,17 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
                  strict: bool = True) -> PayoffReport:
     """Run one round with independent per-player operators (player-n-first).
 
-    For the dilemma the entangler pair wraps the moves and the simulation is
-    pure (fidelity must be 1).  The GHZ games mix the shared state with white
-    noise at the given fidelity.  White noise commutes with the local
-    unitaries, so the outcome distribution is f |psi|^2 + (1 - f)/D, computed
-    on the state vector; no density matrix is built.
+    The moves run through :func:`protocol_amplitudes`.  For the dilemma the
+    entangler pair wraps them and the simulation is pure (fidelity must be
+    1).  The GHZ games mix the shared state with white noise at the given
+    fidelity.  White noise commutes with the local unitaries, so the outcome
+    distribution is f |psi|^2 + (1 - f)/D, computed on the state vector; no
+    density matrix is built.
     """
-    n = game.shape.n
-    if len(ops) != n:
-        raise ValueError(f"{game.name} needs {n} operators, got {len(ops)}")
     f = protocol_fidelity(game, fidelity)
-    if game.use_entangler_pair:
-        final = play_pd(u_alice=ops[1], u_bob=ops[0], strict=strict)
-    else:
-        final = apply_local_pure(ops, ghz(game.shape), strict=strict)
+    mats = check_ops(ops, game.shape, strict)
+    # a lenient, non-unitary move still fails here, on the norm
+    final = PureState(game.shape, protocol_amplitudes(game, np.stack(mats)[None])[0])
     probs = f * np.abs(final.amplitudes) ** 2 + (1.0 - f) / game.shape.dim
     payoffs = tuple((game.payoffs @ probs).tolist())
     return PayoffReport(payoffs, dict(zip(game.outcome_labels, probs.tolist())), f)
@@ -223,24 +228,19 @@ def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> Embe
     Every combination of classical operators (player-n-first powers) is
     played through the full quantum protocol and compared against the table
     entry of the classical outcome string.  The profiles are played in
-    batches of at most ``states.BATCH_BUDGET`` amplitudes: each batch starts
-    from the resource state, applies every player's operator for each
-    profile through :func:`qgames.states.apply_local_batch`, then J-dagger
-    for the dilemma, and reads the payoffs off |amplitude|^2.
+    batches of at most ``states.BATCH_BUDGET`` amplitudes through
+    :func:`protocol_amplitudes`, and the payoffs are read off |amplitude|^2.
     """
     n, d, dim = game.shape.n, game.shape.d, game.shape.dim
     operators = np.stack([require_unitary(op, name="classical operator")
                           for op in classical_set(d)])
     total = len(operators) ** n
     rows = batch_rows(dim)
-    initial = resource_state(game).amplitudes
     worst = 0.0
     for first in range(0, total, rows):
         profiles = np.arange(first, min(first + rows, total))
         powers = np.unravel_index(profiles, (len(operators),) * n)
-        amplitudes = apply_local_batch(operators[np.stack(powers, axis=1)], initial, d)
-        if game.use_entangler_pair:
-            amplitudes = amplitudes @ entangler().conj()  # each row v -> J-dagger v
+        amplitudes = protocol_amplitudes(game, operators[np.stack(powers, axis=1)])
         payoffs = np.abs(amplitudes) ** 2 @ game.payoffs.T
         # the powers, player-n-first, are the digits of the classical outcome
         expected = game.payoffs[:, np.ravel_multi_index(powers, (d,) * n)].T

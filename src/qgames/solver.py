@@ -2,11 +2,12 @@
 
 Payoff evaluation for a unilateral deviation is reduced once per player to a
 d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)).  T is built
-from the propagated pure state: the other players' moves are applied to the
-shared state once and the deviating slot is opened with each matrix unit
-E_ab, which costs O(d^2 D) instead of the O(d^2 D^3) of a density-matrix
-build.  Symmetric scans over the GHZ games use the product structure of the
-shared state.  Both are checked against a dense reference in the tests.
+from one batch of d^2 profiles through ``games.protocol_amplitudes``: the
+other players' moves stay fixed and the deviating slot holds each matrix
+unit E_ab, so no D x D matrix is built.  Symmetric dilemma profiles run
+through the same protocol; symmetric scans over the GHZ games use the
+product structure of the shared state.  All are checked against a dense
+reference in the tests.
 
 Fidelity is affine.  White noise commutes with the local moves, and the rows
 of a unitary have unit norm, so the noise adds the same (1 - f) * u to every
@@ -66,9 +67,9 @@ Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
 candidate encountered, and the only randomness (the supplementary random
 starts and each start's axis orders) comes from the seed in `SearchConfig`.
-The budget is a constant, not a setting: a symmetric sub-batch ends in one
-matrix-vector product, which BLAS may round differently by a row's place in
-its block, so another budget can move grid values by an ulp.
+The budget is a constant, not a setting.  A symmetric payoff ends in a
+per-row reduction, so a row's value does not depend on the size of the
+chunk or sub-batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .games import GameSpec, entangler, play_symmetric, protocol_fidelity, resource_state
-from .states import BATCH_BUDGET, apply_local_pure
+from .games import GameSpec, play_symmetric, protocol_amplitudes, protocol_fidelity
+from .states import BATCH_BUDGET
 from .strategies import (
     FAMILY_PRESETS,
     LOCAL_DIMENSION,
@@ -275,23 +276,15 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     ``fixed_ops`` is the player-n-first operator list; the entry at the
     deviating player's slot is ignored.  The form folds in the shared state,
     the entangler pair for the dilemma, and the player's payoff operator.
-    With the fixed moves applied to the shared state, E_ab at the deviating
-    slot gives d^2 vectors v_ab, and T = sum_K diag_K v_ab[K] conj(v_a'b'[K]).
+    The d^2 matrix units E_ab at the deviating slot, beside the fixed moves,
+    run through the protocol as one batch and give d^2 final vectors v_ab;
+    T = sum_K diag_K v_ab[K] conj(v_a'b'[K]).
     """
     n, d = game.shape.n, game.shape.d
-    slot = n - player  # the player's factor in the player-n-first list
-    diag = game.payoffs[player - 1]
-    ops = list(fixed_ops)
-    ops[slot] = np.eye(d)
-    moved = apply_local_pure(ops, resource_state(game)).amplitudes
-    rest = np.moveaxis(moved.reshape((d,) * n), slot, 0)   # (slot digit, others)
-    units = np.zeros((d, d) + rest.shape, dtype=complex)   # (a, b, slot digit, others)
-    for a in range(d):
-        units[a, :, a] = rest
-    units = np.moveaxis(units, 2, 2 + slot).reshape(d * d, -1)
-    if game.use_entangler_pair:
-        units = units @ entangler().conj()   # each row v -> J-dagger v
-    return (units * diag) @ units.conj().T
+    ops = np.repeat(np.stack(fixed_ops)[None], d * d, axis=0)  # (d^2, n, d, d)
+    ops[:, n - player] = np.eye(d * d).reshape(d * d, d, d)   # the player's slot
+    units = protocol_amplitudes(game, ops)
+    return (units * game.payoffs[player - 1]) @ units.conj().T
 
 
 def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -306,12 +299,8 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
     n, d = game.shape.n, game.shape.d
     diag = game.payoffs[0]
     if game.use_entangler_pair:
-        j = entangler()
-        seed_state = resource_state(game).amplitudes
-        pair = np.einsum("gab,gcd->gacbd", matrices, matrices).reshape(-1, 4, 4)
-        final = np.einsum("ij,gj->gi", j.conj().T,
-                          np.einsum("gij,j->gi", pair, seed_state))
-        return (np.abs(final) ** 2) @ diag
+        final = protocol_amplitudes(game, np.stack([matrices, matrices], axis=1))
+        return np.einsum("gi,i->g", np.abs(final) ** 2, diag)
     rows = _search_rows(d ** n * d)
     return np.concatenate([_ghz_pure_payoffs(matrices[i:i + rows], n, d, diag)
                            for i in range(0, len(matrices), rows)])
@@ -331,7 +320,8 @@ def _ghz_pure_payoffs(matrices: np.ndarray, n: int, d: int, diag: np.ndarray) ->
         products = (factors[:, :, :, None] * products[:, :, None, :]).reshape(g, d, -1)
     amplitudes = np.matmul(matrices, products).reshape(g, -1)
     del products  # free it before the probabilities are formed
-    return (amplitudes.real ** 2 + amplitudes.imag ** 2) @ diag / d
+    # a per-row reduction: a row's value does not depend on its place in the batch
+    return np.einsum("gi,i->g", amplitudes.real ** 2 + amplitudes.imag ** 2, diag) / d
 
 
 def _search_rows(width: int) -> int:

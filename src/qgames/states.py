@@ -7,18 +7,21 @@ Conventions used everywhere in this package:
   player 3 holds digit 1, player 2 holds digit 2, player 1 holds digit 0.
 * The flat array index of a label is its base-d value read left to right,
   so player ``i`` contributes ``digit * d**(i-1)``.
-* Operator lists passed to :func:`apply_local_pure` are ordered
-  player-n-first, matching the tensor product U_n (x) U_{n-1} (x) ... (x) U_1.
+* Operator lists, in ``games.play_profile`` and in each profile of
+  :func:`apply_local_batch`, are ordered player-n-first, matching the tensor
+  product U_n (x) U_{n-1} (x) ... (x) U_1.
 
 Everything here works on state vectors; no D x D matrix is built.  White
 noise enters the protocols in closed form (see :mod:`qgames.games`).  The
 unitarity checks every local move passes through live here too.
 
-:func:`apply_local_batch` is the one batched propagation kernel: a batch of
+:func:`apply_local_batch` is the one propagation kernel: a batch of
 per-player operator profiles applied to a batch of states, one batched
 matmul per player, with no unitarity check (its callers check their
-operators once).  Batched callers (the classical embedding check and the
-property suite of ``qgames verify``) split their work into batches of at
+operators once, :func:`check_ops` for a single profile).  Every play,
+deviation form and embedding check reaches it through
+``games.protocol_amplitudes``; the property suite of ``qgames verify``
+calls it directly.  The batched callers split their work into batches of at
 most ``BATCH_BUDGET`` complex amplitudes, sized by :func:`batch_rows`.
 """
 
@@ -192,7 +195,8 @@ def bell(kind: str) -> PureState:
     return PureState(SystemShape(2, 2), amp)
 
 
-def _check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> list[np.ndarray]:
+def check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> list[np.ndarray]:
+    """Validate one player-n-first operator profile; raise or warn per ``strict``."""
     if len(ops) != shape.n:
         raise ValueError(f"need {shape.n} local operators, got {len(ops)}")
     checked = []
@@ -204,20 +208,6 @@ def _check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> list[np.ndarr
             )
         checked.append(mat)
     return checked
-
-
-def apply_local_pure(ops: Sequence, psi: PureState, strict: bool = True) -> PureState:
-    """Apply per-player unitaries (player-n-first) to a pure state.
-
-    The product (U_n (x) ... (x) U_1)|psi> is evaluated factor by factor on a
-    reshaped amplitude tensor; the full dim x dim operator is never built.
-    """
-    shape = psi.shape
-    mats = _check_ops(ops, shape, strict)
-    tensor = psi.amplitudes.reshape((shape.d,) * shape.n)
-    for axis, mat in enumerate(mats):
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])), 0, axis)
-    return PureState(shape, tensor.reshape(-1))
 
 
 def apply_local_batch(ops: np.ndarray, amplitudes: np.ndarray, d: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from qgames import games, states
+from qgames import games, solver, states
 from qgames.games import (
     EmbeddingCheck,
     GameSpec,
@@ -18,10 +18,10 @@ from qgames.games import (
     game_to_json,
     kolkata,
     minority,
-    play_pd,
     play_profile,
     play_symmetric,
     prisoners_dilemma,
+    protocol_amplitudes,
 )
 from qgames.states import SystemShape, ghz, labels
 from qgames.strategies import (
@@ -214,15 +214,21 @@ class TestEntangler:
         np.testing.assert_allclose(np.abs(out) ** 2, [0, 0, 0, 1], atol=1e-15)
 
 
+def haar_unitary(rng, d):
+    """A Haar-random d x d unitary: QR of a complex Gaussian, phases fixed by R."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 class TestPlayPd:
     def test_mutual_cooperation(self):
-        state = play_pd(I2, I2)
-        np.testing.assert_allclose(np.abs(state.amplitudes) ** 2, [1, 0, 0, 0],
+        report = play_profile(prisoners_dilemma(), [I2, I2])
+        np.testing.assert_allclose(list(report.probabilities.values()), [1, 0, 0, 0],
                                    atol=1e-15)
 
     def test_mutual_defection(self):
-        state = play_pd(X, X)
-        np.testing.assert_allclose(np.abs(state.amplitudes) ** 2, [0, 0, 0, 1],
+        report = play_profile(prisoners_dilemma(), [X, X])
+        np.testing.assert_allclose(list(report.probabilities.values()), [0, 0, 0, 1],
                                    atol=1e-15)
 
     def test_quantum_equilibrium_payoffs(self):
@@ -231,8 +237,43 @@ class TestPlayPd:
         np.testing.assert_allclose(report.payoffs, [3.0, 3.0], atol=1e-9)
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            play_pd(np.diag([1.0, 2.0]), I2)
+        with pytest.raises(ValueError, match="not unitary"):
+            play_profile(prisoners_dilemma(), [I2, np.diag([1.0, 2.0])])
+
+    def test_protocol_matches_dense_dilemma(self):
+        # J-dagger (U_B (x) U_A) J |00>, amplitudes with their phases
+        rng = np.random.default_rng(29)
+        j = entangler()
+        pairs = np.array([[haar_unitary(rng, 2), haar_unitary(rng, 2)] for _ in range(16)])
+        final = protocol_amplitudes(prisoners_dilemma(), pairs)
+        for row, (u_bob, u_alice) in zip(final, pairs):
+            np.testing.assert_allclose(row, j.conj().T @ np.kron(u_bob, u_alice) @ j[:, 0],
+                                       rtol=0, atol=1e-13)
+
+
+def test_every_protocol_caller_runs_the_kernel(monkeypatch):
+    calls = []
+    kernel = games.apply_local_batch
+
+    def spy(*args):
+        calls.append(len(args[0]))  # profiles in the batch
+        return kernel(*args)
+
+    monkeypatch.setattr(games, "apply_local_batch", spy)
+    pd = prisoners_dilemma()
+    runs = {
+        "pd play": lambda: play_profile(pd, [I2, X]),
+        "minority play": lambda: play_profile(minority(4), [su2_full(0.3, 0.2, 0.1)] * 4),
+        "kolkata play": lambda: play_symmetric(kolkata(), su3_frame(*KOLKATA_OPTIMAL_PARAMS)),
+        "embedding check": lambda: classical_embedding_check(minority(3)),
+        "deviation form": lambda: solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2),
+        "pd symmetric": lambda: solver._symmetric_payoffs(pd, np.stack([I2, X])),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, f"{name} never reached the propagation kernel"
+    assert not hasattr(states, "apply_local_pure")
 
 
 class TestPlayProfile:
@@ -516,13 +557,14 @@ def test_public_surface():
         "BestResponseResult", "EmbeddingCheck", "EquilibriumVerdict", "Family",
         "FidelitySweep", "GameSpec", "KOLKATA_OPTIMAL_PARAMS", "MINORITY_OPTIMAL_PARAMS",
         "PD_EQUILIBRIUM_PARAMS", "ParetoVerdict", "PayoffReport", "PureState",
-        "SearchConfig", "StrategySpec", "SystemShape", "apply_local_pure", "basis_state",
+        "SearchConfig", "StrategySpec", "SystemShape", "basis_state",
         "bell", "best_response", "classical_embedding_check", "classical_set",
         "classical_uniform_payoff", "cyclic_s", "dominant_strategy", "entangler",
         "fidelity_sweep", "game_by_name", "game_to_json", "ghz", "kolkata", "minority",
-        "pareto_check_symmetric", "parse_radians", "parse_strategy", "pauli", "play_pd",
+        "pareto_check_symmetric", "parse_radians", "parse_strategy", "pauli",
         "play_profile", "play_symmetric", "prisoners_dilemma", "su2_eisert", "su2_full",
         "su3_frame", "sweep_to_csv", "verify_nash",
     }
+    assert len(qgames.__all__) == 42
     assert all(hasattr(qgames, name) for name in qgames.__all__)
 

@@ -18,7 +18,6 @@ from qgames.games import (
     entangler,
     kolkata,
     minority,
-    play_pd,
     play_profile,
     play_symmetric,
     prisoners_dilemma,
@@ -128,11 +127,10 @@ class TestReducedEvaluators:
         for _ in range(8):
             alice = su2_eisert(rng.uniform(0, np.pi), rng.uniform(0, np.pi / 2))
             bob = su2_eisert(rng.uniform(0, np.pi), rng.uniform(0, np.pi / 2))
-            state = play_pd(alice, bob)
-            rho = dense.density(state.amplitudes)
+            direct = play_profile(PD, [bob, alice])
             form = _deviation_form(PD, [bob, alice], 1)
             value = _deviation_payoffs(form, alice[None, :, :])[0]
-            assert abs(value - dense.expectation(PD.payoffs[0], rho)) < 1e-10
+            assert abs(value - direct.payoffs[0]) < 1e-10
 
     def test_symmetric_batch_matches_play_symmetric(self):
         rng = np.random.default_rng(43)
@@ -366,9 +364,7 @@ class TestBestResponse:
         values = np.einsum("ij,gji->g", p_alice, rho)
         assert np.abs(values.imag).max() < 1e-9
         for i in range(0, len(alice), 4099):  # the batch is the one-strategy protocol
-            state = play_pd(alice[i], q)
-            assert abs(values[i] - dense.expectation(PD.payoffs[0],
-                                                     dense.density(state.amplitudes))) < 1e-12
+            assert abs(values[i] - play_profile(PD, [q, alice[i]]).payoffs[0]) < 1e-12
         best = float(values.real.max())
         result = best_response(PD, [EQ, EQ], 1, Family.EISERT_SU2)
         assert result.payoff <= 5.0
@@ -427,8 +423,7 @@ class TestBestResponse:
         q = EQ.matrix()
         for theta in np.linspace(0, np.pi, 9):
             for alpha in np.linspace(0, np.pi / 2, 9):
-                state = play_pd(q, su2_eisert(theta, alpha))
-                value = dense.expectation(PD.payoffs[1], dense.density(state.amplitudes))
+                value = play_profile(PD, [su2_eisert(theta, alpha), q]).payoffs[1]
                 assert result.payoff >= value - 1e-10
 
 
@@ -937,17 +932,16 @@ class TestBatchedRefinement:
             np.testing.assert_array_equal(solver._grid_rows(axes, np.arange(len(grid))), grid)
             deviation = deviation_evaluator(game, profile, 2, family)
             symmetric = symmetric_evaluator(game, family)
-            np.testing.assert_array_equal(solver._chunked(symmetric, axes, width),
-                                          symmetric(grid))
+            whole = symmetric(grid)  # one sub-batch at the default budget
+            np.testing.assert_array_equal(solver._chunked(symmetric, axes, width), whole)
             with monkeypatch.context() as patch:
                 # 8 rows per chunk, 1 per symmetric sub-batch
                 patch.setattr(solver, "_SEARCH_BUDGET", 8 * width)
                 np.testing.assert_array_equal(solver._chunked(deviation, axes, width),
                                               deviation(grid))
-                # the symmetric kernel ends in one matrix-vector product per
-                # sub-batch, which BLAS rounds by the row's place in its block
-                np.testing.assert_allclose(solver._chunked(symmetric, axes, width),
-                                           symmetric(grid), rtol=0, atol=1e-15)
+                # the symmetric kernel reduces each row on its own, so 1-row
+                # sub-batches give the whole grid's values bit for bit
+                np.testing.assert_array_equal(solver._chunked(symmetric, axes, width), whole)
 
     def test_kolkata_pareto_identical_across_threads(self, monkeypatch):
         # the ignored threads keyword, and 8 chunks of the 64-point grid with

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from qgames.games import kolkata, play_symmetric
+from qgames.games import kolkata, minority, play_profile, play_symmetric
 from qgames.states import (
     PureState,
     SystemShape,
     apply_local_batch,
-    apply_local_pure,
     basis_state,
     bell,
     check_fidelity,
@@ -38,6 +37,11 @@ def random_su2(rng):
 
 def random_su3(rng):
     return su3_frame(*rng.uniform(0, np.pi / 2, 3), *rng.uniform(0, 2 * np.pi, 5))
+
+
+def moved(ops, psi):
+    """(U_n (x) ... (x) U_1)|psi> for one player-n-first profile, through the kernel."""
+    return apply_local_batch(np.stack(ops)[None], psi.amplitudes, psi.shape.d)[0]
 
 
 class TestShapeAndLabels:
@@ -131,20 +135,18 @@ class TestGhzAndBell:
 class TestLocalOperations:
     def test_identity_leaves_state(self):
         psi = ghz(SystemShape(3, 2))
-        out = apply_local_pure([I2, I2, I2], psi)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(moved([I2, I2, I2], psi), psi.amplitudes, atol=1e-15)
 
     def test_double_flip(self):
         psi = basis_state(SystemShape(2, 2), "00")
-        out = apply_local_pure([X, X], psi)
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(moved([X, X], psi), [0, 0, 0, 1], atol=1e-15)
 
     def test_qutrit_shift_profile(self):
         # s^1 (x) s^2 (x) s^0 |000> = |120>
         psi = basis_state(SystemShape(3, 3), "000")
-        out = apply_local_pure([cyclic_s(1), cyclic_s(2), cyclic_s(0)], psi)
         np.testing.assert_allclose(
-            out.amplitudes, basis_state(SystemShape(3, 3), "120").amplitudes,
+            moved([cyclic_s(1), cyclic_s(2), cyclic_s(0)], psi),
+            basis_state(SystemShape(3, 3), "120").amplitudes,
             atol=1e-15,
         )
 
@@ -154,19 +156,16 @@ class TestLocalOperations:
         psi = random_state(rng, shape)
         ops = [random_su2(rng) for _ in range(3)]
         full = np.kron(np.kron(ops[0], ops[1]), ops[2])
-        np.testing.assert_allclose(
-            apply_local_pure(ops, psi).amplitudes, full @ psi.amplitudes, atol=1e-12
-        )
+        np.testing.assert_allclose(moved(ops, psi), full @ psi.amplitudes, atol=1e-12)
 
     def test_non_unitary_rejected_and_lenient(self):
-        psi = basis_state(SystemShape(1, 2), "1")
         bad = np.array([[1.0, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError):
-            apply_local_pure([bad], psi)
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not unitary"):
+            play_profile(minority(2), [bad, I2])
+        with pytest.warns(UserWarning, match="not unitary"):
+            with pytest.raises(ValueError, match="state norm"):
                 # lenient mode only warns; the broken norm still fails
-                apply_local_pure([bad], psi, strict=False)
+                play_profile(minority(2), [bad, I2], strict=False)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -174,22 +173,22 @@ class TestLocalOperations:
         rng = np.random.default_rng(seed)
         shape = SystemShape(3, 2)
         psi = random_state(rng, shape)
-        out = apply_local_pure([random_su2(rng) for _ in range(3)], psi)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
+        out = moved([random_su2(rng) for _ in range(3)], psi)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 class TestApplyLocalBatch:
     @pytest.mark.parametrize("n, d", [(2, 2), (4, 2), (3, 3), (11, 2)])
-    def test_matches_apply_local_pure(self, n, d):
+    def test_matches_dense_reference(self, n, d):
         rng = np.random.default_rng(17 + n * d)
         shape = SystemShape(n, d)
         draw = random_su2 if d == 2 else random_su3
         states = [random_state(rng, shape) for _ in range(5)]
         profiles = [[draw(rng) for _ in range(n)] for _ in states]
-        moved = apply_local_batch(np.array(profiles),
-                                  np.array([psi.amplitudes for psi in states]), d)
-        for row, ops, psi in zip(moved, profiles, states):
-            np.testing.assert_allclose(row, apply_local_pure(ops, psi).amplitudes,
+        rows = apply_local_batch(np.array(profiles),
+                                 np.array([psi.amplitudes for psi in states]), d)
+        for row, ops, psi in zip(rows, profiles, states):
+            np.testing.assert_allclose(row, dense.tensor(ops) @ psi.amplitudes,
                                        rtol=0, atol=1e-13)
 
 
@@ -207,7 +206,7 @@ class TestDensityOperations:
         psi = random_state(rng, shape)
         ops = [random_su2(rng), random_su2(rng)]
         via_density = dense.conjugate(ops, dense.density(psi.amplitudes))
-        via_pure = dense.density(apply_local_pure(ops, psi).amplitudes)
+        via_pure = dense.density(moved(ops, psi))
         np.testing.assert_allclose(via_density, via_pure, atol=1e-12)
 
     def test_global_phase_invariance(self):
