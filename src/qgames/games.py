@@ -57,8 +57,8 @@ class GameSpec:
 
     ``numerators`` is a read-only (n, D) integer array in index order, row
     i-1 for player i; the payoffs are ``numerators / denominator``, stored as
-    the read-only float array ``payoffs``.  ``outcome_labels`` is filled on
-    first use.
+    the read-only float array ``payoffs``.  ``outcome_labels`` and
+    ``occupation_types`` are filled on first use.
     """
 
     name: str
@@ -88,6 +88,20 @@ class GameSpec:
     def outcome_labels(self) -> tuple[str, ...]:
         """Basis labels in index order."""
         return tuple(labels(self.shape))
+
+    @cached_property
+    def occupation_types(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (T, d) occupation types, the players on each choice, and
+        (T,) player 1's payoffs summed over each type's outcomes, for the
+        types whose sum is nonzero."""
+        counts = (_digits(self.shape)[:, :, None] == np.arange(self.shape.d)).sum(axis=0)
+        types, of_type = np.unique(counts, axis=0, return_inverse=True)
+        # exact integer sums, divided once
+        weights = np.bincount(of_type.ravel(), self.numerators[0], len(types)) / self.denominator
+        table = types[weights != 0], weights[weights != 0]
+        for part in table:
+            part.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -155,10 +169,14 @@ def entangler() -> np.ndarray:
 
 
 def resource_state(game: GameSpec) -> PureState:
-    """The shared state the local moves act on: J|00> for the dilemma, GHZ otherwise."""
-    if game.use_entangler_pair:
-        return PureState(game.shape, entangler()[:, 0])
-    return ghz(game.shape)
+    """The shared state the local moves act on: J|00> for the dilemma, GHZ
+    otherwise.  Built once per shape and protocol; its amplitudes are read-only."""
+    return _resource_state(game.shape, game.use_entangler_pair)
+
+
+@cache
+def _resource_state(shape: SystemShape, use_entangler_pair: bool) -> PureState:
+    return PureState(shape, entangler()[:, 0]) if use_entangler_pair else ghz(shape)
 
 
 def protocol_amplitudes(game: GameSpec, ops: np.ndarray) -> np.ndarray:

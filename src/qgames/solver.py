@@ -5,9 +5,11 @@ d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)).  T is built
 from one batch of d^2 profiles through ``games.protocol_amplitudes``: the
 other players' moves stay fixed and the deviating slot holds each matrix
 unit E_ab, so no D x D matrix is built.  Symmetric dilemma profiles run
-through the same protocol; symmetric scans over the GHZ games use the
-product structure of the shared state.  All are checked against a dense
-reference in the tests.
+through the same protocol.  A symmetric profile U^(x)n on the GHZ state gives
+every outcome with the same occupation type (the number of players on each
+choice) the same amplitude, so symmetric GHZ scans evaluate one amplitude per
+weighted type, ``GameSpec.occupation_types``, instead of d^n.  All are
+checked against a dense reference in the tests.
 
 Fidelity is affine.  White noise commutes with the local moves, and the rows
 of a unitary have unit norm, so the noise adds the same (1 - f) * u to every
@@ -19,9 +21,9 @@ Every search streams its work under one budget, ``_SEARCH_BUDGET`` complex
 amplitudes (16 * ``states.BATCH_BUDGET``, 1 MB): the grid is evaluated in
 sequential chunks of as many rows as the budget holds d x d strategy
 matrices, and a symmetric GHZ scan splits each chunk again into sub-batches
-of d^n * d amplitudes per row.  A search's working memory is therefore a
-small constant, whatever the grid size or the number of players.  A
-symmetric Pareto search whose grid would evaluate more than
+sized by a row's powers U^e and type products.  A search's working memory is
+therefore a small constant, whatever the grid size or the number of players.
+A symmetric Pareto search whose grid would evaluate more than
 ``_WORK_BUDGET`` amplitudes (rows x D x d) is rejected before it starts.
 
 Best responses are exact wherever the form allows it, and each result names
@@ -38,30 +40,12 @@ how it was obtained (``BestResponseResult.certificate``):
             at fidelity f.  For SU(3) the current strategy and the family
             presets are tried first; one that reaches the bound is returned.
 ``search``  Otherwise (SU(3) without an attained bound, and the symmetric
-            Pareto scan) an exhaustive grid over the family's search box is
-            followed by coordinate-descent refinement.  For SU(3) the box
-            fixes the phase gauge: alpha_k is a phase on row k of U (and the
-            sum a phase on its third column), and a diagonal phase on the left
-            commutes with the computational-basis measurement, so every
-            payoff depends on the alphas only through their sum.  The search
-            pins alpha1 = alpha2 = 0 and scans the other 6 axes on a coarse
-            6-point grid, 6^6 = 46 656 rows, with multi-start refinement from
-            the best 16 grid points; the extra and random starts are mapped
-            into the gauge with alpha3 = (alpha1 + alpha2 + alpha3) mod 2 pi,
-            which keeps their value.  Qubit boxes use the configured grid
-            resolution directly.  The grid is streamed: each chunk's rows are
-            built from their flat indices, so the whole grid never exists at
-            once, and the starts are read back from the indices of the best
-            values.  Every start is refined by coordinate descent, and all
-            starts advance in lockstep.  A start's sweep tries +step and -step
-            along every free axis, in an order drawn from the start's own
-            stream, and takes the first move in scan order that improves on
-            its best point (first improvement); the rest of the sweep is then
-            scanned from the new point.  A sweep with no improvement halves
-            the start's step.  Each round gathers the pending moves of every
-            active start, from its next move to the end of its sweep, into
-            one batched call, so a search makes one call per round rather
-            than one per start and sweep.
+            Pareto scan) an exhaustive grid over the family's search box
+            (``_search_box``: SU(3) fixes its phase gauge and scans 6^6 =
+            46 656 rows) is streamed from flat indices and followed by
+            multi-start coordinate-descent refinement, every start in
+            lockstep with one batched call per round (``_search_family``,
+            ``_refine``).
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
@@ -96,11 +80,12 @@ from .strategies import (
 )
 
 # complex amplitudes per grid chunk (d * d per row) and per symmetric sub-batch
-# (d^n * d per row): 2^16, 1 MB
+# (the powers and type products of each row): 2^16, 1 MB
 _SEARCH_BUDGET = 16 * BATCH_BUDGET
 # amplitudes a symmetric Pareto search may evaluate on its grid, rows * D * d
 _WORK_BUDGET = 1 << 30
 _MIN_STEP = 1e-8
+_ORDER_BLOCK = 256  # sweeps of axis orders drawn at once per refinement start
 _RANDOM_STARTS = 4
 _MAX_GRID_POINTS = 256  # a 3-parameter grid then streams at most 16.7 M rows
 _MAX_SWEEP_POINTS = 1001
@@ -111,9 +96,8 @@ class SearchConfig:
     """Knobs for grid search and refinement.
 
     seed sets the supplementary random refinement starts, drawn first, and
-    then the per-start axis-order streams: the generator spawns one child
-    stream per start, and each sweep of that start draws its axis order from
-    it.  Given the same seed, results are reproducible bit for bit.
+    then one child stream per start for the axis orders of its sweeps.  Given
+    the same seed, results are reproducible bit for bit.
     """
 
     grid_points_per_axis: int = 24
@@ -295,33 +279,39 @@ def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
-    """Noise-free player-1 payoff for symmetric profiles, batched over (N, d, d)."""
-    n, d = game.shape.n, game.shape.d
-    diag = game.payoffs[0]
+    """Noise-free player-1 payoff for symmetric profiles, batched over (N, d, d).
+
+    On the GHZ state an outcome of occupation type m has the amplitude
+    sum_k prod_i U[i, k]^{m_i} / sqrt(d), so the payoff is
+    sum_m W_m |sum_k prod_i U[i, k]^{m_i}|^2 / d over ``occupation_types``.
+    """
+    d = game.shape.d
     if game.use_entangler_pair:
         final = protocol_amplitudes(game, np.stack([matrices, matrices], axis=1))
-        return np.einsum("gi,i->g", np.abs(final) ** 2, diag)
-    rows = _search_rows(d ** n * d)
-    return np.concatenate([_ghz_pure_payoffs(matrices[i:i + rows], n, d, diag)
-                           for i in range(0, len(matrices), rows)])
-
-
-def _ghz_pure_payoffs(matrices: np.ndarray, n: int, d: int, diag: np.ndarray) -> np.ndarray:
-    """Noise-free payoffs of symmetric GHZ profiles for one sub-batch.
-
-    The amplitude at |i_n ... i_1> is sum_k prod_j U[i_j, k] / sqrt(d).  The
-    products over players 1 .. n-1 are broadcast into (g, k, i_{n-1} ... i_1);
-    one batched matmul with U sums over k for player n.
-    """
-    g = len(matrices)
-    factors = matrices.transpose(0, 2, 1)  # (g, k, i): U[i, k]
-    products = factors if n > 1 else np.ones((g, d, 1))
-    for _ in range(n - 2):
-        products = (factors[:, :, :, None] * products[:, :, None, :]).reshape(g, d, -1)
-    amplitudes = np.matmul(matrices, products).reshape(g, -1)
-    del products  # free it before the probabilities are formed
-    # a per-row reduction: a row's value does not depend on its place in the batch
-    return np.einsum("gi,i->g", amplitudes.real ** 2 + amplitudes.imag ** 2, diag) / d
+        return np.einsum("gi,i->g", np.abs(final) ** 2, game.payoffs[0])
+    counts, weights = game.occupation_types
+    top = int(counts.max(initial=1))
+    # a row holds its powers, its type products and one gathered factor
+    rows = _search_rows((top + 1) * d * d + 2 * len(weights) * d)
+    values = np.empty(len(matrices))
+    for start in range(0, len(matrices), rows):
+        batch = matrices[start:start + rows]
+        powers = np.empty((top + 1, d, d, len(batch)), dtype=complex)  # [e, i, k]: U[i, k]^e
+        powers[0], powers[1] = 1.0, batch.transpose(1, 2, 0)
+        for e in range(2, top + 1):
+            np.multiply(powers[e - 1], powers[1], out=powers[e])
+        terms = powers[counts[:, 0], 0]  # (T, k, rows)
+        for i in range(1, d):
+            # in place: a fixed operand order rounds the same in any batch
+            np.multiply(terms, powers[counts[:, i], i], out=terms)
+        amplitudes = terms[:, 0] + terms[:, 1]  # (T, rows), summed over k in order
+        for k in range(2, d):
+            amplitudes += terms[:, k]
+        del powers, terms  # freed before the next sub-batch allocates its own
+        probabilities = (amplitudes.real ** 2 + amplitudes.imag ** 2) * weights[:, None]
+        # both sums add whole rows in order: a value does not depend on its batch
+        values[start:start + rows] = sum(probabilities) / d
+    return values
 
 
 def _search_rows(width: int) -> int:
@@ -372,15 +362,21 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
     improved = np.zeros(len(best), dtype=bool)
     move_axes = np.empty((len(best), moves), dtype=int)
     first = np.full(len(best), moves)  # each start's next pending move; ``moves`` when idle
+    # each start's axis orders, a block of sweeps at a time from its own stream:
+    # the rows equal one permutation per sweep, and the block bounds the memory
+    block = max(1, min(cfg.refine_iterations, _ORDER_BLOCK))
+    orders = np.empty((len(best), block, len(free)), dtype=int)
 
-    def open_sweep(s: int) -> None:
-        if sweeps[s] < cfg.refine_iterations and steps[s] >= _MIN_STEP:
-            move_axes[s] = np.repeat(free[streams[s].permutation(len(free))], 2)
-            first[s], improved[s] = 0, False
-            sweeps[s] += 1
+    def open_sweeps(idle: np.ndarray) -> None:
+        idle = idle[(sweeps[idle] < cfg.refine_iterations) & (steps[idle] >= _MIN_STEP)]
+        row = sweeps[idle] % block
+        for s in idle[row == 0]:
+            orders[s] = streams[s].permuted(np.tile(np.arange(len(free)), (block, 1)), axis=1)
+        move_axes[idle] = np.repeat(free[orders[idle, row]], 2, axis=1)
+        first[idle], improved[idle] = 0, False
+        sweeps[idle] += 1
 
-    for s in range(len(best)):
-        open_sweep(s)
+    open_sweeps(np.arange(len(best)))
     evaluations = 0
     while True:
         active = np.flatnonzero(first < moves)
@@ -406,8 +402,7 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
         steps[stalled[~improved[stalled]]] /= 2.0
         first[stalled] = moves
         first[won] = move[taken] + 1
-        for s in active[first[active] == moves]:
-            open_sweep(s)
+        open_sweeps(active[first[active] == moves])
 
 
 def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConfig,

@@ -251,6 +251,19 @@ class TestPlayPd:
                                        rtol=0, atol=1e-13)
 
 
+def test_resource_state_is_built_once_per_shape_and_protocol():
+    for make in (prisoners_dilemma, kolkata, lambda: minority(6)):
+        state = games.resource_state(make())
+        assert games.resource_state(make()) is state
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+    np.testing.assert_array_equal(games.resource_state(minority(6)).amplitudes,
+                                  ghz(SystemShape(6, 2)).amplitudes)
+    np.testing.assert_array_equal(games.resource_state(prisoners_dilemma()).amplitudes,
+                                  entangler()[:, 0])
+
+
 def test_every_protocol_caller_runs_the_kernel(monkeypatch):
     calls = []
     kernel = games.apply_local_batch
@@ -532,6 +545,41 @@ class TestPayoffCache:
         for player in range(1, 6):
             np.testing.assert_array_equal(game.payoffs[player - 1],
                                           game.numerators[player - 1] / game.denominator)
+
+
+class TestOccupationTypes:
+    """Player 1's payoff summed by occupation type, against the labels."""
+
+    CASES = [minority(n) for n in range(2, 15)] + [
+        kolkata(),
+        GameSpec("random", SystemShape(2, 3), False, np.arange(18).reshape(2, 9) % 5 - 1, 3),
+        GameSpec("random", SystemShape(3, 3), False, (np.arange(81).reshape(3, 27) * 7) % 4, 2),
+    ]
+
+    @pytest.mark.parametrize("game", CASES, ids=[f"{g.name}{g.shape.n}x{g.shape.d}" for g in CASES])
+    def test_table_holds_every_weighted_type(self, game):
+        n, d = game.shape.n, game.shape.d
+        weights = {}
+        for label, value in zip(game.outcome_labels, game.payoffs[0]):
+            key = tuple(label.count(str(c)) for c in range(d))
+            weights[key] = weights.get(key, 0.0) + value
+        assert len(weights) == math.comb(n + d - 1, d - 1)
+        counts, table = game.occupation_types
+        kept = {key: w for key, w in weights.items() if w != 0}
+        assert sorted(map(tuple, counts.tolist())) == sorted(kept)
+        for key, w in zip(map(tuple, counts.tolist()), table):
+            assert w == pytest.approx(kept[key], rel=1e-15)
+        assert table.sum() == pytest.approx(game.payoffs[0].sum(), rel=1e-15)
+        assert not counts.flags.writeable and not table.flags.writeable
+        assert game.occupation_types is game.occupation_types
+
+    def test_zero_weight_types_are_dropped(self):
+        # Kolkata: the three types with everyone at one table pay nobody;
+        # minority: unanimity and the even split pay nobody
+        assert len(kolkata().occupation_types[1]) == 7
+        assert len(minority(12).occupation_types[1]) == 10
+        assert len(minority(14).occupation_types[1]) == 12
+        assert len(minority(13).occupation_types[1]) == 12
 
 
 class TestPlayValidation:

@@ -235,6 +235,58 @@ def test_deviation_form_matches_dense_reference(game, fidelities):
                 rtol=0, atol=1e-12)
 
 
+SYMMETRIC_CASES = [minority(n) for n in range(2, 11)] + [
+    KOLKATA, random_table_game(2, 3, 6), random_table_game(3, 3, 8)]
+
+
+@pytest.mark.parametrize("game", SYMMETRIC_CASES,
+                         ids=[f"{g.name}{g.shape.n}x{g.shape.d}" for g in SYMMETRIC_CASES])
+def test_symmetric_payoffs_match_dense_reference(game):
+    n, d = game.shape.n, game.shape.d
+    rng = np.random.default_rng(300 + 10 * n + d)
+    matrices = random_unitaries(rng, 2 if n >= 9 else 4, d)
+    if d == 3:
+        matrices = np.concatenate([matrices, su3_frame_batch(*rng.uniform(0, np.pi, (8, 3)))])
+    values = _symmetric_payoffs(game, matrices)
+    rho = dense.density(ghz(game.shape).amplitudes)
+    for u, value in zip(matrices, values):
+        reference = dense.expectation(game.payoffs[0], dense.conjugate([u] * n, rho))
+        assert abs(value - reference) < 1e-13
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_symmetric_payoffs_match_play_symmetric_on_large_minority(n):
+    game = minority(n)
+    matrices = random_unitaries(np.random.default_rng(n), 4, 2)
+    values = _symmetric_payoffs(game, matrices)
+    for u, value in zip(matrices, values):
+        assert abs(value - play_symmetric(game, u).payoffs[0]) < 1e-13
+
+
+@pytest.mark.parametrize("game", [minority(10), KOLKATA, random_table_game(3, 3, 8)],
+                         ids=["minority10", "kolkata", "random3x3"])
+def test_symmetric_row_value_does_not_depend_on_its_batch(game):
+    # a batch that spills past one sub-batch; every row alone, and the rows on
+    # either side of the boundary in a batch of their own, give the same bits
+    d = game.shape.d
+    counts, weights = game.occupation_types
+    rows = solver._search_rows((counts.max() + 1) * d * d + 2 * len(weights) * d)
+    matrices = random_unitaries(np.random.default_rng(5), rows + 7, d)
+    values = _symmetric_payoffs(game, matrices)
+    boundary = slice(rows - 5, rows + 5)
+    np.testing.assert_array_equal(_symmetric_payoffs(game, matrices[boundary]), values[boundary])
+    singles = [_symmetric_payoffs(game, matrices[i:i + 1])[0]
+               for i in [*range(3), *range(rows - 3, rows + 7)]]
+    np.testing.assert_array_equal(singles, values[[*range(3), *range(rows - 3, rows + 7)]])
+
+
+def test_symmetric_payoffs_of_a_game_that_pays_player_one_nothing():
+    game = GameSpec("zero", SystemShape(3, 2), False, np.zeros((3, 8), dtype=int))
+    assert len(game.occupation_types[1]) == 0
+    np.testing.assert_array_equal(_symmetric_payoffs(game, random_unitaries(
+        np.random.default_rng(1), 3, 2)), np.zeros(3))
+
+
 class TestLargeSystems:
     """Minority n = 14 (D = 16384): one dense D x D complex matrix is 4 GiB."""
 
@@ -261,14 +313,16 @@ class TestLargeSystems:
         assert abs(value - expected) < 1e-12
 
     def test_minority_ten_symmetric_grid_batch_is_sub_batched(self):
-        # the 13 824-point full grid at D = 1024: one unsplit (rows, 2^10, 2)
-        # tensor would be 453 MB; a sub-batch holds its products and its
-        # amplitudes, (rows, 2^10) each, within the search budget
+        # the 13 824-point full grid at D = 1024: a row of the type kernel holds
+        # the powers U^0 .. U^9, its 8 type products and one gathered factor;
+        # unsplit that is about 16 MB, and a sub-batch holds it within the budget
         game = minority(10)
         grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 ** 3))
         matrices = _family_matrices(Family.FULL_SU2, grid)
         budget_bytes = solver._SEARCH_BUDGET * 16
-        assert len(grid) * 2 ** 10 * 2 * 16 > 4 * budget_bytes
+        counts, weights = game.occupation_types
+        width = (counts.max() + 1) * 2 ** 2 + 2 * len(weights) * 2
+        assert len(grid) * width * 16 > 4 * budget_bytes
         tracemalloc.start()
         try:
             values = _symmetric_payoffs(game, matrices)
@@ -280,6 +334,20 @@ class TestLargeSystems:
             single = _symmetric_payoffs(game, matrices[i:i + 1])[0]
             assert abs(values[i] - single) < 1e-12
 
+    def test_minority_fourteen_symmetric_grid_stays_in_budget(self):
+        game = minority(14)
+        grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 ** 3))
+        matrices = _family_matrices(Family.FULL_SU2, grid)
+        game.occupation_types  # the table is built once per game, outside the bound
+        tracemalloc.start()
+        try:
+            values = _symmetric_payoffs(game, matrices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * solver._SEARCH_BUDGET * 16
+        for i in range(0, len(grid), 4999):
+            assert abs(values[i] - play_symmetric(game, matrices[i]).payoffs[0]) < 1e-13
 
     @staticmethod
     def pareto_peak(game, payoff, family):
@@ -895,6 +963,34 @@ class TestBatchedRefinement:
         assert evaluations == sum(batches)
         assert abs(value - ref_value) <= 1e-12
         np.testing.assert_allclose(best, ref_best, rtol=0, atol=1e-12)
+
+    def test_block_of_axis_orders_equals_sequential_permutations(self):
+        # _refine draws a start's axis orders as one block; the rows must be the
+        # permutations that one call per sweep would draw from the same stream
+        for seed, free, sweeps in ((0, 6, 200), (3, 3, 7), (11, 6, 1)):
+            block_stream, = np.random.default_rng(seed).spawn(1)
+            sequential_stream, = np.random.default_rng(seed).spawn(1)
+            block = block_stream.permuted(np.tile(np.arange(free), (sweeps, 1)), axis=1)
+            sequential = [sequential_stream.permutation(free) for _ in range(sweeps)]
+            np.testing.assert_array_equal(block, sequential)
+
+    def test_axis_orders_drawn_in_several_blocks_match_the_reference(self, monkeypatch):
+        # with two sweeps per block, a start draws its orders again every
+        # second sweep, and still follows the single-row reference
+        family, evaluate, _ = BATCHED_CASES["kolkata-su3-symmetric"]
+        box = solver._search_box(family)
+        cfg = SearchConfig(refine_iterations=7, refine_initial_step=0.3)
+        starts = np.asarray([[lo + t * (hi - lo) for lo, hi in box] for t in (0.37, 0.61)])
+        values = evaluate(starts)
+        monkeypatch.setattr(solver, "_ORDER_BLOCK", 2)
+        best, best_values, _ = solver._refine(evaluate, starts, values, box, cfg,
+                                              np.random.default_rng(9).spawn(2))
+        for start, value, stream, got, got_value in zip(
+                starts, values, np.random.default_rng(9).spawn(2), best, best_values):
+            ref_best, ref_value, _ = reference_refine(
+                lambda p: float(evaluate(np.asarray([p]))[0]), start, value, box, cfg, stream)
+            assert abs(got_value - ref_value) <= 1e-12
+            np.testing.assert_allclose(got, ref_best, rtol=0, atol=1e-12)
 
     def test_default_kolkata_pareto_search_refines_in_lockstep(self):
         family = Family.FRAME_SU3
