@@ -21,10 +21,23 @@ Every search streams its work under one budget, ``_SEARCH_BUDGET`` complex
 amplitudes (16 * ``states.BATCH_BUDGET``, 1 MB): the grid is evaluated in
 sequential chunks of as many rows as the budget holds d x d strategy
 matrices, and a symmetric GHZ scan splits each chunk again into sub-batches
-sized by a row's powers U^e and type products.  A search's working memory is
-therefore a small constant, whatever the grid size or the number of players.
-A symmetric Pareto search whose grid would evaluate more than
-``_WORK_BUDGET`` amplitudes (rows x D x d) is rejected before it starts.
+sized by the amplitudes a row holds, ``_symmetric_width``: its powers U^e
+and type products.  A search's working memory is therefore a small
+constant, whatever the grid size or the number of players.  A symmetric
+Pareto search whose grid would hold more than ``_WORK_BUDGET`` amplitudes
+(rows x ``_symmetric_width``) is rejected before it starts.
+
+A grid row's matrix is assembled from per-axis factors: the cosine and sine
+of each angle and the unit phases (``strategies.factors``).  An axis holds
+at most ``_MAX_GRID_POINTS`` points, 6 on SU(3), so the factors of every
+axis point are built once per search; each chunk gathers them at its rows'
+flat-index digits and assembles its matrices (``strategies.assemble``), so
+no grid row computes a transcendental, and a one-point axis broadcasts.
+Starts and refinement moves go through the family's batch constructor,
+which runs the same factors and assembly, so a point gets the same matrix
+bit for bit either way.  The 16 best grid points, ties to the lower index,
+are picked by a partition and a stable sort of the rows tied at its
+threshold (``_top_indices``).
 
 Best responses are exact wherever the form allows it, and each result names
 how it was obtained (``BestResponseResult.certificate``):
@@ -42,10 +55,10 @@ how it was obtained (``BestResponseResult.certificate``):
 ``search``  Otherwise (SU(3) without an attained bound, and the symmetric
             Pareto scan) an exhaustive grid over the family's search box
             (``_search_box``: SU(3) fixes its phase gauge and scans 6^6 =
-            46 656 rows) is streamed from flat indices and followed by
-            multi-start coordinate-descent refinement, every start in
-            lockstep with one batched call per round (``_search_family``,
-            ``_refine``).
+            46 656 rows) is assembled from per-axis factor tables, chunk by
+            chunk, and followed by multi-start coordinate-descent
+            refinement, every start in lockstep with one batched call per
+            round (``_search_family``, ``_refine``).
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
@@ -73,6 +86,8 @@ from .strategies import (
     LOCAL_DIMENSION,
     Family,
     StrategySpec,
+    assemble,
+    factors,
     parameter_box,
     su2_eisert_batch,
     su2_full_batch,
@@ -82,7 +97,7 @@ from .strategies import (
 # complex amplitudes per grid chunk (d * d per row) and per symmetric sub-batch
 # (the powers and type products of each row): 2^16, 1 MB
 _SEARCH_BUDGET = 16 * BATCH_BUDGET
-# amplitudes a symmetric Pareto search may evaluate on its grid, rows * D * d
+# amplitudes a symmetric Pareto search may evaluate on its grid, rows * _symmetric_width
 _WORK_BUDGET = 1 << 30
 _MIN_STEP = 1e-8
 _ORDER_BLOCK = 256  # sweeps of axis orders drawn at once per refinement start
@@ -115,8 +130,8 @@ class SearchConfig:
             raise ValueError("refine_iterations must be >= 0")
         if not (math.isfinite(self.refine_initial_step) and self.refine_initial_step > 0):
             raise ValueError("refine_initial_step must be finite and positive")
-        if self.epsilon_nash <= 0:
-            raise ValueError("epsilon_nash must be positive")
+        if not (math.isfinite(self.epsilon_nash) and self.epsilon_nash > 0):
+            raise ValueError("epsilon_nash must be finite and positive")
 
     def to_json(self) -> dict:
         return {
@@ -291,8 +306,7 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
         return np.einsum("gi,i->g", np.abs(final) ** 2, game.payoffs[0])
     counts, weights = game.occupation_types
     top = int(counts.max(initial=1))
-    # a row holds its powers, its type products and one gathered factor
-    rows = _search_rows((top + 1) * d * d + 2 * len(weights) * d)
+    rows = _search_rows(_symmetric_width(game))
     values = np.empty(len(matrices))
     for start in range(0, len(matrices), rows):
         batch = matrices[start:start + rows]
@@ -314,26 +328,77 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
     return values
 
 
+def _symmetric_width(game: GameSpec) -> int:
+    """Complex amplitudes ``_symmetric_payoffs`` holds per row.
+
+    A GHZ row holds its powers U^0 .. U^top, its type products and one
+    gathered factor; a dilemma row holds its D x d protocol amplitudes.
+    """
+    if game.use_entangler_pair:
+        return game.shape.dim * game.shape.d
+    counts, weights = game.occupation_types
+    d = game.shape.d
+    return (int(counts.max(initial=1)) + 1) * d * d + 2 * len(weights) * d
+
+
 def _search_rows(width: int) -> int:
     """Rows of ``width`` complex amplitudes per chunk or sub-batch under ``_SEARCH_BUDGET``."""
     return max(1, _SEARCH_BUDGET // width)
 
 
-def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], axes: Sequence[np.ndarray],
-             width: int) -> np.ndarray:
-    """Evaluate every grid row, in index order, one chunk at a time.
+def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], family: Family,
+             axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Evaluate the matrices of every grid row, in index order, one chunk at a time.
 
-    A chunk holds ``_search_rows(width)`` rows, where ``width`` is the size of
-    the strategy matrix each row builds; its rows are built from their flat
-    indices when it runs, so only one chunk exists at a time.
+    The factors of every axis point (``strategies.factors``) are built once;
+    a chunk of ``_search_rows(d * d)`` rows gathers them at its rows' digits
+    and assembles its matrices, so only one chunk exists at a time and no
+    row computes a sine, cosine or phase of its own.
     """
-    total = math.prod(len(axis) for axis in axes)
-    rows = _search_rows(width)
+    sizes = [len(axis) for axis in axes]
+    # every axis padded to one length, then each table cut back to its axis
+    padded = factors(family, [np.resize(axis, max(sizes)) for axis in axes])
+    tables = [[f[:size] for f in per_axis] for per_axis, size in zip(padded, sizes)]
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+    total = math.prod(sizes)
+    rows = _search_rows(LOCAL_DIMENSION[family] ** 2)
     payoffs = np.empty(total)
     for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        payoffs[start:stop] = evaluate(_grid_rows(axes, np.arange(start, stop)))
+        flat = np.arange(start, min(start + rows, total))
+        # the gathered factors are freed once assembled, before the evaluation
+        payoffs[start:start + len(flat)] = evaluate(
+            assemble(family, _gathered(tables, strides, sizes, flat)))
     return payoffs
+
+
+def _gathered(tables, strides, sizes, flat: np.ndarray) -> list[list[np.ndarray]]:
+    """Each axis's factors at the digits of the flat grid indices.
+
+    A one-point axis passes its table as it is, to broadcast.
+    """
+    out = []
+    for table, stride, size in zip(tables, strides, sizes):
+        if size == 1:
+            out.append(table)
+        else:
+            digit = flat // stride % size
+            out.append([f[digit] for f in table])
+    return out
+
+
+def _top_indices(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-values, kind="stable")[:k]``, by a partition and a sort of its pool.
+
+    The pool is every row not below the k-th largest value, so rows tied
+    with it enter and the stable sort keeps them in index order.
+    """
+    negated = -values
+    if len(negated) <= k:
+        return np.argsort(negated, kind="stable")
+    threshold = np.partition(negated, k - 1)[k - 1]
+    # ~(>) keeps NaN rows in the pool, where the sort puts them last as argsort does
+    pool = np.flatnonzero(~(negated > threshold))
+    return pool[np.argsort(negated[pool], kind="stable")[:k]]
 
 
 # --- grid search + refinement ---------------------------------------------------
@@ -349,6 +414,7 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
     there; a sweep with no improvement halves its step.  A start stops after
     ``refine_iterations`` sweeps or once its step falls below _MIN_STEP.
     Every round evaluates the pending moves of all active starts in one call.
+    The starts lie in the box, so a move clips only the coordinate it moves.
     Returns the best points (S, k), their values and the rows evaluated.
     """
     best = np.array(starts, dtype=float)
@@ -372,28 +438,32 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
         row = sweeps[idle] % block
         for s in idle[row == 0]:
             orders[s] = streams[s].permuted(np.tile(np.arange(len(free)), (block, 1)), axis=1)
-        move_axes[idle] = np.repeat(free[orders[idle, row]], 2, axis=1)
+        move_axes[idle] = free[orders[idle, row]].repeat(2, axis=1)
         first[idle], improved[idle] = 0, False
         sweeps[idle] += 1
 
     open_sweeps(np.arange(len(best)))
     evaluations = 0
     while True:
-        active = np.flatnonzero(first < moves)
+        # array methods, not the numpy functions that wrap them: a round is
+        # dozens of calls on a few hundred rows
+        active = (first < moves).nonzero()[0]
         if not len(active):
             return best, best_values, evaluations
-        pending = moves - first[active]
-        begin = np.cumsum(pending) - pending  # each start's first row in the batch
-        owner = np.repeat(active, pending)
-        move = np.arange(pending.sum()) - np.repeat(begin - first[active], pending)
+        next_move = first[active]
+        pending = moves - next_move
+        begin = pending.cumsum() - pending  # each start's first row in the batch
+        owner = active.repeat(pending)
+        move = np.arange(len(owner)) - (begin - next_move).repeat(pending)
         candidates = best[owner]
-        candidates[np.arange(len(owner)), move_axes[owner, move]] += signs[move] * steps[owner]
-        candidates = np.clip(candidates, lower, upper)
+        rows, axis = np.arange(len(owner)), move_axes[owner, move]
+        candidates[rows, axis] = (candidates[rows, axis] + signs[move] * steps[owner]).clip(
+            lower[axis], upper[axis])
         values = evaluate_batch(candidates)
         evaluations += len(candidates)
         # each start's first improving row; a sentinel past the end marks none
-        hits = np.append(np.flatnonzero(values > best_values[owner]), len(values))
-        taken = hits[np.searchsorted(hits, begin)]
+        hits = np.concatenate(((values > best_values[owner]).nonzero()[0], [len(values)]))
+        taken = hits[hits.searchsorted(begin)]
         found = taken < begin + pending
         won, taken = active[found], taken[found]
         best[won], best_values[won] = candidates[taken], values[taken]
@@ -405,26 +475,31 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
         open_sweeps(active[first[active] == moves])
 
 
-def _search_family(family: Family, evaluate_batch, extra_starts, cfg: SearchConfig,
+def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
+                   extra_starts, cfg: SearchConfig,
                    extra_values=None) -> tuple[tuple[float, ...], float, int]:
     """Grid + multi-start refinement over one continuous family's search box.
 
-    The best grid points start refinement with the values the grid scan gave
-    them.  The extra starts are mapped into the box by the gauge, which keeps
-    their values, so ``extra_values``, when the caller has them, are used as
-    they are; otherwise the extra starts are evaluated with the seeded random
-    starts in one call.  The returned evaluation count is every row evaluated
-    for the search: the grid, those starts, and every move each refinement
-    sweep evaluated, including the moves it evaluated again after an
-    improvement.
+    ``evaluate`` maps a batch of (N, d, d) strategy matrices to payoffs.  The
+    grid builds its matrices from per-axis factor tables (``_chunked``);
+    every other point is built by the family's batch constructor.  The best
+    grid points start refinement with the values the grid scan gave them.
+    The extra starts are mapped into the box by the gauge, which keeps their
+    values, so ``extra_values``, when the caller has them, are used as they
+    are; otherwise the extra starts are evaluated with the seeded random
+    starts in one call.  The returned evaluation count is every row
+    evaluated for the search: the grid, those starts, and every move each
+    refinement sweep evaluated, including the moves it evaluated again after
+    an improvement.
     """
+    def evaluate_batch(params: np.ndarray) -> np.ndarray:
+        return evaluate(_family_matrices(family, params))
+
     box = _search_box(family)
     axes = _grid_axes(family, cfg.grid_points_per_axis)
-    grid_payoffs = _chunked(evaluate_batch, axes, LOCAL_DIMENSION[family] ** 2)
+    grid_payoffs = _chunked(evaluate, family, axes)
 
-    start_count = 16 if len(box) >= 4 else 1
-    # a full stable argsort: a partition saves little on the gauge-fixed grids
-    order = np.argsort(-grid_payoffs, kind="stable")[:start_count]
+    order = _top_indices(grid_payoffs, 16 if len(box) >= 4 else 1)
     rng = np.random.default_rng(cfg.seed)
     others = [_clamp_to_box(_gauge_fixed(family, params), box) for params in extra_starts]
     # drawn over the whole parameter box and then mapped, so a seed gives the
@@ -532,12 +607,12 @@ def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, spa
 
     family = space
 
-    def evaluate_batch(params: np.ndarray) -> np.ndarray:
-        return _deviation_payoffs(form, _family_matrices(family, params))
+    def evaluate(matrices: np.ndarray) -> np.ndarray:
+        return _deviation_payoffs(form, matrices)
 
     if family in (Family.FULL_SU2, Family.EISERT_SU2):
         params = _exact_su2_params(family, form)
-        value = evaluate_batch(np.asarray([params]))[0]
+        value = evaluate(_family_matrices(family, np.asarray([params])))[0]
         return found(StrategySpec(family, params), value, 1, "exact")
 
     extra = list(FAMILY_PRESETS.get(family, ()))
@@ -548,12 +623,12 @@ def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, spa
     if extra:
         top = current.local_dimension * float(np.linalg.eigvalsh(form)[-1])
         bound = _at_fidelity(top, fidelity, uniform)
-        values = evaluate_batch(np.asarray(extra))
+        values = evaluate(_family_matrices(family, np.asarray(extra)))
         for params, value in zip(extra, values):
             # the gap to the bound shrinks with f: at f = 0 every deviation attains it
             if fidelity * (top - value) <= _BOUND_RTOL * max(1.0, abs(bound)):
                 return found(StrategySpec(family, params), value, len(extra), "bound")
-    params, value, evaluations = _search_family(family, evaluate_batch, extra, cfg, values)
+    params, value, evaluations = _search_family(family, evaluate, extra, cfg, values)
     return found(StrategySpec(family, params), value, evaluations, "search")
 
 
@@ -659,22 +734,26 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     value, that analytic certificate is returned.  Otherwise symmetric
     profiles over the space are searched for one that beats the value by
     more than epsilon; finding one disproves optimality with a witness.
-    A grid that would evaluate more than ``_WORK_BUDGET`` amplitudes
-    (rows x D x d) is rejected before any work.  ``threads`` is accepted for
-    compatibility and ignored.
+    A grid that would evaluate more than ``_WORK_BUDGET`` amplitudes (rows
+    times the amplitudes ``_symmetric_payoffs`` holds per row) is rejected
+    before any work, as is a payoff that is not finite.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     cfg = cfg or SearchConfig()
+    if not math.isfinite(payoff):
+        raise ValueError(f"payoff must be finite, got {payoff}")
     fidelity = protocol_fidelity(game, fidelity)
     if _space_dimension(space) != game.shape.d:
         raise ValueError("strategy space dimension does not match the game")
     discrete = _discrete_candidates(space)
     if discrete is None:
         rows = math.prod(len(axis) for axis in _grid_axes(space, cfg.grid_points_per_axis))
-        work = rows * game.shape.dim * game.shape.d
+        width = _symmetric_width(game)
+        work = rows * width
         if work > _WORK_BUDGET:
             raise ValueError(
                 f"a symmetric search over {rows} grid rows evaluates {work} amplitudes "
-                f"(rows x D x d), above the cap of {_WORK_BUDGET}")
+                f"({width} per row), above the cap of {_WORK_BUDGET}")
     n = game.shape.n
     bound = _payoff_sum_bound(game) / n
     if payoff >= float(bound) - 1e-9:
@@ -688,11 +767,11 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     else:
         family = space
 
-        def evaluate_batch(params: np.ndarray) -> np.ndarray:
-            return _symmetric_payoffs(game, _family_matrices(family, params))
+        def evaluate(matrices: np.ndarray) -> np.ndarray:
+            return _symmetric_payoffs(game, matrices)
 
         extra = list(FAMILY_PRESETS.get(family, ()))
-        params, best_value, _ = _search_family(family, evaluate_batch, extra, cfg)
+        params, best_value, _ = _search_family(family, evaluate, extra, cfg)
         best_spec = StrategySpec(family, params)
     # searched at f = 1: for f > 0 the map keeps the argmax
     best_value = float(_at_fidelity(best_value, fidelity, game.payoffs.mean(axis=1)[0]))

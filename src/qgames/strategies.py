@@ -86,23 +86,137 @@ def _require_range(value: float, lo: float, hi: float, name: str) -> None:
         raise ValueError(f"{name}={value} outside [{lo:.6g}, {hi:.6g}]")
 
 
+# --- factors and assembly --------------------------------------------------
+#
+# Each continuous family's matrix is assembled from per-parameter factors: the
+# cosine and sine of an angle (of theta / 2 for SU(2)) and unit phases.  A
+# phase e^{ix} is cos x + 1j sin x, equal bit for bit to np.exp(1j * x), signed
+# zeros included, so a grid can build the factors of its axis points once and
+# gather them, and every caller of the builders gets the same values.
+
+# per family: the parameters that enter as (cos, sin), then those that enter
+# as e^{ix} and as e^{-ix}; SU(2)'s angle theta enters as theta / 2
+_LAYOUT = {
+    Family.FULL_SU2: (slice(0, 1), slice(1, 3), slice(1, 3)),
+    Family.EISERT_SU2: (slice(0, 1), slice(1, 2), slice(1, 2)),
+    Family.FRAME_SU3: (slice(0, 3), slice(3, 6), slice(6, 8)),
+}
+_HALF_ANGLES = (Family.FULL_SU2, Family.EISERT_SU2)
+
+
+def _continuous(family) -> Family:
+    family = Family(family)
+    if family not in _LAYOUT:
+        raise ValueError(f"{family.value} is not a continuous family")
+    return family
+
+
+def _unit_phases(x: np.ndarray, sign: int) -> np.ndarray:
+    """e^{sign i x} as cos x + sign i sin x, bit for bit np.exp(sign * 1j * x).
+
+    The exponent sign * 1j * x has imaginary part 0.0 + x or -x, so exp
+    takes the sine of +0.0 at x = -0.0 for sign = 1; the sine is odd.
+    """
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    if sign > 0:
+        out.imag += 0.0
+    else:
+        np.negative(out.imag, out=out.imag)
+    return out
+
+
+def factors(family: Family, params) -> list[tuple[np.ndarray, ...]]:
+    """One tuple of factors per parameter, from the (k, ...) array of their values.
+
+    An angle gives (cos, sin), of half the angle for SU(2)'s theta; a phase
+    gives e^{ix} or e^{-ix}, or both for SU(2).  ``assemble`` builds the
+    matrices from them.
+    """
+    return _factors(_continuous(family), np.array(params, dtype=float))
+
+
+def _factors(family: Family, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """``factors`` of a float (k, ...) array that it may overwrite."""
+    angle, up, down = _LAYOUT[family]
+    angles = values[angle]
+    if family in _HALF_ANGLES:
+        angles /= 2
+    # each table holds only the parameters that enter the matrix through it
+    cos, sin = np.cos(angles), np.sin(angles)
+    ups, downs = _unit_phases(values[up], 1), _unit_phases(values[down], -1)
+    if up == down:  # SU(2): each phase enters as e^{ix} and as e^{-ix}
+        return [*zip(cos, sin), *zip(ups, downs)]
+    return [*zip(cos, sin), *zip(ups), *zip(downs)]
+
+
+def _su2_assemble(cos, sin, row, row_conj, col, col_conj) -> np.ndarray:
+    out = np.empty(np.broadcast(cos, sin, row, col).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = row * cos
+    out[..., 0, 1] = 1j * col * sin
+    out[..., 1, 0] = 1j * col_conj * sin
+    out[..., 1, 1] = row_conj * cos
+    return out
+
+
+# beta = 0 of the eisert slice: e^{i0} and e^{-i0} as np.exp gives them
+_EISERT_BETA = (np.complex128(1.0), np.complex128(complex(1.0, -0.0)))
+
+
+def _su3_assemble(cos_phi, sin_phi, cos_theta, sin_theta, cos_chi, sin_chi,
+                  row1, row2, row3, beta1, beta2) -> np.ndarray:
+    """The frame (x, conj(y), conj(x) x y): alpha_k is a phase on row k of the
+    first two columns, and the third column is written out component by
+    component."""
+    shape = np.broadcast(cos_phi, cos_theta, cos_chi, row1, row2, row3, beta1, beta2).shape
+    out = np.empty(shape + (3, 3), dtype=complex)
+    x1 = out[..., 0, 0] = sin_theta * cos_phi * row1
+    x2 = out[..., 1, 0] = sin_theta * sin_phi * row2
+    x3 = out[..., 2, 0] = cos_theta * row3
+    # column 2 is conj(y)
+    w1 = out[..., 0, 1] = (cos_chi * cos_theta * cos_phi * beta1 + sin_chi * sin_phi * beta2) * row1
+    w2 = out[..., 1, 1] = (cos_chi * cos_theta * sin_phi * beta1 - sin_chi * cos_phi * beta2) * row2
+    w3 = out[..., 2, 1] = -cos_chi * sin_theta * beta1 * row3
+    # conj(x) x y = conj(x x conj(y))
+    out[..., 0, 2] = (x2 * w3 - x3 * w2).conj()
+    out[..., 1, 2] = (x3 * w1 - x1 * w3).conj()
+    out[..., 2, 2] = (x1 * w2 - x2 * w1).conj()
+    return out
+
+
+def assemble(family: Family, factors) -> np.ndarray:
+    """Strategy matrices (..., d, d) from one tuple of ``factors`` per parameter.
+
+    The factors broadcast against each other.
+    """
+    return _assemble(_continuous(family), factors)
+
+
+def _assemble(family: Family, factors) -> np.ndarray:
+    flat = [f for per_parameter in factors for f in per_parameter]
+    if family == Family.FULL_SU2:
+        return _su2_assemble(*flat)
+    if family == Family.EISERT_SU2:
+        return _su2_assemble(*flat, *_EISERT_BETA)
+    return _su3_assemble(*flat)
+
+
+def _build(family: Family, params) -> np.ndarray:
+    """Factors, then assembly, of parameters broadcast to one shape."""
+    values = np.empty((len(params),) + np.broadcast(*params).shape)
+    for i, p in enumerate(params):
+        values[i] = p
+    per_parameter = _factors(family, values)
+    del values  # the factors hold no view of it: freed before the assembly
+    return _assemble(family, per_parameter)
+
+
 # --- SU(2) -----------------------------------------------------------------
 
 def su2_full_batch(theta, alpha, beta) -> np.ndarray:
     """Vectorized three-parameter SU(2); returns shape (..., 2, 2)."""
-    t, a, b = np.broadcast_arrays(
-        np.asarray(theta, dtype=float),
-        np.asarray(alpha, dtype=float),
-        np.asarray(beta, dtype=float),
-    )
-    cos = np.cos(t / 2)
-    sin = np.sin(t / 2)
-    out = np.empty(t.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(1j * a) * cos
-    out[..., 0, 1] = 1j * np.exp(1j * b) * sin
-    out[..., 1, 0] = 1j * np.exp(-1j * b) * sin
-    out[..., 1, 1] = np.exp(-1j * a) * cos
-    return out
+    return _build(Family.FULL_SU2, (theta, alpha, beta))
 
 
 def su2_full(theta: float, alpha: float, beta: float) -> np.ndarray:
@@ -115,7 +229,8 @@ def su2_full(theta: float, alpha: float, beta: float) -> np.ndarray:
 
 
 def su2_eisert_batch(theta, alpha) -> np.ndarray:
-    return su2_full_batch(theta, alpha, 0.0)
+    """su2_full_batch(theta, alpha, 0.0); returns shape (..., 2, 2)."""
+    return _build(Family.EISERT_SU2, (theta, alpha))
 
 
 def su2_eisert(theta: float, alpha: float) -> np.ndarray:
@@ -162,31 +277,10 @@ def cyclic_s(k: int) -> np.ndarray:
 def su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
     """Vectorized SU(3) constructor; returns shape (..., 3, 3).
 
-    Each sine, cosine and phase is computed once.  alpha_k is a phase on row
-    k of the first two columns, and the third column is conj(x) x y written
-    out component by component.
+    Each sine, cosine and phase is computed once, and ``assemble`` builds
+    the frame from them.
     """
-    phi, theta, chi, a1, a2, a3, b1, b2 = np.broadcast_arrays(
-        *[np.asarray(p, dtype=float) for p in (phi, theta, chi, a1, a2, a3, b1, b2)]
-    )
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    cos_theta, sin_theta = np.cos(theta), np.sin(theta)
-    cos_chi, sin_chi = np.cos(chi), np.sin(chi)
-    row1, row2, row3 = np.exp(1j * a1), np.exp(1j * a2), np.exp(1j * a3)
-    beta1, beta2 = np.exp(-1j * b1), np.exp(-1j * b2)
-    out = np.empty(phi.shape + (3, 3), dtype=complex)
-    x1 = out[..., 0, 0] = sin_theta * cos_phi * row1
-    x2 = out[..., 1, 0] = sin_theta * sin_phi * row2
-    x3 = out[..., 2, 0] = cos_theta * row3
-    # column 2 is conj(y)
-    w1 = out[..., 0, 1] = (cos_chi * cos_theta * cos_phi * beta1 + sin_chi * sin_phi * beta2) * row1
-    w2 = out[..., 1, 1] = (cos_chi * cos_theta * sin_phi * beta1 - sin_chi * cos_phi * beta2) * row2
-    w3 = out[..., 2, 1] = -cos_chi * sin_theta * beta1 * row3
-    # conj(x) x y = conj(x x conj(y))
-    out[..., 0, 2] = (x2 * w3 - x3 * w2).conj()
-    out[..., 1, 2] = (x3 * w1 - x1 * w3).conj()
-    out[..., 2, 2] = (x1 * w2 - x2 * w1).conj()
-    return out
+    return _build(Family.FRAME_SU3, (phi, theta, chi, a1, a2, a3, b1, b2))
 
 
 def su3_frame(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:

@@ -122,7 +122,8 @@ class TestErrors:
         assert json.loads(out) == {"error": "grid_points_per_axis must lie in [2, 256], got 257"}
 
     def test_search_above_work_budget(self):
-        # 256^3 rows at D = 2^14, d = 2: 5.5e11 amplitudes, rejected before any work
+        # 256^3 rows of 104 amplitudes, the powers U^0 .. U^7 and the 12 type
+        # products of minority(14): 1.7e9 amplitudes, rejected before any work
         start = time.perf_counter()
         code, out = run_cli(["search", "--game", "minority", "-n", "14", "--mode", "pareto",
                              "--payoff", "0.05", "--grid", "256"])
@@ -130,8 +131,33 @@ class TestErrors:
         assert code == 2
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": (
-            "a symmetric search over 16777216 grid rows evaluates 549755813888 amplitudes "
-            "(rows x D x d), above the cap of 1073741824")}
+            "a symmetric search over 16777216 grid rows evaluates 1744830464 amplitudes "
+            "(104 per row), above the cap of 1073741824")}
+
+    def test_default_grid_of_minority_fourteen_now_fits_the_work_budget(self):
+        # 33^3 = 35 937 rows of 104 amplitudes: 3.7e6 of the 2^30 cap, though
+        # rows x D x d would be 1.18e9
+        code, payload = run_json(["search", "--game", "minority", "-n", "14", "--mode",
+                                  "pareto", "--payoff", "0.05", "--grid", "33"])
+        assert code == 0
+        assert payload["certificate"] == "symmetric-witness"
+        assert payload["config"]["grid_points_per_axis"] == 33
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--mode", "nash", "--epsilon", "nan"], "epsilon_nash must be finite and positive"),
+        (["--mode", "nash", "--epsilon", "inf"], "epsilon_nash must be finite and positive"),
+        (["--mode", "pareto", "--payoff", "nan"], "payoff must be finite, got nan"),
+        (["--mode", "pareto", "--payoff", "inf"], "payoff must be finite, got inf"),
+        (["--mode", "pareto", "--payoff=-inf"], "payoff must be finite, got -inf"),
+    ])
+    def test_non_finite_verdict_thresholds(self, argv, message):
+        # nan compares false with every gain, bound and witness, and an infinite
+        # epsilon accepts any gain: either would decide a verdict
+        game = ["--game", "pd"] if "nash" in argv else ["--game", "kolkata"]
+        code, out = run_cli(["search", *game, *argv])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": message}
 
     @pytest.mark.parametrize("fidelities,message", [
         (",", "--fidelities entry 1 is empty"),

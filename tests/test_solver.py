@@ -83,6 +83,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(epsilon_nash=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-6])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon_nash must be finite and positive"):
+            SearchConfig(epsilon_nash=epsilon)
+
     @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
     def test_refine_step_must_be_finite_and_positive(self, step):
         with pytest.raises(ValueError, match="refine_initial_step"):
@@ -371,8 +376,8 @@ class TestLargeSystems:
         assert self.pareto_peak(minority(10), 0.05, Family.FULL_SU2) < 8 * 2 ** 20
 
     def test_default_minority_fourteen_grid_passes_the_work_budget(self, monkeypatch):
-        # 24^3 rows x 2^14 x 2 = 4.5e8 amplitudes, under the 2^30 cap; the
-        # search itself is stubbed out
+        # 24^3 rows x 104 amplitudes = 1.4e6, under the 2^30 cap; the search
+        # itself is stubbed out
         searched = []
 
         def stub(family, evaluate_batch, extra_starts, cfg, extra_values=None):
@@ -501,8 +506,8 @@ def search_reference(game, profile, player, family, fidelity=1.0, cfg=None):
     ops = [spec.matrix() for spec in reversed(profile)]
     form = _deviation_form(game, ops, player)
 
-    def evaluate(params):
-        return _deviation_payoffs(form, _family_matrices(family, params))
+    def evaluate(matrices):
+        return _deviation_payoffs(form, matrices)
 
     extra = list(FAMILY_PRESETS.get(family, ()))
     if profile[player - 1].family == family:
@@ -769,6 +774,13 @@ class TestPareto:
         assert verdict.is_optimal
         assert verdict.certificate in ("payoff-sum-bound", "symmetric-search-exhausted")
 
+    @pytest.mark.parametrize("payoff", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("space", [Family.FRAME_SU3, [KOLKATA_OPT]])
+    def test_payoff_must_be_finite(self, payoff, space):
+        # nan compares false with every bound and witness, so it would pass as optimal
+        with pytest.raises(ValueError, match="payoff must be finite"):
+            pareto_check_symmetric(KOLKATA, payoff, space)
+
     @pytest.mark.parametrize("game,space", [(PD, Family.FRAME_SU3), (KOLKATA, Family.FULL_SU2),
                                             (MINORITY4, [KOLKATA_OPT])])
     def test_space_dimension_must_match(self, game, space):
@@ -887,33 +899,38 @@ def reference_search(family, evaluate_batch, extra_starts, cfg):
     return best_params, best_value
 
 
-def deviation_evaluator(game, profile, player, family, fidelity=1.0):
+def deviation_evaluator(game, profile, player, fidelity=1.0):
+    """Deviation payoffs of a batch of strategy matrices."""
     form = _deviation_form(game, [spec.matrix() for spec in reversed(profile)], player)
-    return lambda params: at_fidelity(game, player, fidelity,
-                                      _deviation_payoffs(form, _family_matrices(family, params)))
+    return lambda matrices: at_fidelity(game, player, fidelity,
+                                        _deviation_payoffs(form, matrices))
 
 
-def symmetric_evaluator(game, family, fidelity=1.0):
-    return lambda params: at_fidelity(game, 1, fidelity,
-                                      _symmetric_payoffs(game, _family_matrices(family, params)))
+def symmetric_evaluator(game, fidelity=1.0):
+    """Symmetric payoffs of a batch of strategy matrices."""
+    return lambda matrices: at_fidelity(game, 1, fidelity, _symmetric_payoffs(game, matrices))
+
+
+def on_params(family, evaluate):
+    """The evaluator of matrices as one of an (N, k) parameter array."""
+    return lambda params: evaluate(_family_matrices(family, np.asarray(params, dtype=float)))
 
 
 SU3_OFF_BOUND = [parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")] * 3
 BATCHED_CASES = {
     "minority4-full-deviation": (
         Family.FULL_SU2,
-        deviation_evaluator(MINORITY4, RANDOM3_PROFILE + RANDOM3_PROFILE[:1], 2,
-                            Family.FULL_SU2, 0.37),
+        deviation_evaluator(MINORITY4, RANDOM3_PROFILE + RANDOM3_PROFILE[:1], 2, 0.37),
         SearchConfig(seed=4)),
     "minority4-full-symmetric": (
-        Family.FULL_SU2, symmetric_evaluator(MINORITY4, Family.FULL_SU2, 0.6),
+        Family.FULL_SU2, symmetric_evaluator(MINORITY4, 0.6),
         SearchConfig(seed=7)),
     "kolkata-su3-symmetric": (
-        Family.FRAME_SU3, symmetric_evaluator(KOLKATA, Family.FRAME_SU3),
+        Family.FRAME_SU3, symmetric_evaluator(KOLKATA),
         SearchConfig(grid_points_per_axis=2, refine_iterations=30, seed=1)),
     "kolkata-su3-deviation": (
         Family.FRAME_SU3,
-        deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, 0.6),
+        deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, 0.6),
         SearchConfig(grid_points_per_axis=2, refine_iterations=30, seed=5)),
 }
 
@@ -926,14 +943,15 @@ class TestBatchedRefinement:
         family, evaluate, cfg = BATCHED_CASES[case]
         extra = list(FAMILY_PRESETS.get(family, ()))
         params, value, _ = _search_family(family, evaluate, extra, cfg)
-        _, reference = reference_search(family, evaluate, extra, cfg)
+        _, reference = reference_search(family, on_params(family, evaluate), extra, cfg)
         assert value >= reference - 1e-12
         assert abs(value - reference) <= 1e-12
-        assert abs(float(evaluate(np.asarray([params]))[0]) - value) < 1e-15
+        assert abs(float(on_params(family, evaluate)([params])[0]) - value) < 1e-15
 
     @pytest.mark.parametrize("iterations", [1, 6])
     def test_one_call_per_sweep_plus_one_per_improvement(self, iterations):
-        family, evaluate, _ = BATCHED_CASES["kolkata-su3-symmetric"]
+        family, on_matrices, _ = BATCHED_CASES["kolkata-su3-symmetric"]
+        evaluate = on_params(family, on_matrices)
         box = parameter_box(family)
         cfg = SearchConfig(refine_iterations=iterations, refine_initial_step=0.3)
         start = tuple(lo + 0.37 * (hi - lo) for lo, hi in box)
@@ -977,7 +995,8 @@ class TestBatchedRefinement:
     def test_axis_orders_drawn_in_several_blocks_match_the_reference(self, monkeypatch):
         # with two sweeps per block, a start draws its orders again every
         # second sweep, and still follows the single-row reference
-        family, evaluate, _ = BATCHED_CASES["kolkata-su3-symmetric"]
+        family, on_matrices, _ = BATCHED_CASES["kolkata-su3-symmetric"]
+        evaluate = on_params(family, on_matrices)
         box = solver._search_box(family)
         cfg = SearchConfig(refine_iterations=7, refine_initial_step=0.3)
         starts = np.asarray([[lo + t * (hi - lo) for lo, hi in box] for t in (0.37, 0.61)])
@@ -994,12 +1013,12 @@ class TestBatchedRefinement:
 
     def test_default_kolkata_pareto_search_refines_in_lockstep(self):
         family = Family.FRAME_SU3
-        evaluate = symmetric_evaluator(KOLKATA, family)
+        evaluate = symmetric_evaluator(KOLKATA)
         batches = []
 
-        def counting(params):
-            batches.append(len(params))
-            return evaluate(params)
+        def counting(matrices):
+            batches.append(len(matrices))
+            return evaluate(matrices)
 
         _, value, evaluations = _search_family(family, counting, list(FAMILY_PRESETS[family]),
                                                SearchConfig())
@@ -1026,18 +1045,19 @@ class TestBatchedRefinement:
             mesh = np.meshgrid(*axes, indexing="ij")
             grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
             np.testing.assert_array_equal(solver._grid_rows(axes, np.arange(len(grid))), grid)
-            deviation = deviation_evaluator(game, profile, 2, family)
-            symmetric = symmetric_evaluator(game, family)
-            whole = symmetric(grid)  # one sub-batch at the default budget
-            np.testing.assert_array_equal(solver._chunked(symmetric, axes, width), whole)
+            deviation = deviation_evaluator(game, profile, 2)
+            symmetric = symmetric_evaluator(game)
+            matrices = _family_matrices(family, grid)
+            whole = symmetric(matrices)  # one sub-batch at the default budget
+            np.testing.assert_array_equal(solver._chunked(symmetric, family, axes), whole)
             with monkeypatch.context() as patch:
                 # 8 rows per chunk, 1 per symmetric sub-batch
                 patch.setattr(solver, "_SEARCH_BUDGET", 8 * width)
-                np.testing.assert_array_equal(solver._chunked(deviation, axes, width),
-                                              deviation(grid))
+                np.testing.assert_array_equal(solver._chunked(deviation, family, axes),
+                                              deviation(matrices))
                 # the symmetric kernel reduces each row on its own, so 1-row
                 # sub-batches give the whole grid's values bit for bit
-                np.testing.assert_array_equal(solver._chunked(symmetric, axes, width), whole)
+                np.testing.assert_array_equal(solver._chunked(symmetric, family, axes), whole)
 
     def test_kolkata_pareto_identical_across_threads(self, monkeypatch):
         # the ignored threads keyword, and 8 chunks of the 64-point grid with
@@ -1057,12 +1077,76 @@ class TestBatchedRefinement:
         assert default == small == search(1)
 
 
-def eight_axis_search(family, evaluate_batch, extra_starts, cfg):
+class TestGridFactorTables:
+    """The grid gathers per-axis factor tables; refinement calls the constructors."""
+
+    @pytest.mark.parametrize("family,rows", [(Family.FRAME_SU3, 6 ** 6),
+                                             (Family.FULL_SU2, 24 ** 3),
+                                             (Family.EISERT_SU2, 24 ** 2)])
+    def test_every_default_grid_chunk_equals_the_constructor(self, family, rows):
+        axes = solver._grid_axes(family, SearchConfig().grid_points_per_axis)
+        builder = {Family.FRAME_SU3: su3_frame_batch, Family.FULL_SU2: su2_full_batch,
+                   Family.EISERT_SU2: su2_eisert_batch}[family]
+        done = [0]
+
+        def check(matrices):
+            flat = np.arange(done[0], done[0] + len(matrices))
+            want = builder(*solver._grid_rows(axes, flat).T)
+            np.testing.assert_array_equal(matrices, want)
+            # the bits too: signs of zero included
+            np.testing.assert_array_equal(matrices.view(np.uint64), want.view(np.uint64))
+            done[0] += len(matrices)
+            return np.zeros(len(matrices))
+
+        solver._chunked(check, family, axes)
+        assert done[0] == rows
+
+    def test_grid_builds_no_matrix_through_the_constructors(self, monkeypatch):
+        # the 46 656 grid rows are gathered; only the starts and the refinement
+        # moves go through su3_frame_batch
+        built = []
+        monkeypatch.setattr(solver, "su3_frame_batch",
+                            lambda *p: built.append(np.broadcast(*p).size) or su3_frame_batch(*p))
+        pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, SearchConfig(refine_iterations=0))
+        assert built == [len(FAMILY_PRESETS[Family.FRAME_SU3]) + solver._RANDOM_STARTS]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 2 / 3, 1.0, float("nan")]),
+                           max_size=80)
+           | st.lists(st.floats(allow_nan=False), max_size=40),
+           k=st.integers(1, 20))
+    def test_partition_top_indices_equal_the_stable_argsort(self, values, k):
+        # heavy ties, fewer rows than k, and NaN rows, which both put last
+        values = np.asarray(values, dtype=float)
+        want = np.argsort(-values, kind="stable")[:k]
+        np.testing.assert_array_equal(solver._top_indices(values, k), want)
+
+    def test_refine_clips_moves_at_the_box_edge(self):
+        # from a start on the edge, the move out of the box is clipped back to it
+        box = ((0.0, 1.0), (0.0, 1.0))
+        cfg = SearchConfig(refine_iterations=1, refine_initial_step=0.5)
+        seen = []
+
+        def evaluate(params):
+            seen.append(params.copy())
+            return params.sum(axis=1)
+
+        best, value, _ = solver._refine(evaluate, np.array([[1.0, 0.25]]), [1.25], box, cfg,
+                                        [np.random.default_rng(0)])
+        moves = np.concatenate(seen)
+        assert ((moves >= 0.0) & (moves <= 1.0)).all()
+        assert [1.0, 0.25] in moves.tolist()  # +0.5 along the first axis, clipped
+        np.testing.assert_array_equal(best, [[1.0, 0.75]])
+        assert value[0] == 1.75
+
+
+def eight_axis_search(family, evaluate, extra_starts, cfg):
     """The best value of the search before the SU(3) phase gauge was fixed:
     every axis of the parameter box gridded and refined, streamed and batched."""
     box = parameter_box(family)
     axes = [np.linspace(lo, hi, min(cfg.grid_points_per_axis, 6)) for lo, hi in box]
-    grid_payoffs = solver._chunked(evaluate_batch, axes, 9)
+    grid_payoffs = solver._chunked(evaluate, family, axes)
+    evaluate_batch = on_params(family, evaluate)
     order = np.argsort(-grid_payoffs, kind="stable")[:16]
     starts = [tuple(map(float, row)) for row in solver._grid_rows(axes, order)]
     starts += [solver._clamp_to_box(params, box) for params in extra_starts]
@@ -1116,7 +1200,7 @@ class TestPhaseGauge:
         assert classes(sums) == classes(axes[5]) and len(classes(axes[5])) == 5
 
     def test_extra_starts_map_into_the_gauge_with_their_value(self):
-        evaluate = deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, 0.6)
+        evaluate = on_params(Family.FRAME_SU3, deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, 0.6))
         for params in (KOLKATA_OPTIMAL_PARAMS, SU3_OFF_BOUND[0].params):
             fixed = solver._gauge_fixed(Family.FRAME_SU3, params)
             assert fixed[3:5] == (0.0, 0.0) and 0.0 <= fixed[5] < 2 * np.pi
@@ -1136,7 +1220,7 @@ class TestPhaseGauge:
         result = best_response(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, fidelity=fidelity)
         assert result.certificate == "search"
         assert result.strategy.params[3:5] == (0.0, 0.0)
-        evaluate = deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, fidelity)
+        evaluate = deviation_evaluator(KOLKATA, SU3_OFF_BOUND, 2, fidelity)
         extra = [SU3_OFF_BOUND[1].params, *FAMILY_PRESETS[Family.FRAME_SU3]]
         reference = eight_axis_search(Family.FRAME_SU3, evaluate, extra, SearchConfig())
         assert result.payoff >= reference - 1e-12

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as dense
 from qgames.games import entangler
 from qgames.strategies import (
     FAMILY_PRESETS,
@@ -12,14 +13,18 @@ from qgames.strategies import (
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
     StrategySpec,
+    assemble,
     classical_set,
     cyclic_s,
+    factors,
     parameter_box,
     parse_radians,
     parse_strategy,
     pauli,
     su2_eisert,
+    su2_eisert_batch,
     su2_full,
+    su2_full_batch,
     su3_frame,
     su3_frame_batch,
 )
@@ -193,6 +198,62 @@ class TestSu3Frame:
     def test_range_enforced(self):
         with pytest.raises(ValueError):
             su3_frame(2.0, 0.3, 0.3, 0, 0, 0, 0, 0)
+
+
+def bits(array):
+    """The raw bits of a complex array: equal bits mean equal values and signs of zero."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+# exact zeros of both signs, the box edges and tiny magnitudes, where a phase
+# built from cos and sin could differ from np.exp in a sign or a last bit
+SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi, 5e-324, -1e-300]
+
+
+class TestFactorsAndAssembly:
+    """The builders against their defining formulas, phases through np.exp."""
+
+    BUILDERS = [
+        (su2_full_batch, dense.su2_full, 3),
+        (su2_eisert_batch, lambda t, a: dense.su2_full(t, a, 0.0), 2),
+        (su3_frame_batch, dense.su3_frame, 8),
+    ]
+
+    @pytest.mark.parametrize("builder,reference,k", BUILDERS)
+    @pytest.mark.parametrize("rows", [1, 7, 300, 7281])
+    def test_batch_builders_match_the_exp_formulas_bit_for_bit(self, builder, reference, k, rows):
+        rng = np.random.default_rng(rows + k)
+        params = rng.uniform(-7, 7, (k, rows))
+        params[:, :len(SPECIAL_ANGLES)] = np.array(SPECIAL_ANGLES)[:rows, None].T
+        zeros = rng.random(params.shape) < 0.2  # one-point gauge axes sit at 0
+        params[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        np.testing.assert_array_equal(bits(builder(*params)), bits(reference(*params)))
+
+    @pytest.mark.parametrize("builder,reference,k", BUILDERS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scalar_builders_match_the_exp_formulas_bit_for_bit(self, builder, reference, k, data):
+        angle = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-7, 7))
+        params = data.draw(st.lists(angle, min_size=k, max_size=k))
+        np.testing.assert_array_equal(bits(builder(*params)), bits(reference(*params)))
+
+    def test_factors_broadcast_in_assembly(self):
+        # a parameter fixed for the batch passes its factors at shape (1,)
+        rng = np.random.default_rng(31)
+        params = np.array([su3_params(rng) for _ in range(50)]).T
+        params[3:5] = 0.0
+        per_row = factors(Family.FRAME_SU3, params)
+        fixed = factors(Family.FRAME_SU3, params[:, :1])
+        mixed = [fixed[i] if i in (3, 4) else per_row[i] for i in range(8)]
+        np.testing.assert_array_equal(bits(assemble(Family.FRAME_SU3, mixed)),
+                                      bits(su3_frame_batch(*params)))
+
+    def test_discrete_families_have_no_factors(self):
+        for family in (Family.CLASSICAL_BIT, Family.CYCLIC_C3):
+            with pytest.raises(ValueError, match="not a continuous family"):
+                factors(family, [[0.0]])
+            with pytest.raises(ValueError, match="not a continuous family"):
+                assemble(family, [])
 
 
 class TestClassicalSets:
