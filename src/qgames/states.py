@@ -15,10 +15,10 @@ Everything here works on state vectors; no D x D matrix is built.  White
 noise enters the protocols in closed form (see :mod:`qgames.games`).  The
 unitarity checks every local move passes through live here too.
 
-:func:`apply_local_batch` is the one propagation kernel: a batch of
-per-player operator profiles applied to a batch of states, one batched
-matmul per player, with no unitarity check (its callers check their
-operators once, :func:`check_ops` for a single profile).  Every play,
+:func:`apply_local_batch` is the one propagation kernel: each player is one
+(d, d) @ (d, D/d) product per profile on the leading tensor axis, which then
+rotates last.  It checks nothing; its callers check their operators once,
+:func:`check_ops` a profile in one stacked product.  Every play,
 deviation form and embedding check reaches it through
 ``games.protocol_amplitudes``; the property suite of ``qgames verify``
 calls it directly.  The batched callers split their work into batches of at
@@ -58,12 +58,26 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def unitarity_residuals(mats) -> np.ndarray:
+    """max |U-dagger U - I| of each matrix in a (..., k, k) stack, in one product."""
+    mats = np.asarray(mats, dtype=complex)
+    products = mats.conj().swapaxes(-1, -2) @ mats
+    return np.max(np.abs(products - np.eye(mats.shape[-1])), axis=(-2, -1))
+
+
 def unitarity_residual(u) -> float:
     """max |U-dagger U - I|, the deviation of U from unitarity."""
     um = np.asarray(u, dtype=complex)
-    if um.ndim != 2 or um.shape[0] != um.shape[1]:
-        return float("inf")
-    return float(np.max(np.abs(um.conj().T @ um - np.eye(um.shape[0]))))
+    square = um.ndim == 2 and um.shape[0] == um.shape[1]
+    return float(unitarity_residuals(um)) if square else float("inf")
+
+
+def _flag_unitarity(residual: float, atol: float, strict: bool, name: str) -> None:
+    if not residual < atol:  # NaN fails too: ``nan < atol`` is False
+        message = f"{name} is not unitary (residual {residual:.3e} >= {atol:.0e})"
+        if strict:
+            raise ValueError(message)
+        warnings.warn(message, stacklevel=3)
 
 
 def require_unitary(u, atol: float = ATOL_UNITARY, strict: bool = True,
@@ -72,12 +86,7 @@ def require_unitary(u, atol: float = ATOL_UNITARY, strict: bool = True,
     um = np.asarray(u, dtype=complex)
     if um.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {um.shape}")
-    residual = unitarity_residual(um)
-    if residual >= atol:
-        message = f"{name} is not unitary (residual {residual:.3e} >= {atol:.0e})"
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message, stacklevel=2)
+    _flag_unitarity(unitarity_residual(um), atol, strict, name)
     return um
 
 
@@ -142,7 +151,7 @@ class PureState:
                 f"amplitude count {amp.size} does not match dim {self.shape.dim}"
             )
         nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > ATOL_NORM:
+        if not abs(nrm - 1.0) <= ATOL_NORM:  # NaN fails too
             raise ValueError(f"state norm {nrm} is not 1 within {ATOL_NORM}")
         object.__setattr__(self, "amplitudes", frozen(amp))
 
@@ -196,18 +205,22 @@ def bell(kind: str) -> PureState:
 
 
 def check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> list[np.ndarray]:
-    """Validate one player-n-first operator profile; raise or warn per ``strict``."""
+    """Validate one player-n-first operator profile (one stacked product); raise or
+    warn per ``strict``, naming the players in profile order."""
     if len(ops) != shape.n:
         raise ValueError(f"need {shape.n} local operators, got {len(ops)}")
-    checked = []
-    for k, op in enumerate(ops):
-        mat = require_unitary(op, strict=strict, name=f"operator for player {shape.n - k}")
-        if mat.shape != (shape.d, shape.d):
-            raise ValueError(
-                f"local operator shape {mat.shape} != ({shape.d}, {shape.d})"
-            )
-        checked.append(mat)
-    return checked
+    side = (shape.d, shape.d)
+    mats = [np.asarray(op, dtype=complex) for op in ops]
+    residuals = unitarity_residuals([m if m.shape == side else np.eye(shape.d) for m in mats])
+    for k, (mat, residual) in enumerate(zip(mats, residuals)):
+        name = f"operator for player {shape.n - k}"
+        if mat.ndim != 2:
+            raise ValueError(f"{name} must be 2-dimensional, got shape {mat.shape}")
+        fits = mat.shape == side
+        _flag_unitarity(residual if fits else unitarity_residual(mat), ATOL_UNITARY, strict, name)
+        if not fits:
+            raise ValueError(f"local operator shape {mat.shape} != {side}")
+    return mats
 
 
 def apply_local_batch(ops: np.ndarray, amplitudes: np.ndarray, d: int) -> np.ndarray:
@@ -220,8 +233,9 @@ def apply_local_batch(ops: np.ndarray, amplitudes: np.ndarray, d: int) -> np.nda
     count, n = ops.shape[:2]
     amplitudes = np.broadcast_to(amplitudes, (count, d ** n))
     for axis in range(n):
-        # player n - axis acts on tensor axis ``axis``
-        amplitudes = ops[:, axis, None] @ amplitudes.reshape(count, d ** axis, d, -1)
+        # player n - axis acts on the leading tensor axis, one (d, d) @ (d, D/d)
+        # product per profile; that axis then moves last, so n steps end in order
+        amplitudes = (ops[:, axis] @ amplitudes.reshape(count, d, -1)).swapaxes(1, 2)
     return amplitudes.reshape(count, d ** n)
 
 

@@ -299,7 +299,7 @@ def su3_frame(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
         _require_range(float(value), 0.0, 2 * math.pi, name)
     out = su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2)
     residual = unitarity_residual(out)
-    if residual >= 1e-9:
+    if not residual < 1e-9:
         raise RuntimeError(
             f"frame construction produced a non-unitary matrix (residual {residual:.3e})"
         )

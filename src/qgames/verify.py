@@ -28,7 +28,7 @@ from .solver import (
     pareto_check_symmetric,
     verify_nash,
 )
-from .states import SystemShape, apply_local_batch, batch_rows
+from .states import SystemShape, apply_local_batch, batch_rows, unitarity_residuals
 from .strategies import (
     Family,
     KOLKATA_OPTIMAL_PARAMS,
@@ -200,12 +200,6 @@ def _random_family_batches(rng: np.random.Generator):
     )
 
 
-def _batch_unitarity_residual(mats: np.ndarray) -> float:
-    d = mats.shape[-1]
-    products = np.einsum("gji,gjk->gik", mats.conj(), mats)
-    return float(np.max(np.abs(products - np.eye(d))))
-
-
 def _dense_trace_residual(ops: np.ndarray, psi: np.ndarray, fs: np.ndarray) -> float:
     """max |tr(U rho U-dagger) - 1| over a batch, on the dense D x D path.
 
@@ -284,7 +278,7 @@ def check_property_suites() -> list[CheckResult]:
     batches = {}
     for family, mats in _random_family_batches(rng):
         batches[family] = mats
-        worst_residual = max(worst_residual, _batch_unitarity_residual(mats))
+        worst_residual = max(worst_residual, float(np.max(unitarity_residuals(mats))))
         if family in (Family.FULL_SU2, Family.FRAME_SU3):
             worst_det = max(worst_det, float(np.max(np.abs(np.linalg.det(mats) - 1))))
 

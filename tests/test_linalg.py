@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from qgames.states import require_unitary, unitarity_residual
+from qgames.states import require_unitary, unitarity_residual, unitarity_residuals
 from qgames.strategies import cyclic_s, pauli, su2_full
 
 I2 = np.eye(2, dtype=complex)
@@ -178,6 +178,24 @@ class TestUnitarityHelpers:
         with pytest.warns(UserWarning):
             out = require_unitary(np.diag([1.0, 2.0]), strict=False)
         assert out.dtype == complex
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_operator_is_not_unitary(self, bad):
+        # a NaN residual fails the check: ``nan < atol`` is False
+        op = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"not unitary \(residual nan >= 1e-09\)"):
+            require_unitary(op)
+        with pytest.warns(UserWarning, match="not unitary"):
+            require_unitary(op, strict=False)
+
+    def test_stacked_residuals_equal_the_scalar_ones(self):
+        rng = np.random.default_rng(9)
+        mats = np.stack([random_unitary(rng, 3) for _ in range(5)] + [np.diag([1.0, 2.0, 1.0])])
+        stacked = unitarity_residuals(mats)
+        assert stacked.shape == (6,)
+        assert stacked.tolist() == [unitarity_residual(m) for m in mats]
+        assert stacked[-1] == 3.0
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +10,19 @@ from hypothesis import strategies as st
 import dense_reference as dense
 from qgames.games import kolkata, minority, play_profile, play_symmetric
 from qgames.states import (
+    ATOL_UNITARY,
     PureState,
     SystemShape,
     apply_local_batch,
     basis_state,
     bell,
     check_fidelity,
+    check_ops,
     ghz,
     label_to_index,
     labels,
     parse_label,
+    unitarity_residual,
 )
 from qgames.strategies import cyclic_s, pauli, su2_full, su3_frame
 
@@ -178,7 +183,7 @@ class TestLocalOperations:
 
 
 class TestApplyLocalBatch:
-    @pytest.mark.parametrize("n, d", [(2, 2), (4, 2), (3, 3), (11, 2)])
+    @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (2, 2), (4, 2), (3, 3), (6, 3), (11, 2)])
     def test_matches_dense_reference(self, n, d):
         rng = np.random.default_rng(17 + n * d)
         shape = SystemShape(n, d)
@@ -190,6 +195,101 @@ class TestApplyLocalBatch:
         for row, ops, psi in zip(rows, profiles, states):
             np.testing.assert_allclose(row, dense.tensor(ops) @ psi.amplitudes,
                                        rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d, n", [(2, n) for n in range(1, 12)]
+                             + [(3, n) for n in range(1, 12)])
+    def test_rows_do_not_depend_on_their_batch(self, d, n):
+        # every row is bit-identical to its profile run alone, for per-row
+        # states and for one broadcast state
+        rng = np.random.default_rng(100 * d + n)
+        count, dim = 3, d ** n
+        raw = rng.standard_normal((count, n, d, d)) + 1j * rng.standard_normal((count, n, d, d))
+        ops = np.linalg.qr(raw)[0]
+        psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        rows = apply_local_batch(ops, psi, d)
+        shared = apply_local_batch(ops, psi[0], d)
+        assert rows.shape == shared.shape == (count, dim)
+        for k in range(count):
+            np.testing.assert_array_equal(rows[k], apply_local_batch(ops[k:k + 1], psi[k], d)[0])
+            np.testing.assert_array_equal(shared[k], apply_local_batch(ops[k:k + 1], psi[0], d)[0])
+
+
+class TestCheckOps:
+    """One stacked unitarity check per profile, with the per-operator messages."""
+
+    SHAPE = SystemShape(4, 2)
+    BAD = np.diag([1.0, 2.0])
+
+    def check(self, ops, strict):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                check_ops(ops, self.SHAPE, strict)
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+        return error, [str(w.message) for w in caught]
+
+    def test_non_unitary_names_the_first_bad_player(self):
+        ops = [I2, self.BAD, I2, self.BAD]
+        message = "operator for player {} is not unitary (residual 3.000e+00 >= 1e-09)"
+        assert self.check(ops, strict=True) == (message.format(3), [])
+        assert self.check(ops, strict=False) == (None, [message.format(3), message.format(1)])
+
+    def test_wrong_shape(self):
+        square = [I2, np.eye(3), I2, I2]
+        for strict in (True, False):
+            assert self.check(square, strict) == ("local operator shape (3, 3) != (2, 2)", [])
+        ragged = [I2, I2, np.ones((2, 3)), I2]
+        unitary = "operator for player 2 is not unitary (residual inf >= 1e-09)"
+        assert self.check(ragged, strict=True) == (unitary, [])
+        assert self.check(ragged, strict=False) == (
+            "local operator shape (2, 3) != (2, 2)", [unitary])
+
+    def test_wrong_ndim(self):
+        for op, shape in ((np.ones(4), "(4,)"), (np.ones((1, 2, 2)), "(1, 2, 2)")):
+            message = f"operator for player 2 must be 2-dimensional, got shape {shape}"
+            for strict in (True, False):
+                assert self.check([I2, I2, op, I2], strict) == (message, [])
+
+    def test_earlier_bad_operator_comes_first(self):
+        ops = [self.BAD, I2, np.ones(4), I2]
+        unitary = "operator for player 4 is not unitary (residual 3.000e+00 >= 1e-09)"
+        assert self.check(ops, strict=True) == (unitary, [])
+        assert self.check(ops, strict=False) == (
+            "operator for player 2 must be 2-dimensional, got shape (4,)", [unitary])
+
+    def test_verdict_at_the_tolerance_matches_unitarity_residual(self):
+        # diag(1, e) with e^2 - 1 straddling ATOL_UNITARY, rotated so that the
+        # residual carries round-off
+        rng = np.random.default_rng(21)
+        raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rotation = np.linalg.qr(raw)[0]
+        edge = math.sqrt(1.0 + ATOL_UNITARY)
+        verdicts = set()
+        for step in range(-40, 41):
+            op = rotation @ np.diag([1.0, edge + step * 2.0 ** -52])
+            unitary = unitarity_residual(op) < ATOL_UNITARY
+            verdicts.add(unitary)
+            error, _ = self.check([I2, I2, op, I2], strict=True)
+            assert (error is None) == unitary
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_operator(self, bad):
+        op = np.array([[bad, 0.0], [0.0, 1.0]])
+        message = "operator for player 4 is not unitary (residual nan >= 1e-09)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            play_symmetric(minority(4), op)
+        # lenient mode warns for every player; the play then fails on the norm
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="state norm nan is not 1"):
+                play_symmetric(minority(4), op, strict=False)
+        assert [str(w.message) for w in caught if w.category is UserWarning] == [
+            f"operator for player {k} is not unitary (residual nan >= 1e-09)"
+            for k in (4, 3, 2, 1)]
 
 
 class TestDensityOperations:
@@ -299,6 +399,12 @@ class TestValidation:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             PureState(SystemShape(1, 2), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # a NaN norm fails the check: ``nan <= ATOL_NORM`` is False
+        with pytest.raises(ValueError, match="state norm .* is not 1"):
+            PureState(SystemShape(1, 2), np.array([bad, 0.0]))
 
     def test_states_are_immutable(self):
         psi = ghz(SystemShape(2, 2))
