@@ -27,17 +27,13 @@ constant, whatever the grid size or the number of players.  A symmetric
 Pareto search whose grid would hold more than ``_WORK_BUDGET`` amplitudes
 (rows x ``_symmetric_width``) is rejected before it starts.
 
-A grid row's matrix is assembled from per-axis factors: the cosine and sine
-of each angle and the unit phases (``strategies.factors``).  An axis holds
-at most ``_MAX_GRID_POINTS`` points, 6 on SU(3), so the factors of every
-axis point are built once per search; each chunk gathers them at its rows'
-flat-index digits and assembles its matrices (``strategies.assemble``), so
-no grid row computes a transcendental, and a one-point axis broadcasts.
-Starts and refinement moves go through the family's batch constructor,
-which runs the same factors and assembly, so a point gets the same matrix
-bit for bit either way.  The 16 best grid points, ties to the lower index,
-are picked by a partition and a stable sort of the rows tied at its
-threshold (``_top_indices``).
+Each grid chunk is an open mesh of the axes (``np.ix_``) built by the
+family's batch constructor, which takes every sine, cosine and phase on its
+own argument, so a chunk computes one per axis point and a one-point axis
+broadcasts (``_chunked``).  Starts and refinement moves go through the same
+constructor, so a point gets the same matrix bit for bit either way.  The 16
+best grid points, ties to the lower index, are picked by a partition and a
+stable sort of the rows tied at its threshold (``_top_indices``).
 
 Best responses are exact wherever the form allows it, and each result names
 how it was obtained (``BestResponseResult.certificate``):
@@ -55,10 +51,10 @@ how it was obtained (``BestResponseResult.certificate``):
 ``search``  Otherwise (SU(3) without an attained bound, and the symmetric
             Pareto scan) an exhaustive grid over the family's search box
             (``_search_box``: SU(3) fixes its phase gauge and scans 6^6 =
-            46 656 rows) is assembled from per-axis factor tables, chunk by
-            chunk, and followed by multi-start coordinate-descent
-            refinement, every start in lockstep with one batched call per
-            round (``_search_family``, ``_refine``).
+            46 656 rows) is built chunk by chunk on open meshes and
+            followed by multi-start coordinate-descent refinement, every
+            start in lockstep with one batched call per round
+            (``_search_family``, ``_refine``).
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
@@ -86,8 +82,6 @@ from .strategies import (
     LOCAL_DIMENSION,
     Family,
     StrategySpec,
-    assemble,
-    factors,
     parameter_box,
     su2_eisert_batch,
     su2_full_batch,
@@ -185,15 +179,21 @@ class FidelitySweep:
 
 # --- candidate spaces ---------------------------------------------------------
 
+def _builder(family: Family) -> Callable[..., np.ndarray]:
+    """The family's batch constructor, read from this module at each call so
+    that a replaced module attribute (a test's patch, a tracer) is used."""
+    if family == Family.FULL_SU2:
+        return su2_full_batch
+    if family == Family.EISERT_SU2:
+        return su2_eisert_batch
+    if family == Family.FRAME_SU3:
+        return su3_frame_batch
+    raise ValueError(f"{family.value} is not a continuous family")
+
+
 def _family_matrices(family: Family, params: np.ndarray) -> np.ndarray:
     """Batch-construct strategy matrices from an (N, k) parameter array."""
-    if family == Family.FULL_SU2:
-        return su2_full_batch(params[:, 0], params[:, 1], params[:, 2])
-    if family == Family.EISERT_SU2:
-        return su2_eisert_batch(params[:, 0], params[:, 1])
-    if family == Family.FRAME_SU3:
-        return su3_frame_batch(*[params[:, i] for i in range(8)])
-    raise ValueError(f"{family.value} is not a continuous family")
+    return _builder(family)(*params.T)
 
 
 def _discrete_candidates(space) -> list[StrategySpec] | None:
@@ -350,40 +350,25 @@ def _chunked(evaluate: Callable[[np.ndarray], np.ndarray], family: Family,
              axes: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate the matrices of every grid row, in index order, one chunk at a time.
 
-    The factors of every axis point (``strategies.factors``) are built once;
-    a chunk of ``_search_rows(d * d)`` rows gathers them at its rows' digits
-    and assembles its matrices, so only one chunk exists at a time and no
-    row computes a sine, cosine or phase of its own.
+    A chunk holds at most ``_search_rows(d * d)`` rows: the split axis is the
+    first whose trailing axes fit in one chunk, and a chunk is one point of
+    every axis before it, a block of the split axis and every point of the
+    axes after it.  The family's batch constructor builds the chunk on that
+    open mesh (``np.ix_``), so each sine, cosine and phase is taken once per
+    axis point, and only one chunk exists at a time.
     """
+    d = LOCAL_DIMENSION[family]
+    build = _builder(family)
     sizes = [len(axis) for axis in axes]
-    # every axis padded to one length, then each table cut back to its axis
-    padded = factors(family, [np.resize(axis, max(sizes)) for axis in axes])
-    tables = [[f[:size] for f in per_axis] for per_axis, size in zip(padded, sizes)]
-    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
-    total = math.prod(sizes)
-    rows = _search_rows(LOCAL_DIMENSION[family] ** 2)
-    payoffs = np.empty(total)
-    for start in range(0, total, rows):
-        flat = np.arange(start, min(start + rows, total))
-        # the gathered factors are freed once assembled, before the evaluation
-        payoffs[start:start + len(flat)] = evaluate(
-            assemble(family, _gathered(tables, strides, sizes, flat)))
-    return payoffs
-
-
-def _gathered(tables, strides, sizes, flat: np.ndarray) -> list[list[np.ndarray]]:
-    """Each axis's factors at the digits of the flat grid indices.
-
-    A one-point axis passes its table as it is, to broadcast.
-    """
-    out = []
-    for table, stride, size in zip(tables, strides, sizes):
-        if size == 1:
-            out.append(table)
-        else:
-            digit = flat // stride % size
-            out.append([f[digit] for f in table])
-    return out
+    rows = _search_rows(d * d)
+    split = next(j for j in range(len(sizes)) if math.prod(sizes[j + 1:]) <= rows)
+    block = rows // math.prod(sizes[split + 1:])
+    payoffs = []
+    for lead in itertools.product(*axes[:split]):
+        for start in range(0, sizes[split], block):
+            mesh = np.ix_(axes[split][start:start + block], *axes[split + 1:])
+            payoffs.append(evaluate(build(*lead, *mesh).reshape(-1, d, d)))
+    return np.concatenate(payoffs)
 
 
 def _top_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -481,9 +466,10 @@ def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
     """Grid + multi-start refinement over one continuous family's search box.
 
     ``evaluate`` maps a batch of (N, d, d) strategy matrices to payoffs.  The
-    grid builds its matrices from per-axis factor tables (``_chunked``);
-    every other point is built by the family's batch constructor.  The best
-    grid points start refinement with the values the grid scan gave them.
+    family's batch constructor builds every matrix: the grid's on one open
+    mesh per chunk (``_chunked``), and the starts and moves from their
+    parameter rows.  The best grid points start refinement with the values
+    the grid scan gave them.
     The extra starts are mapped into the box by the gauge, which keeps their
     values, so ``extra_values``, when the caller has them, are used as they
     are; otherwise the extra starts are evaluated with the seeded random
@@ -531,6 +517,8 @@ _QUATERNION_BASIS = np.array([
 ])
 _EISERT_AXES = (0, 1, 3)  # beta = 0 leaves q2 = 0; the box is q0, q1, q3 >= 0
 _BOUND_RTOL = 1e-12
+_EIGEN_RTOL = 1e-12  # eigenvalues this close to lambda_max, relative to the spectrum, are tied
+_TIE_TOL = 1e-9  # projection lengths this close are tied, to the lower index
 _ROUND_OFF = 1e-14
 
 
@@ -550,9 +538,20 @@ def _quaternion_params(q: np.ndarray) -> tuple[float, ...]:
 
 
 def _top_quaternion(m: np.ndarray) -> np.ndarray:
-    """Top eigenvector of m, signed so its largest entry is positive."""
-    q = np.linalg.eigh(m)[1][:, -1]
-    return q if q[int(np.argmax(np.abs(q)))] > 0 else -q
+    """A unit vector of m's top eigenspace that does not depend on its basis.
+
+    The eigenvectors within a relative _EIGEN_RTOL of lambda_max span the
+    space; the basis vector e_i with the longest projection P e_i onto it
+    (ties within _TIE_TOL to the lower i) gives q = P e_i / |P e_i|, whose
+    entry i is its largest and positive.  eigh returns an arbitrary basis of
+    a degenerate space, so a round-off change to m could turn its top column.
+    """
+    values, vectors = np.linalg.eigh(m)
+    top = vectors[:, values[-1] - values <= _EIGEN_RTOL * np.abs(values).max()]
+    projections = top @ top.T  # column i is P e_i
+    norms = np.linalg.norm(projections, axis=0)
+    index = int(np.flatnonzero(norms >= norms.max() - _TIE_TOL)[0])
+    return projections[:, index] / norms[index]
 
 
 def _best_orthant_quaternion(m: np.ndarray) -> np.ndarray:

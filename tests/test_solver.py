@@ -588,6 +588,26 @@ class TestExactBestResponse:
         assert result.payoff >= searched - 1e-12
         assert abs(result.payoff - searched) <= 1e-9
 
+    @pytest.mark.parametrize("game,profile", [(minority(n), [MINORITY_OPT] * n)
+                                              for n in range(4, 10)] + [(PD, [EQ, EQ])],
+                             ids=[f"minority{n}" for n in range(4, 10)] + ["pd"])
+    def test_full_response_literal_is_stable_under_round_off(self, game, profile):
+        # the top eigenvalue of M is 2-fold at n = 4, 6, 8 and 4-fold at n = 5, 7, 9;
+        # eigh returns any basis of it, so its top column moved with the round-off
+        form = _deviation_form(game, [s.matrix() for s in reversed(profile)], 1)
+        m = solver._quaternion_form(form)
+
+        def literal(m):
+            q = solver._top_quaternion(m)
+            return StrategySpec(Family.FULL_SU2, solver._quaternion_params(q)).literal()
+
+        want = literal(m)
+        rng = np.random.default_rng(game.shape.n)
+        for _ in range(50):
+            noise = rng.uniform(-1e-15, 1e-15, (4, 4))
+            assert literal(m + (noise + noise.T) / 2) == want
+        assert best_response(game, profile, 1, Family.FULL_SU2).strategy.literal() == want
+
     @settings(max_examples=40, deadline=None)
     @given(
         profile=st.lists(st.tuples(*[st.floats(0, 1)] * 3), min_size=3, max_size=3),
@@ -1077,38 +1097,75 @@ class TestBatchedRefinement:
         assert default == small == search(1)
 
 
-class TestGridFactorTables:
-    """The grid gathers per-axis factor tables; refinement calls the constructors."""
+class TestGridOpenMeshes:
+    """Each grid chunk is one constructor call on an open mesh of its axes."""
 
-    @pytest.mark.parametrize("family,rows", [(Family.FRAME_SU3, 6 ** 6),
-                                             (Family.FULL_SU2, 24 ** 3),
-                                             (Family.EISERT_SU2, 24 ** 2)])
-    def test_every_default_grid_chunk_equals_the_constructor(self, family, rows):
+    BUILDERS = {Family.FRAME_SU3: "su3_frame_batch", Family.FULL_SU2: "su2_full_batch",
+                Family.EISERT_SU2: "su2_eisert_batch"}
+
+    # (family, rows per chunk, chunks); the SU(3) axes hold (6, 6, 6, 1, 1, 6, 6, 6)
+    # points, the full axes 24^3 and the eisert axes 24^2
+    @pytest.mark.parametrize("family,rows,chunks", [
+        (Family.FRAME_SU3, None, 12),      # split on axis 1: 6480 + 1296 rows per phi point
+        (Family.FRAME_SU3, 900, 72),       # split on axis 2 in blocks of 4 + 2
+        (Family.FRAME_SU3, 150, 432),      # split on axis 5, the one-point gauge axes lead
+        (Family.FRAME_SU3, 25, 2592),      # split on axis 6 in blocks of 4 + 2
+        (Family.FULL_SU2, None, 1),
+        (Family.FULL_SU2, 120, 120),       # split on axis 1 in blocks of 5, 5, 5, 5, 4
+        (Family.FULL_SU2, 20, 1152),       # split on the last axis in blocks of 20 + 4
+        (Family.EISERT_SU2, None, 1),
+        (Family.EISERT_SU2, 500, 2),       # split on axis 0 in blocks of 20 + 4
+        (Family.EISERT_SU2, 20, 48),       # split on the last axis in blocks of 20 + 4
+    ])
+    def test_every_default_grid_chunk_equals_the_constructor(self, monkeypatch, family,
+                                                             rows, chunks):
         axes = solver._grid_axes(family, SearchConfig().grid_points_per_axis)
-        builder = {Family.FRAME_SU3: su3_frame_batch, Family.FULL_SU2: su2_full_batch,
-                   Family.EISERT_SU2: su2_eisert_batch}[family]
-        done = [0]
+        d = LOCAL_DIMENSION[family]
+        if rows is not None:
+            monkeypatch.setattr(solver, "_SEARCH_BUDGET", rows * d * d)
+        builder = getattr(solver, self.BUILDERS[family])
+        calls = []
+
+        def recording(*params):
+            # no argument is larger than one axis: every sine, cosine and phase
+            # is taken once per axis point
+            assert max(np.size(p) for p in params) <= max(len(axis) for axis in axes)
+            calls.append(np.broadcast(*params).size)
+            return builder(*params)
+
+        monkeypatch.setattr(solver, self.BUILDERS[family], recording)
+        done = []
 
         def check(matrices):
-            flat = np.arange(done[0], done[0] + len(matrices))
+            flat = np.arange(sum(done), sum(done) + len(matrices))
             want = builder(*solver._grid_rows(axes, flat).T)
-            np.testing.assert_array_equal(matrices, want)
-            # the bits too: signs of zero included
+            # the bits: signs of zero included
             np.testing.assert_array_equal(matrices.view(np.uint64), want.view(np.uint64))
-            done[0] += len(matrices)
+            assert len(matrices) <= solver._search_rows(d * d)
+            done.append(len(matrices))
             return np.zeros(len(matrices))
 
         solver._chunked(check, family, axes)
-        assert done[0] == rows
+        assert calls == done  # one constructor call per chunk
+        assert len(done) == chunks and sum(done) == math.prod(map(len, axes))
 
-    def test_grid_builds_no_matrix_through_the_constructors(self, monkeypatch):
-        # the 46 656 grid rows are gathered; only the starts and the refinement
-        # moves go through su3_frame_batch
-        built = []
-        monkeypatch.setattr(solver, "su3_frame_batch",
-                            lambda *p: built.append(np.broadcast(*p).size) or su3_frame_batch(*p))
+    def test_grid_chunks_then_the_starts_call_the_constructor(self, monkeypatch):
+        # the 46 656 grid rows in 12 calls, then the preset and random starts in one
+        calls = []
+
+        def recording(*params):
+            calls.append((max(np.size(p) for p in params), np.broadcast(*params).size))
+            return su3_frame_batch(*params)
+
+        monkeypatch.setattr(solver, "su3_frame_batch", recording)
         pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, SearchConfig(refine_iterations=0))
-        assert built == [len(FAMILY_PRESETS[Family.FRAME_SU3]) + solver._RANDOM_STARTS]
+        starts = len(FAMILY_PRESETS[Family.FRAME_SU3]) + solver._RANDOM_STARTS
+        assert calls == [(6, 6480), (6, 1296)] * 6 + [(starts, starts)]
+
+    def test_discrete_families_have_no_constructor(self):
+        for family in (Family.CLASSICAL_BIT, Family.CYCLIC_C3):
+            with pytest.raises(ValueError, match="not a continuous family"):
+                _family_matrices(family, np.zeros((1, 1)))
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 2 / 3, 1.0, float("nan")]),

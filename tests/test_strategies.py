@@ -13,10 +13,8 @@ from qgames.strategies import (
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
     StrategySpec,
-    assemble,
     classical_set,
     cyclic_s,
-    factors,
     parameter_box,
     parse_radians,
     parse_strategy,
@@ -210,8 +208,8 @@ def bits(array):
 SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi, 5e-324, -1e-300]
 
 
-class TestFactorsAndAssembly:
-    """The builders against their defining formulas, phases through np.exp."""
+class TestBatchBuilders:
+    """The builders against their defining formulas, and on open meshes."""
 
     BUILDERS = [
         (su2_full_batch, dense.su2_full, 3),
@@ -237,23 +235,18 @@ class TestFactorsAndAssembly:
         params = data.draw(st.lists(angle, min_size=k, max_size=k))
         np.testing.assert_array_equal(bits(builder(*params)), bits(reference(*params)))
 
-    def test_factors_broadcast_in_assembly(self):
-        # a parameter fixed for the batch passes its factors at shape (1,)
-        rng = np.random.default_rng(31)
-        params = np.array([su3_params(rng) for _ in range(50)]).T
-        params[3:5] = 0.0
-        per_row = factors(Family.FRAME_SU3, params)
-        fixed = factors(Family.FRAME_SU3, params[:, :1])
-        mixed = [fixed[i] if i in (3, 4) else per_row[i] for i in range(8)]
-        np.testing.assert_array_equal(bits(assemble(Family.FRAME_SU3, mixed)),
-                                      bits(su3_frame_batch(*params)))
-
-    def test_discrete_families_have_no_factors(self):
-        for family in (Family.CLASSICAL_BIT, Family.CYCLIC_C3):
-            with pytest.raises(ValueError, match="not a continuous family"):
-                factors(family, [[0.0]])
-            with pytest.raises(ValueError, match="not a continuous family"):
-                assemble(family, [])
+    @pytest.mark.parametrize("builder,reference,k", BUILDERS)
+    def test_an_open_mesh_equals_its_flattened_rows_bit_for_bit(self, builder, reference, k):
+        # each parameter on its own axis, a one-point axis among them as the
+        # gauge axes of a search grid, then every row of the mesh built alone
+        rng = np.random.default_rng(31 + k)
+        axes = [np.concatenate([SPECIAL_ANGLES[i % 8:i % 8 + 1], rng.uniform(-7, 7, 2 + i % 3)])
+                for i in range(k)]
+        axes[1] = np.array([-0.0])
+        mesh = builder(*np.ix_(*axes))
+        rows = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")])
+        np.testing.assert_array_equal(bits(mesh.reshape(-1, *mesh.shape[-2:])),
+                                      bits(builder(*rows)))
 
 
 class TestClassicalSets:
