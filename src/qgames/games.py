@@ -57,8 +57,8 @@ class GameSpec:
 
     ``numerators`` is a read-only (n, D) integer array in index order, row
     i-1 for player i; the payoffs are ``numerators / denominator``, stored as
-    the read-only float array ``payoffs``.  ``outcome_labels`` and
-    ``occupation_types`` are filled on first use.
+    the read-only float array ``payoffs``.  ``outcome_labels``,
+    ``occupation_types`` and ``symmetric`` are filled on first use.
     """
 
     name: str
@@ -102,6 +102,16 @@ class GameSpec:
         for part in table:
             part.setflags(write=False)
         return table
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether swapping players 1 and i carries player 1's payoffs to player
+        i's, for every i: row i-1 of ``numerators`` equals row 0 read at the
+        outcome with the digits of players 1 and i swapped.  Exact, O(n * D)."""
+        n, d = self.shape.n, self.shape.d
+        first = self.numerators[0].reshape((d,) * n)  # axis n - i holds player i's digit
+        return all(np.array_equal(np.swapaxes(first, n - 1, n - i).ravel(), row)
+                   for i, row in enumerate(self.numerators[1:], 2))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ choice) the same amplitude, so symmetric GHZ scans evaluate one amplitude per
 weighted type, ``GameSpec.occupation_types``, instead of d^n.  All are
 checked against a dense reference in the tests.
 
+On a ``GameSpec.symmetric`` game every player of a profile of one strategy
+has player 1's form, so a Nash scan of such a profile builds one form, not n
+(``verify_nash``).
+
 Fidelity is affine.  White noise commutes with the local moves, and the rows
 of a unitary have unit norm, so the noise adds the same (1 - f) * u to every
 payoff, u being the player's payoff under uniform play: E_f = f * E_1 +
@@ -520,6 +524,8 @@ _BOUND_RTOL = 1e-12
 _EIGEN_RTOL = 1e-12  # eigenvalues this close to lambda_max, relative to the spectrum, are tied
 _TIE_TOL = 1e-9  # projection lengths this close are tied, to the lower index
 _ROUND_OFF = 1e-14
+_QUATERNION_RTOL = 1e-12  # top-eigenvector entries below this * |M| / gap are round-off
+_QUATERNION_CAP = 1e-9  # the threshold never exceeds this, far below any real angle
 
 
 def _quaternion_form(form: np.ndarray) -> np.ndarray:
@@ -545,13 +551,24 @@ def _top_quaternion(m: np.ndarray) -> np.ndarray:
     (ties within _TIE_TOL to the lower i) gives q = P e_i / |P e_i|, whose
     entry i is its largest and positive.  eigh returns an arbitrary basis of
     a degenerate space, so a round-off change to m could turn its top column.
+
+    A perturbation delta of m moves the space by about |delta| / gap, the gap
+    down to the next eigenvalue, so entries below _QUATERNION_RTOL * |m| / gap
+    (at most _QUATERNION_CAP; _QUATERNION_RTOL when no eigenvalue lies below
+    the space) are set to 0: an entry that is 0 in exact arithmetic then
+    prints as 0.  At a maximiser the payoff moves by O(|m| * entry^2).
     """
     values, vectors = np.linalg.eigh(m)
-    top = vectors[:, values[-1] - values <= _EIGEN_RTOL * np.abs(values).max()]
+    scale = np.abs(values).max()
+    tied = values[-1] - values <= _EIGEN_RTOL * scale
+    top = vectors[:, tied]
     projections = top @ top.T  # column i is P e_i
     norms = np.linalg.norm(projections, axis=0)
     index = int(np.flatnonzero(norms >= norms.max() - _TIE_TOL)[0])
-    return projections[:, index] / norms[index]
+    q = projections[:, index] / norms[index]
+    below = values[~tied]
+    ratio = scale / (values[-1] - below[-1]) if len(below) else 1.0
+    return np.where(np.abs(q) < min(_QUATERNION_CAP, _QUATERNION_RTOL * ratio), 0.0, q)
 
 
 def _best_orthant_quaternion(m: np.ndarray) -> np.ndarray:
@@ -672,22 +689,30 @@ def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
                 threads: int = 1) -> EquilibriumVerdict:
     """Scan every player for profitable unilateral deviations.
 
-    Each player's deviation form is built once and gives both the profile
-    payoff and the best response.  ``threads`` is accepted for compatibility
-    and ignored.
+    A player's deviation form is built once and gives both the profile
+    payoff and the best response.  On a ``GameSpec.symmetric`` game, a
+    profile in which every player plays the same strategy is solved for
+    player 1 alone and that row is reported for every player: swapping
+    players 1 and i fixes the shared state, the entangler and the profile
+    and carries player 1's payoffs to player i's, so player i's form, starts
+    and seed are player 1's.  Any other profile or game solves each player.
+    ``threads`` is accepted for compatibility and ignored.
     """
     cfg = cfg or SearchConfig()
     ordered = _validated_ops(game, profile, space)
     fidelity = protocol_fidelity(game, fidelity)
     n = game.shape.n
+    solved = 1 if game.symmetric and all(spec == profile[0] for spec in profile) else n
     profile_payoffs = []
     responses = []
-    for player, uniform in enumerate(game.payoffs.mean(axis=1), 1):
+    for player, uniform in zip(range(1, solved + 1), game.payoffs.mean(axis=1)):
         form = _deviation_form(game, ordered, player)
         own = ordered[n - player][None, :, :]
         value = _deviation_payoffs(form, own)[0]
         profile_payoffs.append(float(_at_fidelity(value, fidelity, uniform)))
         responses.append(_respond(form, profile, player, space, cfg, fidelity, uniform))
+    profile_payoffs *= n // solved
+    responses *= n // solved
     gains = [r.payoff - base for r, base in zip(responses, profile_payoffs)]
     max_gain = max(gains)
     return EquilibriumVerdict(

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as dense
 from qgames import games, solver, states
@@ -580,6 +582,60 @@ class TestOccupationTypes:
         assert len(minority(12).occupation_types[1]) == 10
         assert len(minority(14).occupation_types[1]) == 12
         assert len(minority(13).occupation_types[1]) == 12
+
+
+def swapped(label: str, player: int) -> str:
+    """``label`` with the digits of players 1 and ``player`` swapped."""
+    digits = list(label)
+    digits[-1], digits[-player] = digits[-player], digits[-1]  # player 1 is the rightmost
+    return "".join(digits)
+
+
+def symmetric_reference(game) -> bool:
+    """Whether every player's payoff is player 1's at the swapped label, by label."""
+    index = {label: k for k, label in enumerate(game.outcome_labels)}
+    return all(game.numerators[player - 1, index[label]]
+               == game.numerators[0, index[swapped(label, player)]]
+               for player in range(2, game.shape.n + 1) for label in game.outcome_labels)
+
+
+@st.composite
+def symmetrised_tables(draw):
+    """A random player-1 row, copied to player i through the swap (1 i)."""
+    shape = SystemShape(draw(st.integers(2, 4)), draw(st.integers(2, 3)))
+    first = draw(st.lists(st.integers(-5, 5), min_size=shape.dim, max_size=shape.dim))
+    index = {label: k for k, label in enumerate(labels(shape))}
+    return shape, np.array([[first[index[swapped(label, player)]] for label in labels(shape)]
+                            for player in range(1, shape.n + 1)])
+
+
+class TestSymmetric:
+    @settings(max_examples=60, deadline=None)
+    @given(table=symmetrised_tables())
+    def test_symmetrised_tables_are_symmetric(self, table):
+        shape, numerators = table
+        game = GameSpec("random", shape, False, numerators, 3)
+        assert game.symmetric is True
+        assert symmetric_reference(game)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=symmetrised_tables(), data=st.data())
+    def test_one_changed_entry_breaks_symmetry(self, table, data):
+        shape, numerators = table
+        numerators = numerators.copy()
+        player = data.draw(st.integers(0, shape.n - 1))
+        outcome = data.draw(st.integers(0, shape.dim - 1))
+        numerators[player, outcome] += data.draw(st.sampled_from([-3, -1, 1, 2]))
+        game = GameSpec("random", shape, False, numerators, 3)
+        assert game.symmetric is False
+        assert not symmetric_reference(game)
+
+    @pytest.mark.parametrize("game", [prisoners_dilemma(), kolkata()]
+                             + [minority(n) for n in range(2, 10)],
+                             ids=lambda g: f"{g.name}{g.shape.n}")
+    def test_paper_games_are_symmetric(self, game):
+        assert game.symmetric is True
+        assert symmetric_reference(game)
 
 
 class TestPlayValidation:

@@ -608,6 +608,24 @@ class TestExactBestResponse:
             assert literal(m + (noise + noise.T) / 2) == want
         assert best_response(game, profile, 1, Family.FULL_SU2).strategy.literal() == want
 
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_full_response_entries_that_are_zero_stay_zero(self, n):
+        # a perturbation moves the top eigenspace by about |delta| / gap, so an
+        # absolute threshold let an angle that is exactly 0 print as ~1.5e-14
+        form = _deviation_form(minority(n), [MINORITY_OPT.matrix()] * n, 1)
+        m = solver._quaternion_form(form)
+
+        def literal(m):
+            q = solver._top_quaternion(m)
+            return StrategySpec(Family.FULL_SU2, solver._quaternion_params(q)).literal()
+
+        want = literal(m)
+        assert want.split(":")[1].split(",")[1] == "0"  # alpha is exactly 0
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            noise = rng.uniform(-3e-15, 3e-15, (4, 4))
+            assert literal(m + (noise + noise.T) / 2) == want
+
     @settings(max_examples=40, deadline=None)
     @given(
         profile=st.lists(st.tuples(*[st.floats(0, 1)] * 3), min_size=3, max_size=3),
@@ -646,8 +664,39 @@ class TestExactBestResponse:
         assert abs(result.payoff - 2 / 3) < 1e-12
 
 
+def per_player_verdict(game, profile, space, cfg=None, fidelity=1.0):
+    """The verdict by one deviation form and one response per player."""
+    cfg = cfg or SearchConfig()
+    n = game.shape.n
+    ordered = [spec.matrix() for spec in reversed(profile)]
+    bases, responses = [], []
+    for player, uniform in enumerate(game.payoffs.mean(axis=1), 1):
+        form = _deviation_form(game, ordered, player)
+        value = _deviation_payoffs(form, ordered[n - player][None])[0]
+        bases.append(float(solver._at_fidelity(value, fidelity, uniform)))
+        responses.append(solver._respond(form, profile, player, space, cfg, fidelity, uniform))
+    gains = [r.payoff - base for r, base in zip(responses, bases)]
+    return solver.EquilibriumVerdict(
+        max(gains) <= cfg.epsilon_nash, max(gains), tuple(bases),
+        tuple(r.payoff for r in responses), tuple(r.strategy for r in responses),
+        tuple(gains), tuple(r.certificate for r in responses))
+
+
+OFF_BOUND = parse_strategy("su3:0.3,0.7,1.1,0.5,2,4,1,3")
+SHARED_CASES = [
+    *((PD, [EQ, EQ], family, None) for family in
+      (Family.EISERT_SU2, Family.FULL_SU2, Family.CLASSICAL_BIT)),
+    *((minority(n), [MINORITY_OPT] * n, family, None) for n in range(2, 10)
+      for family in (Family.FULL_SU2, Family.EISERT_SU2)),
+    (KOLKATA, [KOLKATA_OPT] * 3, Family.FRAME_SU3, None),
+    (KOLKATA, [KOLKATA_OPT] * 3, Family.CYCLIC_C3, None),
+    (KOLKATA, [OFF_BOUND] * 3, Family.FRAME_SU3, SearchConfig(grid_points_per_axis=3)),
+]
+
+
 class TestVerifyNash:
-    def test_one_deviation_form_per_player(self, monkeypatch):
+    @staticmethod
+    def counted_forms(monkeypatch) -> list[int]:
         built = []
         original = solver._deviation_form
 
@@ -656,9 +705,42 @@ class TestVerifyNash:
             return original(game, fixed_ops, player)
 
         monkeypatch.setattr(solver, "_deviation_form", counting)
+        return built
+
+    def test_one_deviation_form_per_player(self, monkeypatch):
+        # a symmetric profile on a symmetric game needs player 1's form alone;
+        # a mixed profile, or a game whose players differ, builds every
+        # player's and gives the per-player loop's verdict bit for bit
+        built = self.counted_forms(monkeypatch)
         verdict = verify_nash(MINORITY4, [MINORITY_OPT] * 4, Family.FULL_SU2)
-        assert built == [1, 2, 3, 4]
+        assert built == [1]
         assert verdict.certificates == ("exact",) * 4
+        mixed = [MINORITY_OPT, parse_strategy("full:0.3,0.2,0.1"), MINORITY_OPT,
+                 parse_strategy("full:1,2,3")]
+        assert not RANDOM3.symmetric
+        for game, profile in ((MINORITY4, mixed), (RANDOM3, [MINORITY_OPT] * 3)):
+            built.clear()
+            verdict = verify_nash(game, profile, Family.FULL_SU2, fidelity=0.6)
+            assert built == list(range(1, game.shape.n + 1))
+            assert verdict == per_player_verdict(game, profile, Family.FULL_SU2, fidelity=0.6)
+
+    @pytest.mark.parametrize("game,profile,space,cfg", SHARED_CASES,
+                             ids=[f"{g.name}{g.shape.n}-{s.value}" + ("-grid3" if c else "")
+                                  for g, _, s, c in SHARED_CASES])
+    def test_shared_verdict_matches_every_player_solved(self, monkeypatch, game, profile,
+                                                        space, cfg):
+        built = self.counted_forms(monkeypatch)
+        verdict = verify_nash(game, profile, space, cfg)
+        assert built == [1]
+        reference = per_player_verdict(game, profile, space, cfg)
+        for got, want in [(verdict.profile_payoffs, reference.profile_payoffs),
+                          (verdict.deviation_payoffs, reference.deviation_payoffs),
+                          (verdict.gains, reference.gains)]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(verdict.max_unilateral_gain - reference.max_unilateral_gain) <= 1e-12
+        assert verdict.is_equilibrium == reference.is_equilibrium
+        assert verdict.certificates == reference.certificates
+        assert len(set(verdict.best_deviations)) == 1
 
     def test_kolkata_equilibrium_certified_by_the_bound(self):
         verdict = verify_nash(KOLKATA, [KOLKATA_OPT] * 3, Family.FRAME_SU3, fidelity=0.6)
@@ -1042,8 +1124,9 @@ class TestBatchedRefinement:
 
         _, value, evaluations = _search_family(family, counting, list(FAMILY_PRESETS[family]),
                                                SearchConfig())
-        # one call per round for all 21 starts makes 238; one call per start
-        # and sweep would make over 3 000
+        # 12 grid chunks, 1 call for the start values and 236 rounds, one per
+        # round for all 21 starts, make 249; one call per start and sweep
+        # would make over 3 000
         assert len(batches) <= 400
         assert evaluations == sum(batches)
         assert abs(value - 2 / 3) < 1e-12
