@@ -4,8 +4,8 @@ Best responses are exact where the maths allows it: qubit strategies reduce
 to a 4x4 eigenproblem on unit quaternions, and an SU(3) strategy that reaches
 the 3 * lambda_max bound of its deviation form is certified without a search.
 Everywhere else the best points of an exhaustive grid over the family's
-parameter box, with preset and random starts, are refined by coordinate
-descent, all starts in lockstep with one batched evaluation per round.  This
+parameter box, with preset and random starts, are refined by compass
+search, all starts in lockstep with one batched evaluation per round.  This
 script shows the moving parts: exact responses, grids, refinement,
 certificates, and the determinism guarantees that make search reports
 reproducible.
@@ -51,7 +51,7 @@ for grid in (2, 3, 4):
 print("away from the bound only the search applies; refinement closes the gap:")
 cfg = SearchConfig(grid_points_per_axis=3)
 result = best_response(kg, profile, 1, Family.FRAME_SU3, cfg)
-print(f"  grid 3/axis + coordinate descent: {result.payoff:.9f}"
+print(f"  grid 3/axis + compass search: {result.payoff:.9f}"
       f" after {result.evaluations} evaluations")
 
 print("\n=== a full equilibrium verdict ===")
@@ -83,5 +83,5 @@ runs = [
 print(f"two runs with the same seed -> identical su3 searches: {runs[0] == runs[1]}")
 print("eigenvectors are signed by a fixed rule, grids are streamed in")
 print("lexicographic order in fixed-size chunks, ties go to the first candidate,")
-print("and each refinement start draws its axis orders from its own stream")
-print("spawned from the seed, so reports are reproducible.")
+print("and only the random refinement starts are drawn from the seed, so")
+print("reports are reproducible.")

@@ -47,7 +47,8 @@ how it was obtained (``BestResponseResult.certificate``):
             E is a real quadratic form q^T M q: the ``full`` optimum is the
             top eigenvector of the 4 x 4 matrix M, and the ``eisert`` box is
             the non-negative orthant of the (q0, q1, q3) subspace, whose
-            optimum is an eigenvector of one of its 7 principal submatrices.
+            optimum is the top eigenvector of one of its 7 principal
+            submatrices.
 ``bound``   Every unitary has |vec(U)|^2 = d, so no deviation pays more than
             d * lambda_max(T) at f = 1, or f * d * lambda_max(T) + (1 - f) * u
             at fidelity f.  For SU(3) the current strategy and the family
@@ -56,14 +57,14 @@ how it was obtained (``BestResponseResult.certificate``):
             Pareto scan) an exhaustive grid over the family's search box
             (``_search_box``: SU(3) fixes its phase gauge and scans 6^6 =
             46 656 rows) is built chunk by chunk on open meshes and
-            followed by multi-start coordinate-descent refinement, every
-            start in lockstep with one batched call per round
+            followed by multi-start compass search with complete polling,
+            every start in lockstep with one batched call per round
             (``_search_family``, ``_refine``).
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
 candidate encountered, and the only randomness (the supplementary random
-starts and each start's axis orders) comes from the seed in `SearchConfig`.
+starts) comes from the seed in `SearchConfig`.
 The budget is a constant, not a setting.  A symmetric payoff ends in a
 per-row reduction, so a row's value does not depend on the size of the
 chunk or sub-batch it is evaluated in.
@@ -98,7 +99,6 @@ _SEARCH_BUDGET = 16 * BATCH_BUDGET
 # amplitudes a symmetric Pareto search may evaluate on its grid, rows * _symmetric_width
 _WORK_BUDGET = 1 << 30
 _MIN_STEP = 1e-8
-_ORDER_BLOCK = 256  # sweeps of axis orders drawn at once per refinement start
 _RANDOM_STARTS = 4
 _MAX_GRID_POINTS = 256  # a 3-parameter grid then streams at most 16.7 M rows
 _MAX_SWEEP_POINTS = 1001
@@ -108,9 +108,10 @@ _MAX_SWEEP_POINTS = 1001
 class SearchConfig:
     """Knobs for grid search and refinement.
 
-    seed sets the supplementary random refinement starts, drawn first, and
-    then one child stream per start for the axis orders of its sweeps.  Given
-    the same seed, results are reproducible bit for bit.
+    seed draws the supplementary random refinement starts; given the same
+    seed, results are reproducible bit for bit.  refine_iterations bounds
+    refinement at p * refine_iterations polling rounds, p the family's
+    parameter count.
     """
 
     grid_points_per_axis: int = 24
@@ -393,75 +394,43 @@ def _top_indices(values: np.ndarray, k: int) -> np.ndarray:
 # --- grid search + refinement ---------------------------------------------------
 
 def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
-            start_values: np.ndarray, box, cfg: SearchConfig,
-            streams: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coordinate search with first improvement from every start in lockstep.
+            start_values: np.ndarray, box, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Compass search with complete polling from every start in lockstep.
 
-    Each start runs its own sweeps: +step and -step along each free axis
-    (lo < hi), in an order drawn from its own stream, taking the first move
-    that improves on its best point and scanning the rest of the sweep from
-    there; a sweep with no improvement halves its step.  A start stops after
-    ``refine_iterations`` sweeps or once its step falls below _MIN_STEP.
-    Every round evaluates the pending moves of all active starts in one call.
-    The starts lie in the box, so a move clips only the coordinate it moves.
-    Returns the best points (S, k), their values and the rows evaluated.
+    Each round polls +step and -step along every free axis (lo < hi) of every
+    active start, the moved coordinate clipped to the box, and evaluates all
+    of them in one call.  A start takes its best poll (ties to the first) if
+    it beats its value, and otherwise halves its step.  A start stops once its
+    step falls below _MIN_STEP; every start stops after p * refine_iterations
+    rounds, p the number of parameters.  A round moves one coordinate, so an
+    iteration allows a move along every axis, and a gauge-fixed axis does not
+    shrink the budget.
+    Returns the best points (S, p), their values and the rows evaluated.
     """
     best = np.array(starts, dtype=float)
     best_values = np.array(start_values, dtype=float)
     lower, upper = np.asarray(box, dtype=float).T
-    free = np.flatnonzero(lower < upper)
-    moves = 2 * len(free)
-    signs = np.tile([1.0, -1.0], len(free))
+    axes = np.flatnonzero(lower < upper).repeat(2)  # poll j moves axes[j] by signs[j] * step
+    polls = np.arange(len(axes))
+    signs = np.tile([1.0, -1.0], len(axes) // 2)
     steps = np.full(len(best), cfg.refine_initial_step)
-    sweeps = np.zeros(len(best), dtype=int)
-    improved = np.zeros(len(best), dtype=bool)
-    move_axes = np.empty((len(best), moves), dtype=int)
-    first = np.full(len(best), moves)  # each start's next pending move; ``moves`` when idle
-    # each start's axis orders, a block of sweeps at a time from its own stream:
-    # the rows equal one permutation per sweep, and the block bounds the memory
-    block = max(1, min(cfg.refine_iterations, _ORDER_BLOCK))
-    orders = np.empty((len(best), block, len(free)), dtype=int)
-
-    def open_sweeps(idle: np.ndarray) -> None:
-        idle = idle[(sweeps[idle] < cfg.refine_iterations) & (steps[idle] >= _MIN_STEP)]
-        row = sweeps[idle] % block
-        for s in idle[row == 0]:
-            orders[s] = streams[s].permuted(np.tile(np.arange(len(free)), (block, 1)), axis=1)
-        move_axes[idle] = free[orders[idle, row]].repeat(2, axis=1)
-        first[idle], improved[idle] = 0, False
-        sweeps[idle] += 1
-
-    open_sweeps(np.arange(len(best)))
     evaluations = 0
-    while True:
-        # array methods, not the numpy functions that wrap them: a round is
-        # dozens of calls on a few hundred rows
-        active = (first < moves).nonzero()[0]
+    for _ in range(best.shape[1] * cfg.refine_iterations if len(axes) else 0):
+        active = (steps >= _MIN_STEP).nonzero()[0]
         if not len(active):
-            return best, best_values, evaluations
-        next_move = first[active]
-        pending = moves - next_move
-        begin = pending.cumsum() - pending  # each start's first row in the batch
-        owner = active.repeat(pending)
-        move = np.arange(len(owner)) - (begin - next_move).repeat(pending)
-        candidates = best[owner]
-        rows, axis = np.arange(len(owner)), move_axes[owner, move]
-        candidates[rows, axis] = (candidates[rows, axis] + signs[move] * steps[owner]).clip(
-            lower[axis], upper[axis])
-        values = evaluate_batch(candidates)
-        evaluations += len(candidates)
-        # each start's first improving row; a sentinel past the end marks none
-        hits = np.concatenate(((values > best_values[owner]).nonzero()[0], [len(values)]))
-        taken = hits[hits.searchsorted(begin)]
-        found = taken < begin + pending
-        won, taken = active[found], taken[found]
-        best[won], best_values[won] = candidates[taken], values[taken]
-        improved[won] = True
-        stalled = active[~found]
-        steps[stalled[~improved[stalled]]] /= 2.0
-        first[stalled] = moves
-        first[won] = move[taken] + 1
-        open_sweeps(active[first[active] == moves])
+            break
+        candidates = best[active, None].repeat(len(axes), axis=1)  # (A, 2k, p)
+        candidates[:, polls, axes] = (candidates[:, polls, axes]
+                                      + signs * steps[active, None]).clip(lower[axes], upper[axes])
+        values = evaluate_batch(candidates.reshape(-1, best.shape[1])).reshape(len(active), -1)
+        evaluations += values.size
+        pick = values.argmax(axis=1)
+        top = values[np.arange(len(active)), pick]
+        won = top > best_values[active]
+        moved = active[won]
+        best[moved], best_values[moved] = candidates[won, pick[won]], top[won]
+        steps[active[~won]] /= 2.0
+    return best, best_values, evaluations
 
 
 def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
@@ -478,9 +447,8 @@ def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
     values, so ``extra_values``, when the caller has them, are used as they
     are; otherwise the extra starts are evaluated with the seeded random
     starts in one call.  The returned evaluation count is every row
-    evaluated for the search: the grid, those starts, and every move each
-    refinement sweep evaluated, including the moves it evaluated again after
-    an improvement.
+    evaluated for the search: the grid, those starts, and the 2k polls of
+    every active start in every refinement round, k the free axes.
     """
     def evaluate_batch(params: np.ndarray) -> np.ndarray:
         return evaluate(_family_matrices(family, params))
@@ -503,8 +471,7 @@ def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
     others += randoms
     starts = np.concatenate([_grid_rows(axes, order), np.asarray(others)])
     values = np.concatenate([grid_payoffs[order], other_values])
-    refined, refined_values, used = _refine(evaluate_batch, starts, values, box, cfg,
-                                            rng.spawn(len(starts)))
+    refined, refined_values, used = _refine(evaluate_batch, starts, values, box, cfg)
     winner = int(np.argmax(refined_values))  # the first start with the strictly best value
     return (tuple(map(float, refined[winner])), float(refined_values[winner]),
             len(grid_payoffs) + len(others) + used)
@@ -572,26 +539,25 @@ def _top_quaternion(m: np.ndarray) -> np.ndarray:
 
 
 def _best_orthant_quaternion(m: np.ndarray) -> np.ndarray:
-    """Maximiser of q^T m q over unit q >= 0.
+    """Maximiser of q^T m q over unit q >= 0 that does not depend on round-off.
 
-    At the maximiser q with support S, q_S is an eigenvector of m[S, S]; and
-    some maximiser has a support whose eigenvalue is simple, so enumerating
-    the eigenvectors of every principal submatrix finds it.
+    A maximiser's restriction to its support S is a top eigenvector of
+    m[S, S], positive on S.  Supports are taken by size, then
+    lexicographically; one counts only if its top eigenvector is strictly
+    positive, and a later one only if it beats the best value by more than
+    _EIGEN_RTOL * |m|, so a tied optimum keeps its first support.
     """
     k = m.shape[0]
+    tolerance = _EIGEN_RTOL * np.abs(np.linalg.eigvalsh(m)).max()
     best, best_value = None, -math.inf
     for size in range(1, k + 1):
         for support in itertools.combinations(range(k), size):
             values, vectors = np.linalg.eigh(m[np.ix_(support, support)])
-            for value, vector in zip(values, vectors.T):
-                if vector.sum() < 0:
-                    vector = -vector
-                if vector.min() < -1e-12 or value <= best_value:
-                    continue
-                best = np.zeros(k)
-                best[list(support)] = np.abs(vector)
-                best_value = value
-    return best / np.linalg.norm(best)
+            top = vectors[:, -1] * np.sign(vectors[:, -1].sum())
+            if top.min() > 0 and values[-1] > best_value + tolerance:
+                best, best_value = np.zeros(k), values[-1]
+                best[list(support)] = top
+    return best
 
 
 def _exact_su2_params(family: Family, form: np.ndarray) -> tuple[float, ...]:

@@ -626,6 +626,23 @@ class TestExactBestResponse:
             noise = rng.uniform(-3e-15, 3e-15, (4, 4))
             assert literal(m + (noise + noise.T) / 2) == want
 
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_eisert_response_to_a_flat_form_keeps_its_literal(self, n):
+        # every eisert deviation pays the same here, so every support ties; the
+        # first support wins unless a later one beats it by more than round-off
+        form = _deviation_form(minority(n), [MINORITY_OPT.matrix()] * n, 1)
+
+        def literal(form):
+            params = solver._exact_su2_params(Family.EISERT_SU2, form)
+            return StrategySpec(Family.EISERT_SU2, params).literal()
+
+        want = literal(form)
+        assert want == "eisert:0,0"
+        rng = np.random.default_rng(200 + n)
+        for _ in range(200):
+            noise = rng.uniform(-1e-15, 1e-15, (4, 4)) + 1j * rng.uniform(-1e-15, 1e-15, (4, 4))
+            assert literal(form + (noise + noise.conj().T) / 2) == want
+
     @settings(max_examples=40, deadline=None)
     @given(
         profile=st.lists(st.tuples(*[st.floats(0, 1)] * 3), min_size=3, max_size=3),
@@ -944,37 +961,36 @@ class TestRefinementBehavior:
         assert all(g >= -1e-12 for g in verdict.gains)
 
 
-def reference_refine(evaluate_one, start, start_value, box, cfg, rng_axis_order):
-    """Single-row coordinate descent: the rule ``solver._refine`` batches."""
+def reference_refine(evaluate_one, start, start_value, box, cfg):
+    """Single-row complete polling: the rule ``solver._refine`` batches."""
     best = tuple(start)
     best_value = start_value
     step = cfg.refine_initial_step
     evaluations = 0
-    free = np.array([axis for axis, (lo, hi) in enumerate(box) if lo < hi])
-    for _ in range(cfg.refine_iterations):
+    free = [axis for axis, (lo, hi) in enumerate(box) if lo < hi]
+    for _ in range(len(box) * cfg.refine_iterations if free else 0):
         if step < solver._MIN_STEP:
             break
-        improved = False
-        axis_order = free[rng_axis_order.permutation(len(free))]
-        for axis in axis_order:
+        polls = []
+        for axis in free:
             for direction in (1.0, -1.0):
                 candidate = list(best)
                 candidate[axis] += direction * step
-                candidate = solver._clamp_to_box(candidate, box)
-                value = evaluate_one(candidate)
-                evaluations += 1
-                if value > best_value:
-                    best, best_value = candidate, value
-                    improved = True
-        if not improved:
+                polls.append(solver._clamp_to_box(candidate, box))
+        values = [evaluate_one(poll) for poll in polls]
+        evaluations += len(polls)
+        pick = int(np.argmax(values))  # ties to the first poll
+        if values[pick] > best_value:
+            best, best_value = polls[pick], values[pick]
+        else:
             step /= 2.0
     return best, best_value, evaluations
 
 
 def reference_search(family, evaluate_batch, extra_starts, cfg):
     """The search before batching, on the same gauge-fixed box: the whole grid
-    in memory, every start evaluated again, single-row refinement of one start
-    after another, each with its own axis-order stream."""
+    in memory, every start evaluated again, and single-row refinement of one
+    start after another."""
     box = solver._search_box(family)
     points = cfg.grid_points_per_axis if len(box) <= 3 else min(cfg.grid_points_per_axis, 6)
     mesh = np.meshgrid(*[np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box],
@@ -993,9 +1009,9 @@ def reference_search(family, evaluate_batch, extra_starts, cfg):
     starts += [solver._gauge_fixed(family, [rng.uniform(lo, hi) for lo, hi in parameter_box(family)])
                for _ in range(solver._RANDOM_STARTS)]
     best_params, best_value = starts[0], -math.inf
-    for start, stream in zip(starts, rng.spawn(len(starts))):
+    for start in starts:
         refined, refined_value, _ = reference_refine(
-            evaluate_one, start, evaluate_one(start), box, cfg, stream)
+            evaluate_one, start, evaluate_one(start), box, cfg)
         if refined_value > best_value:
             best_params, best_value = refined, refined_value
     return best_params, best_value
@@ -1038,7 +1054,7 @@ BATCHED_CASES = {
 
 
 class TestBatchedRefinement:
-    """Batched first-improvement refinement against the single-row reference."""
+    """Batched complete-polling refinement against the single-row reference."""
 
     @pytest.mark.parametrize("case", list(BATCHED_CASES))
     def test_matches_single_row_reference(self, case):
@@ -1051,7 +1067,7 @@ class TestBatchedRefinement:
         assert abs(float(on_params(family, evaluate)([params])[0]) - value) < 1e-15
 
     @pytest.mark.parametrize("iterations", [1, 6])
-    def test_one_call_per_sweep_plus_one_per_improvement(self, iterations):
+    def test_one_call_per_round_of_2k_rows_per_active_start(self, iterations):
         family, on_matrices, _ = BATCHED_CASES["kolkata-su3-symmetric"]
         evaluate = on_params(family, on_matrices)
         box = parameter_box(family)
@@ -1065,53 +1081,55 @@ class TestBatchedRefinement:
             batches.append(len(params))
             return evaluate(params)
 
-        seen = []
-
-        def one(params):
-            seen.append(float(evaluate(np.asarray([params]))[0]))
-            return seen[-1]
-
         best, value, evaluations = solver._refine(counting, np.asarray([start]), [start_value],
-                                                  box, cfg, [np.random.default_rng(3)])
+                                                  box, cfg)
         best, value = best[0], value[0]
-        ref_best, ref_value, _ = reference_refine(one, start, start_value, box, cfg,
-                                                  np.random.default_rng(3))
-        # the reference accepts exactly the values that beat everything before them
-        improvements = sum(v > max([start_value] + seen[:i]) for i, v in enumerate(seen))
-        assert improvements >= iterations
-        assert len(batches) <= iterations + improvements
-        assert evaluations == sum(batches)
+        ref_best, ref_value, ref_evaluations = reference_refine(
+            lambda p: float(evaluate(np.asarray([p]))[0]), start, start_value, box, cfg)
+        # one start on 8 free axes polls 16 rows a round, for 8 rounds per iteration
+        assert batches == [16] * (8 * iterations)
+        assert evaluations == sum(batches) == ref_evaluations
         assert abs(value - ref_value) <= 1e-12
         np.testing.assert_allclose(best, ref_best, rtol=0, atol=1e-12)
 
-    def test_block_of_axis_orders_equals_sequential_permutations(self):
-        # _refine draws a start's axis orders as one block; the rows must be the
-        # permutations that one call per sweep would draw from the same stream
-        for seed, free, sweeps in ((0, 6, 200), (3, 3, 7), (11, 6, 1)):
-            block_stream, = np.random.default_rng(seed).spawn(1)
-            sequential_stream, = np.random.default_rng(seed).spawn(1)
-            block = block_stream.permuted(np.tile(np.arange(free), (sweeps, 1)), axis=1)
-            sequential = [sequential_stream.permutation(free) for _ in range(sweeps)]
-            np.testing.assert_array_equal(block, sequential)
-
-    def test_axis_orders_drawn_in_several_blocks_match_the_reference(self, monkeypatch):
-        # with two sweeps per block, a start draws its orders again every
-        # second sweep, and still follows the single-row reference
-        family, on_matrices, _ = BATCHED_CASES["kolkata-su3-symmetric"]
-        evaluate = on_params(family, on_matrices)
+    @settings(max_examples=25, deadline=None)
+    @given(units=st.lists(st.lists(st.floats(0, 1), min_size=8, max_size=8),
+                          min_size=1, max_size=4),
+           iterations=st.integers(0, 2),
+           step=st.sampled_from([0.05, 0.3, 2.0]))
+    def test_lockstep_equals_each_start_alone(self, units, iterations, step):
+        family = Family.FRAME_SU3
+        evaluate = on_params(family, symmetric_evaluator(KOLKATA))
         box = solver._search_box(family)
-        cfg = SearchConfig(refine_iterations=7, refine_initial_step=0.3)
-        starts = np.asarray([[lo + t * (hi - lo) for lo, hi in box] for t in (0.37, 0.61)])
+        free = [axis for axis, (lo, hi) in enumerate(box) if lo < hi]
+        cfg = SearchConfig(refine_iterations=iterations, refine_initial_step=step)
+        starts = np.asarray([[lo + u * (hi - lo) for u, (lo, hi) in zip(unit, box)]
+                             for unit in units])
         values = evaluate(starts)
-        monkeypatch.setattr(solver, "_ORDER_BLOCK", 2)
-        best, best_values, _ = solver._refine(evaluate, starts, values, box, cfg,
-                                              np.random.default_rng(9).spawn(2))
-        for start, value, stream, got, got_value in zip(
-                starts, values, np.random.default_rng(9).spawn(2), best, best_values):
-            ref_best, ref_value, _ = reference_refine(
-                lambda p: float(evaluate(np.asarray([p]))[0]), start, value, box, cfg, stream)
-            assert abs(got_value - ref_value) <= 1e-12
-            np.testing.assert_allclose(got, ref_best, rtol=0, atol=1e-12)
+
+        def recording(calls):
+            def evaluate_calls(params):
+                calls.append(params.copy())
+                return evaluate(params)
+            return evaluate_calls
+
+        calls = []
+        best, best_values, evaluations = solver._refine(recording(calls), starts, values, box, cfg)
+        assert evaluations == sum(map(len, calls))
+        for start, value, got, got_value in zip(starts, values, best, best_values):
+            alone = []
+            want, want_value, _ = solver._refine(recording(alone), start[None], [value], box, cfg)
+            np.testing.assert_array_equal(got.view(np.uint64), want[0].view(np.uint64))
+            assert got_value.tobytes() == want_value[0].tobytes()
+            # each round polls around the start's current point, which differs
+            # from poll 0 only along the first free axis; its value never falls
+            centers = [polls[0].copy() for polls in alone]
+            for center, polls in zip(centers, alone):
+                center[free[0]] = polls[2, free[0]]
+            if centers:
+                np.testing.assert_array_equal(centers[0], start)
+            track = [value, *evaluate(np.asarray(centers).reshape(-1, len(box))), got_value]
+            assert all(b >= a for a, b in zip(track, track[1:]))
 
     def test_default_kolkata_pareto_search_refines_in_lockstep(self):
         family = Family.FRAME_SU3
@@ -1124,8 +1142,8 @@ class TestBatchedRefinement:
 
         _, value, evaluations = _search_family(family, counting, list(FAMILY_PRESETS[family]),
                                                SearchConfig())
-        # 12 grid chunks, 1 call for the start values and 236 rounds, one per
-        # round for all 21 starts, make 249; one call per start and sweep
+        # 12 grid chunks, 1 call for the start values and 160 rounds, one per
+        # round for all 21 starts, make 173; one call per start and round
         # would make over 3 000
         assert len(batches) <= 400
         assert evaluations == sum(batches)
@@ -1271,13 +1289,14 @@ class TestGridOpenMeshes:
             seen.append(params.copy())
             return params.sum(axis=1)
 
-        best, value, _ = solver._refine(evaluate, np.array([[1.0, 0.25]]), [1.25], box, cfg,
-                                        [np.random.default_rng(0)])
+        best, value, _ = solver._refine(evaluate, np.array([[1.0, 0.25]]), [1.25], box, cfg)
+        assert len(seen) == 2  # 2 rounds: one iteration per parameter
         moves = np.concatenate(seen)
         assert ((moves >= 0.0) & (moves <= 1.0)).all()
-        assert [1.0, 0.25] in moves.tolist()  # +0.5 along the first axis, clipped
-        np.testing.assert_array_equal(best, [[1.0, 0.75]])
-        assert value[0] == 1.75
+        assert [1.0, 0.25] in seen[0].tolist()  # +0.5 along the first axis, clipped
+        assert [1.0, 1.0] in seen[1].tolist()  # +0.5 along the second axis, clipped
+        np.testing.assert_array_equal(best, [[1.0, 1.0]])
+        assert value[0] == 2.0
 
 
 def eight_axis_search(family, evaluate, extra_starts, cfg):
@@ -1294,8 +1313,7 @@ def eight_axis_search(family, evaluate, extra_starts, cfg):
     starts += [tuple(float(rng.uniform(lo, hi)) for lo, hi in box)
                for _ in range(solver._RANDOM_STARTS)]
     values = evaluate_batch(np.asarray(starts))
-    return solver._refine(evaluate_batch, np.asarray(starts), values, box, cfg,
-                          rng.spawn(len(starts)))[1].max()
+    return solver._refine(evaluate_batch, np.asarray(starts), values, box, cfg)[1].max()
 
 
 RANDOM_QUTRIT3 = random_table_game(3, 3, 8)
