@@ -37,8 +37,6 @@ from .solver import (
 from .states import (
     PureState,
     SystemShape,
-    basis_state,
-    bell,
     ghz,
 )
 from .strategies import (
@@ -75,8 +73,6 @@ __all__ = [
     "SearchConfig",
     "StrategySpec",
     "SystemShape",
-    "basis_state",
-    "bell",
     "best_response",
     "classical_embedding_check",
     "classical_set",

@@ -189,14 +189,17 @@ def _resource_state(shape: SystemShape, use_entangler_pair: bool) -> PureState:
     return PureState(shape, entangler()[:, 0]) if use_entangler_pair else ghz(shape)
 
 
-def protocol_amplitudes(game: GameSpec, ops: np.ndarray) -> np.ndarray:
-    """Final amplitudes (B, D) of a batch of (B, n, d, d) player-n-first profiles.
+def protocol_amplitudes(game: GameSpec, moves: Sequence[np.ndarray]) -> np.ndarray:
+    """Final amplitudes (B, K, D) of per-row Cartesian move sets.
 
-    The moves act on the resource state through the one propagation kernel,
-    :func:`qgames.states.apply_local_batch`, and the dilemma then applies
-    J-dagger.  The operators are not checked.
+    ``moves`` holds n player-n-first arrays of shape (B, k_i, d, d) (or
+    (1, k_i, d, d), shared by every row); row b stands for the K = prod k_i
+    profiles of the product of its move sets, in lexicographic order.  A play
+    passes one move per player.  The moves act on the resource state through
+    the one propagation kernel, :func:`qgames.states.apply_local_batch`, and
+    the dilemma then applies J-dagger.  The operators are not checked.
     """
-    amplitudes = apply_local_batch(ops, resource_state(game).amplitudes, game.shape.d)
+    amplitudes = apply_local_batch(moves, resource_state(game).amplitudes, game.shape.d)
     if game.use_entangler_pair:
         amplitudes = amplitudes @ entangler().conj()  # each row v -> J-dagger v
     return amplitudes
@@ -221,9 +224,9 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
     density matrix is built.
     """
     f = protocol_fidelity(game, fidelity)
-    mats = check_ops(ops, game.shape, strict)
+    stack = check_ops(ops, game.shape, strict)
     # a lenient, non-unitary move still fails here, on the norm
-    final = PureState(game.shape, protocol_amplitudes(game, np.stack(mats)[None])[0])
+    final = PureState(game.shape, protocol_amplitudes(game, stack[:, None, None])[0, 0])
     probs = f * np.abs(final.amplitudes) ** 2 + (1.0 - f) / game.shape.dim
     payoffs = tuple((game.payoffs @ probs).tolist())
     return PayoffReport(payoffs, dict(zip(game.outcome_labels, probs.tolist())), f)
@@ -255,25 +258,34 @@ def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> Embe
 
     Every combination of classical operators (player-n-first powers) is
     played through the full quantum protocol and compared against the table
-    entry of the classical outcome string.  The profiles are played in
-    batches of at most ``states.BATCH_BUDGET`` amplitudes through
-    :func:`protocol_amplitudes`, and the payoffs are read off |amplitude|^2.
+    entry of the classical outcome string.  The trailing players whose
+    profiles fit ``states.BATCH_BUDGET`` amplitudes take the whole classical
+    set as one Cartesian move set, so each of their moves is one product over
+    every profile before it; each leading prefix is one row, and as many rows
+    go to one :func:`protocol_amplitudes` call as the budget holds.  The
+    payoffs are read off |amplitude|^2.
     """
     n, d, dim = game.shape.n, game.shape.d, game.shape.dim
     operators = np.stack([require_unitary(op, name="classical operator")
                           for op in classical_set(d)])
-    total = len(operators) ** n
-    rows = batch_rows(dim)
+    fits = batch_rows(dim)  # profiles one call may hold
+    trailing = 0  # players that take the whole classical set in every row
+    while trailing < n and d ** (trailing + 1) <= fits:
+        trailing += 1
+    leading, tails = n - trailing, d ** trailing
+    rows = batch_rows(tails * dim)
     worst = 0.0
-    for first in range(0, total, rows):
-        profiles = np.arange(first, min(first + rows, total))
-        powers = np.unravel_index(profiles, (len(operators),) * n)
-        amplitudes = protocol_amplitudes(game, operators[np.stack(powers, axis=1)])
+    for first in range(0, d ** leading, rows):
+        prefixes = np.arange(first, min(first + rows, d ** leading))
+        powers = prefixes[:, None] // d ** np.arange(leading - 1, -1, -1) % d
+        moves = list(operators[powers.T, None]) + [operators[None]] * trailing
+        amplitudes = protocol_amplitudes(game, moves).reshape(-1, dim)
         payoffs = np.abs(amplitudes) ** 2 @ game.payoffs.T
-        # the powers, player-n-first, are the digits of the classical outcome
-        expected = game.payoffs[:, np.ravel_multi_index(powers, (d,) * n)].T
-        worst = max(worst, float(np.max(np.abs(payoffs - expected))))
-    return EmbeddingCheck(worst <= atol, worst, total)
+        # the d classical operators are the powers s^0..s^(d-1), so a profile's
+        # index in lexicographic order is the index of its classical outcome
+        outcomes = np.arange(first * tails, first * tails + len(amplitudes))
+        worst = max(worst, float(np.max(np.abs(payoffs - game.payoffs[:, outcomes].T))))
+    return EmbeddingCheck(worst <= atol, worst, d ** n)
 
 
 def game_to_json(game: GameSpec) -> dict:

@@ -2,9 +2,10 @@
 
 Payoff evaluation for a unilateral deviation is reduced once per player to a
 d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)).  T is built
-from one batch of d^2 profiles through ``games.protocol_amplitudes``: the
-other players' moves stay fixed and the deviating slot holds each matrix
-unit E_ab, so no D x D matrix is built.  Symmetric dilemma profiles run
+from one Cartesian row through ``games.protocol_amplitudes``: the other
+players' moves stay fixed and the deviating slot holds the d^2 matrix units
+E_ab as one move set, so the kernel makes n products, not d^2 n, and no
+D x D matrix is built.  Symmetric dilemma profiles run
 through the same protocol.  A symmetric profile U^(x)n on the GHZ state gives
 every outcome with the same occupation type (the number of players on each
 choice) the same amplitude, so symmetric GHZ scans evaluate one amplitude per
@@ -81,7 +82,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .games import GameSpec, play_symmetric, protocol_amplitudes, protocol_fidelity
-from .states import BATCH_BUDGET
+from .states import BATCH_BUDGET, batch_rows
 from .strategies import (
     FAMILY_PRESETS,
     LOCAL_DIMENSION,
@@ -280,15 +281,21 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     ``fixed_ops`` is the player-n-first operator list; the entry at the
     deviating player's slot is ignored.  The form folds in the shared state,
     the entangler pair for the dilemma, and the player's payoff operator.
-    The d^2 matrix units E_ab at the deviating slot, beside the fixed moves,
-    run through the protocol as one batch and give d^2 final vectors v_ab;
+    The d^2 matrix units E_ab, one move set at the deviating slot beside the
+    fixed moves, run through the protocol as one Cartesian row (in blocks of
+    units under ``states.BATCH_BUDGET``) and give d^2 final vectors v_ab;
     T = sum_K diag_K v_ab[K] conj(v_a'b'[K]).
     """
     n, d = game.shape.n, game.shape.d
-    ops = np.repeat(np.stack(fixed_ops)[None], d * d, axis=0)  # (d^2, n, d, d)
-    ops[:, n - player] = np.eye(d * d).reshape(d * d, d, d)   # the player's slot
-    units = protocol_amplitudes(game, ops)
-    return (units * game.payoffs[player - 1]) @ units.conj().T
+    moves = list(np.stack(fixed_ops)[:, None, None])  # one fixed move per player
+    units = np.eye(d * d, dtype=complex).reshape(1, d * d, d, d)
+    step = batch_rows(game.shape.dim)  # units per kernel call
+    blocks = []
+    for first in range(0, d * d, step):
+        moves[n - player] = units[:, first:first + step]  # the player's slot
+        blocks.append(protocol_amplitudes(game, moves)[0])
+    vectors = np.concatenate(blocks)
+    return (vectors * game.payoffs[player - 1]) @ vectors.conj().T
 
 
 def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -307,7 +314,10 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
     """
     d = game.shape.d
     if game.use_entangler_pair:
-        final = protocol_amplitudes(game, np.stack([matrices, matrices], axis=1))
+        rows = batch_rows(game.shape.dim)  # one profile per row, both players' move
+        final = np.concatenate([
+            protocol_amplitudes(game, [matrices[start:start + rows, None]] * 2)[:, 0]
+            for start in range(0, len(matrices), rows)])
         return np.einsum("gi,i->g", np.abs(final) ** 2, game.payoffs[0])
     counts, weights = game.occupation_types
     top = int(counts.max(initial=1))

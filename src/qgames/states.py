@@ -7,7 +7,7 @@ Conventions used everywhere in this package:
   player 3 holds digit 1, player 2 holds digit 2, player 1 holds digit 0.
 * The flat array index of a label is its base-d value read left to right,
   so player ``i`` contributes ``digit * d**(i-1)``.
-* Operator lists, in ``games.play_profile`` and in each profile of
+* Operator lists, in ``games.play_profile`` and the move sets of
   :func:`apply_local_batch`, are ordered player-n-first, matching the tensor
   product U_n (x) U_{n-1} (x) ... (x) U_1.
 
@@ -15,14 +15,20 @@ Everything here works on state vectors; no D x D matrix is built.  White
 noise enters the protocols in closed form (see :mod:`qgames.games`).  The
 unitarity checks every local move passes through live here too.
 
-:func:`apply_local_batch` is the one propagation kernel: each player is one
-(d, d) @ (d, D/d) product per profile on the leading tensor axis, which then
-rotates last.  It checks nothing; its callers check their operators once,
-:func:`check_ops` a profile in one stacked product.  Every play,
-deviation form and embedding check reaches it through
-``games.protocol_amplitudes``; the property suite of ``qgames verify``
-calls it directly.  The batched callers split their work into batches of at
-most ``BATCH_BUDGET`` complex amplitudes, sized by :func:`batch_rows`.
+:func:`apply_local_batch` is the one propagation kernel.  Each row of a batch
+holds one set of moves per player and stands for every profile of their
+Cartesian product.  A player is one (k d, d) @ (d, P D/d) product per row:
+its k moves act on the leading tensor axis of all P profiles so far, and that
+axis then rotates last.  A play is the case of one move per player; a
+deviation form puts the d^2 matrix units at one slot, and a classical
+embedding check the classical set at several.  The kernel checks nothing;
+its callers check their operators once, :func:`check_ops` a profile in one
+stacked product.  Every play, deviation form and embedding check reaches it
+through ``games.protocol_amplitudes``; the property suite of ``qgames
+verify`` calls it directly.  The batched callers keep each call's output, the
+largest array the kernel builds, to at most ``BATCH_BUDGET`` complex
+amplitudes (or one state, where a state is larger), sized by
+:func:`batch_rows`.
 """
 
 from __future__ import annotations
@@ -112,24 +118,6 @@ class SystemShape:
         return self.d ** self.n
 
 
-def label_to_index(shape: SystemShape, digits: Sequence[int]) -> int:
-    """Flat index of a player-n-first digit sequence."""
-    if len(digits) != shape.n:
-        raise ValueError(f"label needs {shape.n} digits, got {len(digits)}")
-    index = 0
-    for digit in digits:
-        if not 0 <= int(digit) < shape.d:
-            raise ValueError(f"digit {digit} out of range for d={shape.d}")
-        index = index * shape.d + int(digit)
-    return index
-
-
-def parse_label(shape: SystemShape, text: str) -> tuple[int, ...]:
-    digits = tuple(int(ch) for ch in text)
-    label_to_index(shape, digits)  # validates
-    return digits
-
-
 def labels(shape: SystemShape) -> Iterator[str]:
     """All basis labels as digit strings, in index order."""
     # the first digit is player n's, the most significant
@@ -156,15 +144,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", frozen(amp))
 
 
-def basis_state(shape: SystemShape, digits: Sequence[int] | str) -> PureState:
-    """Computational basis ket |x_n ... x_1> for the given digit label."""
-    if isinstance(digits, str):
-        digits = parse_label(shape, digits)
-    amp = np.zeros(shape.dim, dtype=complex)
-    amp[label_to_index(shape, digits)] = 1.0
-    return PureState(shape, amp)
-
-
 def ghz(shape: SystemShape, phase: float = 0.0) -> PureState:
     """Maximally entangled shared state (sum_k |k...k>)/sqrt(d).
 
@@ -184,34 +163,21 @@ def ghz(shape: SystemShape, phase: float = 0.0) -> PureState:
     return PureState(shape, amp)
 
 
-_BELL_KINDS = {
-    "phi+": ((0, 3), 1.0),
-    "phi-": ((0, 3), -1.0),
-    "psi+": ((1, 2), 1.0),
-    "psi-": ((1, 2), -1.0),
-}
-
-
-def bell(kind: str) -> PureState:
-    """One of the four two-qubit Bell states: phi+/phi-/psi+/psi-."""
-    key = kind.strip().lower().replace("−", "-")
-    if key not in _BELL_KINDS:
-        raise ValueError(f"unknown Bell state {kind!r}; use phi+/phi-/psi+/psi-")
-    (first, second), sign = _BELL_KINDS[key]
-    amp = np.zeros(4, dtype=complex)
-    amp[first] = 1.0 / math.sqrt(2)
-    amp[second] = sign / math.sqrt(2)
-    return PureState(SystemShape(2, 2), amp)
-
-
-def check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> list[np.ndarray]:
-    """Validate one player-n-first operator profile (one stacked product); raise or
-    warn per ``strict``, naming the players in profile order."""
+def check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> np.ndarray:
+    """Validate one player-n-first operator profile and return it as one (n, d, d)
+    stack.  A well-shaped unitary profile costs one stacked residual product;
+    otherwise each player is checked in profile order and a fault raises or
+    warns per ``strict``, naming the player."""
     if len(ops) != shape.n:
         raise ValueError(f"need {shape.n} local operators, got {len(ops)}")
     side = (shape.d, shape.d)
     mats = [np.asarray(op, dtype=complex) for op in ops]
-    residuals = unitarity_residuals([m if m.shape == side else np.eye(shape.d) for m in mats])
+    well_shaped = all(m.shape == side for m in mats)
+    stack = np.array(mats if well_shaped else
+                     [m if m.shape == side else np.eye(shape.d) for m in mats])
+    residuals = unitarity_residuals(stack)
+    if well_shaped and residuals.max() < ATOL_UNITARY:  # NaN fails too
+        return stack
     for k, (mat, residual) in enumerate(zip(mats, residuals)):
         name = f"operator for player {shape.n - k}"
         if mat.ndim != 2:
@@ -220,23 +186,40 @@ def check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> list[np.ndarra
         _flag_unitarity(residual if fits else unitarity_residual(mat), ATOL_UNITARY, strict, name)
         if not fits:
             raise ValueError(f"local operator shape {mat.shape} != {side}")
-    return mats
+    return stack  # a lenient profile that is not unitary
 
 
-def apply_local_batch(ops: np.ndarray, amplitudes: np.ndarray, d: int) -> np.ndarray:
-    """(U_n (x) ... (x) U_1)|psi> for a batch of profiles and states.
+def apply_local_batch(moves: Sequence[np.ndarray], amplitudes: np.ndarray,
+                      d: int) -> np.ndarray:
+    """(U_n (x) ... (x) U_1)|psi> for every profile of per-row Cartesian move sets.
 
-    ``ops`` is (B, n, d, d), each profile player-n-first; ``amplitudes`` is
-    (B, d**n) or broadcasts to it.  Returns the (B, d**n) moved amplitudes.
-    The operators are not checked.
+    ``moves`` holds n player-n-first arrays; the i-th is (B, k_i, d, d), the k_i
+    moves of that player in each row, or (1, k_i, d, d) for the same moves in
+    every row.  ``amplitudes`` is (B, d**n) or broadcasts to it.  Row b stands
+    for every profile of the product of its move sets, in lexicographic order
+    (player n's move the most significant), and the result is the
+    (B, prod k_i, d**n) moved amplitudes.  With every k_i = 1 each row is one
+    profile.  The operators are not checked.
     """
-    count, n = ops.shape[:2]
-    amplitudes = np.broadcast_to(amplitudes, (count, d ** n))
-    for axis in range(n):
-        # player n - axis acts on the leading tensor axis, one (d, d) @ (d, D/d)
-        # product per profile; that axis then moves last, so n steps end in order
-        amplitudes = (ops[:, axis] @ amplitudes.reshape(count, d, -1)).swapaxes(1, 2)
-    return amplitudes.reshape(count, d ** n)
+    n = len(moves)
+    dim = d ** n
+    rest = dim // d  # the other tensor axes
+    # per row: the acted tensor axis, then the profiles so far, then the other axes
+    state = np.reshape(amplitudes, (-1, d, rest))
+    profiles = 1
+    for axis, ops in enumerate(moves):
+        k = ops.shape[1]
+        # (k d, d) @ (d, P D/d) per row: every move of the set on every profile so far
+        out = ops.reshape(-1, k * d, d) @ state
+        if axis < n - 1:
+            # the acted axis rotates last and the next player's leads; the
+            # profile index becomes (P, k)
+            out = out.reshape(len(out), k, d, profiles, d, rest // d)
+            state = out.transpose(0, 4, 3, 1, 5, 2).reshape(len(out), d, -1)
+        profiles *= k
+    # the last acted axis rotates last too, so n steps end in order
+    out = out.reshape(len(out), k, d, profiles // k, rest).transpose(0, 3, 1, 4, 2)
+    return out.reshape(len(out), profiles, dim)
 
 
 def check_fidelity(fidelity: float) -> float:

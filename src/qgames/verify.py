@@ -238,7 +238,8 @@ def _preservation_residuals(rng: np.random.Generator, shape: SystemShape,
     rows = batch_rows(dim)
     for first in range(0, count, rows):
         chunk = slice(first, first + rows)
-        moved = apply_local_batch(source[picks[chunk]], psi[chunk], d)
+        # one move per player and row: (n, rows, 1, d, d)
+        moved = apply_local_batch(source[picks[chunk].T, None], psi[chunk], d)[:, 0]
         worst_norm = max(worst_norm, float(np.max(np.abs(np.linalg.norm(moved, axis=1) - 1.0))))
     worst_trace = 0.0
     rows = batch_rows(dim * dim)

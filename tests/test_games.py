@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from qgames import games, solver, states
+from qgames import games, solver, states, verify
 from qgames.games import (
     EmbeddingCheck,
     GameSpec,
@@ -243,12 +243,14 @@ class TestPlayPd:
             play_profile(prisoners_dilemma(), [I2, np.diag([1.0, 2.0])])
 
     def test_protocol_matches_dense_dilemma(self):
-        # J-dagger (U_B (x) U_A) J |00>, amplitudes with their phases
+        # J-dagger (U_B (x) U_A) J |00>, amplitudes with their phases, for every
+        # pair of one Cartesian row of 4 Bob and 4 Alice moves, Bob's the major index
         rng = np.random.default_rng(29)
         j = entangler()
-        pairs = np.array([[haar_unitary(rng, 2), haar_unitary(rng, 2)] for _ in range(16)])
-        final = protocol_amplitudes(prisoners_dilemma(), pairs)
-        for row, (u_bob, u_alice) in zip(final, pairs):
+        bobs, alices = (np.array([haar_unitary(rng, 2) for _ in range(4)]) for _ in range(2))
+        final = protocol_amplitudes(prisoners_dilemma(), [bobs[None], alices[None]])
+        assert final.shape == (1, 16, 4)
+        for row, (u_bob, u_alice) in zip(final[0], itertools.product(bobs, alices)):
             np.testing.assert_allclose(row, j.conj().T @ np.kron(u_bob, u_alice) @ j[:, 0],
                                        rtol=0, atol=1e-13)
 
@@ -270,25 +272,73 @@ def test_every_protocol_caller_runs_the_kernel(monkeypatch):
     calls = []
     kernel = games.apply_local_batch
 
-    def spy(*args):
-        calls.append(len(args[0]))  # profiles in the batch
-        return kernel(*args)
+    def spy(moves, amplitudes, d):
+        calls.append([ops.shape[:2] for ops in moves])  # (rows, set size) per player
+        return kernel(moves, amplitudes, d)
 
     monkeypatch.setattr(games, "apply_local_batch", spy)
     pd = prisoners_dilemma()
     runs = {
-        "pd play": lambda: play_profile(pd, [I2, X]),
-        "minority play": lambda: play_profile(minority(4), [su2_full(0.3, 0.2, 0.1)] * 4),
-        "kolkata play": lambda: play_symmetric(kolkata(), su3_frame(*KOLKATA_OPTIMAL_PARAMS)),
-        "embedding check": lambda: classical_embedding_check(minority(3)),
-        "deviation form": lambda: solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2),
-        "pd symmetric": lambda: solver._symmetric_payoffs(pd, np.stack([I2, X])),
+        "pd play": (lambda: play_profile(pd, [I2, X]), [[(1, 1)] * 2]),
+        "minority play": (lambda: play_profile(minority(4), [su2_full(0.3, 0.2, 0.1)] * 4),
+                          [[(1, 1)] * 4]),
+        "kolkata play": (lambda: play_symmetric(kolkata(), su3_frame(*KOLKATA_OPTIMAL_PARAMS)),
+                         [[(1, 1)] * 3]),
+        # every player takes the whole classical set: 8 profiles in one row
+        "embedding check": (lambda: classical_embedding_check(minority(3)), [[(1, 2)] * 3]),
+        # player 2's slot holds the 9 matrix units
+        "deviation form": (lambda: solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2),
+                           [[(1, 1), (1, 9), (1, 1)]]),
+        "pd symmetric": (lambda: solver._symmetric_payoffs(pd, np.stack([I2, X])),
+                         [[(2, 1)] * 2]),
     }
-    for name, run in runs.items():
+    for name, (run, sets) in runs.items():
         calls.clear()
         run()
-        assert calls, f"{name} never reached the propagation kernel"
+        assert calls == sets, f"{name} reached the propagation kernel as {calls}"
     assert not hasattr(states, "apply_local_pure")
+
+
+EMBEDDED = {"pd": prisoners_dilemma(), **{f"minority{n}": minority(n) for n in range(2, 13)},
+            "kolkata": kolkata()}
+
+
+@pytest.mark.parametrize("name", EMBEDDED)
+def test_embedding_check_does_not_depend_on_the_batch_budget(monkeypatch, name):
+    # at 64 amplitudes fewer trailing players take the classical set, and
+    # from minority(7) on each call holds one profile
+    default = classical_embedding_check(EMBEDDED[name])
+    monkeypatch.setattr(states, "BATCH_BUDGET", 64)
+    assert classical_embedding_check(EMBEDDED[name]) == default
+
+
+@pytest.mark.parametrize("budget", [64, states.BATCH_BUDGET])
+def test_no_kernel_array_exceeds_the_batch_budget(monkeypatch, budget):
+    # the kernel's output is its largest array: the profiles only grow, step by step
+    outputs = []
+    kernel = states.apply_local_batch
+
+    def spy(moves, amplitudes, d):
+        out = kernel(moves, amplitudes, d)
+        outputs.append(out.shape)
+        return out
+
+    monkeypatch.setattr(games, "apply_local_batch", spy)
+    monkeypatch.setattr(verify, "apply_local_batch", spy)
+    monkeypatch.setattr(states, "BATCH_BUDGET", budget)
+    u = su2_full(0.3, 0.2, 0.1)
+    for game in (prisoners_dilemma(), minority(8), minority(11), kolkata()):
+        classical_embedding_check(game)
+    for n in (4, 9, 11):
+        solver._deviation_form(minority(n), [u] * n, 2)
+    solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2)
+    solver._symmetric_payoffs(prisoners_dilemma(), np.stack([u] * 3000))
+    play_profile(minority(12), [u] * 12)
+    verify.check_property_suites()
+    assert len(outputs) > 20
+    for rows, profiles, dim in outputs:
+        # one state is the floor: a single row of a large game holds more
+        assert rows * profiles * dim <= max(budget, dim), (rows, profiles, dim)
 
 
 class TestPlayProfile:
@@ -661,14 +711,14 @@ def test_public_surface():
         "BestResponseResult", "EmbeddingCheck", "EquilibriumVerdict", "Family",
         "FidelitySweep", "GameSpec", "KOLKATA_OPTIMAL_PARAMS", "MINORITY_OPTIMAL_PARAMS",
         "PD_EQUILIBRIUM_PARAMS", "ParetoVerdict", "PayoffReport", "PureState",
-        "SearchConfig", "StrategySpec", "SystemShape", "basis_state",
-        "bell", "best_response", "classical_embedding_check", "classical_set",
-        "classical_uniform_payoff", "cyclic_s", "dominant_strategy", "entangler",
-        "fidelity_sweep", "game_by_name", "game_to_json", "ghz", "kolkata", "minority",
-        "pareto_check_symmetric", "parse_radians", "parse_strategy", "pauli",
-        "play_profile", "play_symmetric", "prisoners_dilemma", "su2_eisert", "su2_full",
-        "su3_frame", "sweep_to_csv", "verify_nash",
+        "SearchConfig", "StrategySpec", "SystemShape", "best_response",
+        "classical_embedding_check", "classical_set", "classical_uniform_payoff",
+        "cyclic_s", "dominant_strategy", "entangler", "fidelity_sweep", "game_by_name",
+        "game_to_json", "ghz", "kolkata", "minority", "pareto_check_symmetric",
+        "parse_radians", "parse_strategy", "pauli", "play_profile", "play_symmetric",
+        "prisoners_dilemma", "su2_eisert", "su2_full", "su3_frame", "sweep_to_csv",
+        "verify_nash",
     }
-    assert len(qgames.__all__) == 42
+    assert len(qgames.__all__) == 40
     assert all(hasattr(qgames, name) for name in qgames.__all__)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -14,14 +15,10 @@ from qgames.states import (
     PureState,
     SystemShape,
     apply_local_batch,
-    basis_state,
-    bell,
     check_fidelity,
     check_ops,
     ghz,
-    label_to_index,
     labels,
-    parse_label,
     unitarity_residual,
 )
 from qgames.strategies import cyclic_s, pauli, su2_full, su3_frame
@@ -44,9 +41,61 @@ def random_su3(rng):
     return su3_frame(*rng.uniform(0, np.pi / 2, 3), *rng.uniform(0, 2 * np.pi, 5))
 
 
+def label_to_index(shape, digits):
+    """Flat index of a player-n-first digit sequence."""
+    if len(digits) != shape.n:
+        raise ValueError(f"label needs {shape.n} digits, got {len(digits)}")
+    index = 0
+    for digit in digits:
+        if not 0 <= int(digit) < shape.d:
+            raise ValueError(f"digit {digit} out of range for d={shape.d}")
+        index = index * shape.d + int(digit)
+    return index
+
+
+def parse_label(shape, text):
+    digits = tuple(int(ch) for ch in text)
+    label_to_index(shape, digits)  # validates
+    return digits
+
+
+def basis_state(shape, digits):
+    """Computational basis ket |x_n ... x_1> for the given digit label."""
+    if isinstance(digits, str):
+        digits = parse_label(shape, digits)
+    amp = np.zeros(shape.dim, dtype=complex)
+    amp[label_to_index(shape, digits)] = 1.0
+    return PureState(shape, amp)
+
+
+_BELL_KINDS = {
+    "phi+": ((0, 3), 1.0),
+    "phi-": ((0, 3), -1.0),
+    "psi+": ((1, 2), 1.0),
+    "psi-": ((1, 2), -1.0),
+}
+
+
+def bell(kind):
+    """One of the four two-qubit Bell states: phi+/phi-/psi+/psi-."""
+    key = kind.strip().lower().replace("−", "-")
+    if key not in _BELL_KINDS:
+        raise ValueError(f"unknown Bell state {kind!r}; use phi+/phi-/psi+/psi-")
+    (first, second), sign = _BELL_KINDS[key]
+    amp = np.zeros(4, dtype=complex)
+    amp[first] = 1.0 / math.sqrt(2)
+    amp[second] = sign / math.sqrt(2)
+    return PureState(SystemShape(2, 2), amp)
+
+
+def per_row(ops, amplitudes, d):
+    """The kernel on (B, n, d, d) per-row profiles, one move per player: (B, D)."""
+    return apply_local_batch(np.swapaxes(ops, 0, 1)[:, :, None], amplitudes, d)[:, 0]
+
+
 def moved(ops, psi):
     """(U_n (x) ... (x) U_1)|psi> for one player-n-first profile, through the kernel."""
-    return apply_local_batch(np.stack(ops)[None], psi.amplitudes, psi.shape.d)[0]
+    return per_row(np.stack(ops)[None], psi.amplitudes, psi.shape.d)[0]
 
 
 class TestShapeAndLabels:
@@ -190,8 +239,7 @@ class TestApplyLocalBatch:
         draw = random_su2 if d == 2 else random_su3
         states = [random_state(rng, shape) for _ in range(5)]
         profiles = [[draw(rng) for _ in range(n)] for _ in states]
-        rows = apply_local_batch(np.array(profiles),
-                                 np.array([psi.amplitudes for psi in states]), d)
+        rows = per_row(np.array(profiles), np.array([psi.amplitudes for psi in states]), d)
         for row, ops, psi in zip(rows, profiles, states):
             np.testing.assert_allclose(row, dense.tensor(ops) @ psi.amplitudes,
                                        rtol=0, atol=1e-13)
@@ -206,12 +254,74 @@ class TestApplyLocalBatch:
         raw = rng.standard_normal((count, n, d, d)) + 1j * rng.standard_normal((count, n, d, d))
         ops = np.linalg.qr(raw)[0]
         psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        rows = apply_local_batch(ops, psi, d)
-        shared = apply_local_batch(ops, psi[0], d)
+        rows = per_row(ops, psi, d)
+        shared = per_row(ops, psi[0], d)
         assert rows.shape == shared.shape == (count, dim)
         for k in range(count):
-            np.testing.assert_array_equal(rows[k], apply_local_batch(ops[k:k + 1], psi[k], d)[0])
-            np.testing.assert_array_equal(shared[k], apply_local_batch(ops[k:k + 1], psi[0], d)[0])
+            np.testing.assert_array_equal(rows[k], per_row(ops[k:k + 1], psi[k], d)[0])
+            np.testing.assert_array_equal(shared[k], per_row(ops[k:k + 1], psi[0], d)[0])
+
+
+def legacy_kernel(ops, amplitudes, d):
+    """The per-profile kernel that the Cartesian one generalises: ops is
+    (B, n, d, d), one (d, d) @ (d, D/d) product per profile and player."""
+    count, n = ops.shape[:2]
+    amplitudes = np.broadcast_to(amplitudes, (count, d ** n))
+    for axis in range(n):
+        amplitudes = (ops[:, axis] @ amplitudes.reshape(count, d, -1)).swapaxes(1, 2)
+    return amplitudes.reshape(count, d ** n)
+
+
+# amplitudes one drawn Cartesian batch may hold
+CARTESIAN_LIMIT = 1 << 15
+
+
+@st.composite
+def cartesian_batches(draw):
+    """(d, sizes, rows, shared state, seed), at most CARTESIAN_LIMIT amplitudes."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rows = draw(st.integers(1, 3))
+    for i in range(n):  # sets of one move, player n first, until the batch fits
+        if rows * math.prod(sizes) * d ** n > CARTESIAN_LIMIT:
+            sizes[i] = 1
+    return d, sizes, rows, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestCartesianKernel:
+    """Per-row Cartesian move sets against the per-row batch they expand to."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cartesian_batches())
+    def test_rows_match_their_expanded_profiles(self, batch):
+        d, sizes, rows, shared, seed = batch
+        rng = np.random.default_rng(seed)
+        dim = d ** len(sizes)
+        moves = [np.linalg.qr(rng.standard_normal((rows, k, d, d))
+                              + 1j * rng.standard_normal((rows, k, d, d)))[0] for k in sizes]
+        psi = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+        out = apply_local_batch(moves, psi[0] if shared else psi, d)
+        count = math.prod(sizes)
+        assert out.shape == (rows, count, dim)
+        # every profile of each row, lexicographic with player n's move the major index
+        profiles = np.array([[moves[i][b, pick] for i, pick in enumerate(picks)]
+                             for b in range(rows)
+                             for picks in itertools.product(*map(range, sizes))])
+        states = psi[0] if shared else np.repeat(psi, count, axis=0)
+        expanded = per_row(profiles, states, d)
+        np.testing.assert_allclose(out.reshape(-1, dim), expanded, rtol=0, atol=1e-13)
+        # one move per player: the per-profile kernel's arithmetic, bit for bit
+        np.testing.assert_array_equal(expanded, legacy_kernel(profiles, states, d))
+
+    def test_shared_move_sets_broadcast_over_rows(self):
+        rng = np.random.default_rng(5)
+        shared = np.linalg.qr(rng.standard_normal((1, 3, 2, 2)))[0].astype(complex)
+        own = np.linalg.qr(rng.standard_normal((4, 2, 2, 2)))[0].astype(complex)
+        psi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        out = apply_local_batch([shared, own], psi, 2)
+        np.testing.assert_array_equal(
+            out, apply_local_batch([np.repeat(shared, 4, axis=0), own], psi, 2))
 
 
 class TestCheckOps:

@@ -21,9 +21,10 @@ def record_draws(monkeypatch):
     kernel_calls, dense_calls = [], []
     kernel, dense = verify.apply_local_batch, verify._dense_trace_residual
 
-    def spy_kernel(ops, amplitudes, d):
-        kernel_calls.append((ops, amplitudes))
-        return kernel(ops, amplitudes, d)
+    def spy_kernel(moves, amplitudes, d):
+        # recorded as (B, n, k, d, d) per-row profiles, the draws in row order
+        kernel_calls.append((np.stack(moves, axis=1), amplitudes))
+        return kernel(moves, amplitudes, d)
 
     def spy_dense(ops, psi, fs):
         dense_calls.append((ops, psi, fs))
