@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target common payoff for pareto mode")
     search.add_argument("--fidelity", type=float, default=1.0)
     search.add_argument("--grid", type=int, default=24,
-                        help="grid points per axis, 2..256 (SU(3) uses at most 6 on 6 free axes)")
+                        help="grid points per axis, 2..256 (SU(3) uses at most 6 on 6 free "
+                             "axes); a periodic axis drops its repeated endpoint")
     search.add_argument("--refine-iterations", type=int, default=200)
     search.add_argument("--refine-step", type=float, default=0.1)
     search.add_argument("--epsilon", type=float, default=1e-6)

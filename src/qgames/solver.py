@@ -32,6 +32,9 @@ constant, whatever the grid size or the number of players.  A symmetric
 Pareto search whose grid would hold more than ``_WORK_BUDGET`` amplitudes
 (rows x ``_symmetric_width``) is rejected before it starts.
 
+A periodic axis (``_PERIODIC_AXES``: the full SU(2) alpha and beta, the SU(3)
+a3, b1 and b2) drops the grid point at the end of its interval, which is
+the phase of its first point, so every grid row is a distinct strategy.
 Each grid chunk is an open mesh of the axes (``np.ix_``) built by the
 family's batch constructor, which takes every sine, cosine and phase on its
 own argument, so a chunk computes one per axis point and a one-point axis
@@ -51,14 +54,19 @@ how it was obtained (``BestResponseResult.certificate``):
             optimum is the top eigenvector of one of its 7 principal
             submatrices.
 ``bound``   Every unitary has |vec(U)|^2 = d, so no deviation pays more than
-            d * lambda_max(T) at f = 1, or f * d * lambda_max(T) + (1 - f) * u
-            at fidelity f.  For SU(3) the current strategy and the family
-            presets are tried first; one that reaches the bound is returned.
+            d * lambda_max(T) at f = 1.  At fidelity f it pays
+            vec(U) . (f T + (1 - f) N) . conj(vec(U)), N the diagonal noise
+            form (``_noise_diagonal``), so the bound is the lower of
+            f * d * lambda_max(T) + (1 - f) * u and
+            d * lambda_max(f T + (1 - f) N); the second is lower only when
+            the player's payoff sums per own choice differ.  For SU(3) the
+            current strategy and the family presets are tried first; one
+            that reaches the bound is returned.
 ``search``  Otherwise (SU(3) without an attained bound, and the symmetric
             Pareto scan) an exhaustive grid over the family's search box
-            (``_search_box``: SU(3) fixes its phase gauge and scans 6^6 =
-            46 656 rows) is built chunk by chunk on open meshes and
-            followed by multi-start compass search with complete polling,
+            (``_search_box``: SU(3) fixes its phase gauge and scans
+            6^3 * 5^3 = 27 000 rows) is built chunk by chunk on open meshes
+            and followed by multi-start compass search with complete polling,
             every start in lockstep with one batched call per round
             (``_search_family``, ``_refine``).
 
@@ -101,7 +109,7 @@ _SEARCH_BUDGET = 16 * BATCH_BUDGET
 _WORK_BUDGET = 1 << 30
 _MIN_STEP = 1e-8
 _RANDOM_STARTS = 4
-_MAX_GRID_POINTS = 256  # a 3-parameter grid then streams at most 16.7 M rows
+_MAX_GRID_POINTS = 256  # a 3-parameter grid then streams at most 16.6 M rows
 _MAX_SWEEP_POINTS = 1001
 
 
@@ -109,10 +117,12 @@ _MAX_SWEEP_POINTS = 1001
 class SearchConfig:
     """Knobs for grid search and refinement.
 
-    seed draws the supplementary random refinement starts; given the same
-    seed, results are reproducible bit for bit.  refine_iterations bounds
-    refinement at p * refine_iterations polling rounds, p the family's
-    parameter count.
+    grid_points_per_axis spaces each axis of the search box evenly, at
+    most 6 for SU(3); a periodic axis drops its endpoint, which repeats its
+    start.  seed draws the supplementary random refinement starts; given
+    the same seed, results are reproducible bit for bit.  refine_iterations
+    bounds refinement at p * refine_iterations polling rounds, p the
+    family's parameter count.
     """
 
     grid_points_per_axis: int = 24
@@ -249,11 +259,25 @@ def _gauge_fixed(family: Family, params: Sequence[float]) -> tuple[float, ...]:
     return params[:3] + (0.0, 0.0, sum(params[3:6]) % (2 * math.pi)) + params[6:]
 
 
+# parameters whose search interval is one period: its end is its start's phase
+_PERIODIC_AXES = {
+    Family.FULL_SU2: (1, 2),  # alpha and beta on [-pi, pi]
+    Family.FRAME_SU3: (5, 6, 7),  # a3, b1 and b2 on [0, 2 pi]; a1 = a2 = 0 by the gauge
+}
+
+
 def _grid_axes(family: Family, grid_points: int) -> list[np.ndarray]:
-    """The points along each axis of the family's search grid."""
+    """The points along each axis of the family's search grid.
+
+    An axis is ``grid_points`` evenly spaced points over its interval (6 for
+    a family of more than 3 parameters); a periodic axis drops its last
+    point, which is its first one's phase, so every grid point is distinct.
+    """
     box = _search_box(family)
     points = grid_points if len(box) <= 3 else min(grid_points, 6)
-    return [np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box]
+    periodic = _PERIODIC_AXES.get(family, ())
+    axes = [np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box]
+    return [axis[:-1] if j in periodic else axis for j, axis in enumerate(axes)]
 
 
 def _grid_rows(axes: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
@@ -298,6 +322,20 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     return (vectors * game.payoffs[player - 1]) @ vectors.conj().T
 
 
+def _noise_diagonal(game: GameSpec, player: int) -> np.ndarray:
+    """Diagonal of the noise form N: payoff(U) on the maximally mixed state is
+    vec(U) . N . conj(vec(U)).
+
+    The entry at vec index (a, b) is S_a / D, S_a the player's payoffs summed
+    over the outcomes in which the player's digit is a.  The rows of a
+    unitary have unit norm, so N pays u on every unitary.
+    """
+    n, d = game.shape.n, game.shape.d
+    # the player's digit is axis n - player of the index-order tensor
+    own = np.moveaxis(game.payoffs[player - 1].reshape((d,) * n), n - player, 0)
+    return np.repeat(own.reshape(d, -1).sum(axis=1) / game.shape.dim, d)
+
+
 def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """Evaluate the bilinear payoff form on a batch of (N, d, d) matrices."""
     d = matrices.shape[-1]
@@ -306,7 +344,12 @@ def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
-    """Noise-free player-1 payoff for symmetric profiles, batched over (N, d, d).
+    """Noise-free player-1 payoff for symmetric profiles, batched over (N, d, d)."""
+    return _symmetric_evaluator(game)(matrices)
+
+
+def _symmetric_evaluator(game: GameSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """``_symmetric_payoffs`` for one game, its type plan and sub-batch size taken once.
 
     On the GHZ state an outcome of occupation type m has the amplitude
     sum_k prod_i U[i, k]^{m_i} / sqrt(d), so the payoff is
@@ -315,32 +358,42 @@ def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
     d = game.shape.d
     if game.use_entangler_pair:
         rows = batch_rows(game.shape.dim)  # one profile per row, both players' move
-        final = np.concatenate([
-            protocol_amplitudes(game, [matrices[start:start + rows, None]] * 2)[:, 0]
-            for start in range(0, len(matrices), rows)])
-        return np.einsum("gi,i->g", np.abs(final) ** 2, game.payoffs[0])
+
+        def dilemma(matrices: np.ndarray) -> np.ndarray:
+            final = np.concatenate([
+                protocol_amplitudes(game, [matrices[start:start + rows, None]] * 2)[:, 0]
+                for start in range(0, len(matrices), rows)])
+            return np.einsum("gi,i->g", np.abs(final) ** 2, game.payoffs[0])
+        return dilemma
     counts, weights = game.occupation_types
     top = int(counts.max(initial=1))
     rows = _search_rows(_symmetric_width(game))
-    values = np.empty(len(matrices))
-    for start in range(0, len(matrices), rows):
-        batch = matrices[start:start + rows]
-        powers = np.empty((top + 1, d, d, len(batch)), dtype=complex)  # [e, i, k]: U[i, k]^e
-        powers[0], powers[1] = 1.0, batch.transpose(1, 2, 0)
-        for e in range(2, top + 1):
-            np.multiply(powers[e - 1], powers[1], out=powers[e])
-        terms = powers[counts[:, 0], 0]  # (T, k, rows)
-        for i in range(1, d):
-            # in place: a fixed operand order rounds the same in any batch
-            np.multiply(terms, powers[counts[:, i], i], out=terms)
-        amplitudes = terms[:, 0] + terms[:, 1]  # (T, rows), summed over k in order
-        for k in range(2, d):
-            amplitudes += terms[:, k]
-        del powers, terms  # freed before the next sub-batch allocates its own
-        probabilities = (amplitudes.real ** 2 + amplitudes.imag ** 2) * weights[:, None]
-        # both sums add whole rows in order: a value does not depend on its batch
-        values[start:start + rows] = sum(probabilities) / d
-    return values
+    weights = weights[:, None]
+
+    def ghz(matrices: np.ndarray) -> np.ndarray:
+        values = np.empty(len(matrices))
+        for start in range(0, len(matrices), rows):
+            batch = matrices[start:start + rows]
+            powers = np.empty((top + 1, d, d, len(batch)), dtype=complex)  # [e, i, k]: U[i, k]^e
+            powers[0], powers[1] = 1.0, batch.transpose(1, 2, 0)
+            for e in range(2, top + 1):
+                np.multiply(powers[e - 1], powers[1], out=powers[e])
+            terms = powers[counts[:, 0], 0]  # (T, k, rows)
+            for i in range(1, d):
+                # in place: a fixed operand order rounds the same in any batch
+                np.multiply(terms, powers[counts[:, i], i], out=terms)
+            amplitudes = terms[:, 0] + terms[:, 1]  # (T, rows), summed over k in order
+            for k in range(2, d):
+                amplitudes += terms[:, k]
+            del powers, terms  # freed before the next sub-batch allocates its own
+            probabilities = (amplitudes.real ** 2 + amplitudes.imag ** 2) * weights
+            # both sums add whole rows in order: a value does not depend on its
+            # batch.  np.add.reduce(probabilities, axis=0) does not: a one-row
+            # sub-batch is summed pairwise and rounds differently
+            # (test_symmetric_row_value_does_not_depend_on_its_batch[random3x3])
+            values[start:start + rows] = sum(probabilities) / d
+        return values
+    return ghz
 
 
 def _symmetric_width(game: GameSpec) -> int:
@@ -423,6 +476,7 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
     axes = np.flatnonzero(lower < upper).repeat(2)  # poll j moves axes[j] by signs[j] * step
     polls = np.arange(len(axes))
     signs = np.tile([1.0, -1.0], len(axes) // 2)
+    lower, upper = lower[axes], upper[axes]  # the bounds of each poll's coordinate
     steps = np.full(len(best), cfg.refine_initial_step)
     evaluations = 0
     for _ in range(best.shape[1] * cfg.refine_iterations if len(axes) else 0):
@@ -430,8 +484,8 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
         if not len(active):
             break
         candidates = best[active, None].repeat(len(axes), axis=1)  # (A, 2k, p)
-        candidates[:, polls, axes] = (candidates[:, polls, axes]
-                                      + signs * steps[active, None]).clip(lower[axes], upper[axes])
+        polled = candidates[:, polls, axes] + signs * steps[active, None]
+        candidates[:, polls, axes] = np.minimum(np.maximum(polled, lower), upper)
         values = evaluate_batch(candidates.reshape(-1, best.shape[1])).reshape(len(active), -1)
         evaluations += values.size
         pick = values.argmax(axis=1)
@@ -579,12 +633,14 @@ def _exact_su2_params(family: Family, form: np.ndarray) -> tuple[float, ...]:
     return _quaternion_params(q)[:2]  # q2 = 0 gives beta = 0
 
 
-def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, space,
-             cfg: SearchConfig, fidelity: float, uniform: float) -> BestResponseResult:
+def _respond(game: GameSpec, form: np.ndarray, profile: Sequence[StrategySpec], player: int,
+             space, cfg: SearchConfig, fidelity: float) -> BestResponseResult:
     """Best response for one player, given that player's noise-free deviation form.
 
     Deviations are compared at f = 1; the payoff returned is mapped to ``fidelity``.
     """
+    uniform = game.payoffs.mean(axis=1)[player - 1]
+
     def found(strategy: StrategySpec, value: float, evaluations: int,
               certificate: str) -> BestResponseResult:
         payoff = float(_at_fidelity(value, fidelity, uniform))
@@ -613,12 +669,19 @@ def _respond(form: np.ndarray, profile: Sequence[StrategySpec], player: int, spa
         extra = [current.params] + extra
     values = None
     if extra:
-        top = current.local_dimension * float(np.linalg.eigvalsh(form)[-1])
+        d = current.local_dimension
+        top = d * float(np.linalg.eigvalsh(form)[-1])
         bound = _at_fidelity(top, fidelity, uniform)
+        noisy = math.inf  # d * lambda_max(f T + (1 - f) N), lower only where the S_a differ
+        if 0 < fidelity < 1:
+            noise = np.diag(_noise_diagonal(game, player))
+            noisy = d * float(np.linalg.eigvalsh(_at_fidelity(form, fidelity, noise))[-1])
         values = evaluate(_family_matrices(family, np.asarray(extra)))
         for params, value in zip(extra, values):
-            # the gap to the bound shrinks with f: at f = 0 every deviation attains it
-            if fidelity * (top - value) <= _BOUND_RTOL * max(1.0, abs(bound)):
+            # the gap to the lower bound; the first shrinks with f, and at f = 0
+            # every deviation attains it
+            gap = min(fidelity * (top - value), noisy - _at_fidelity(value, fidelity, uniform))
+            if gap <= _BOUND_RTOL * max(1.0, abs(bound)):
                 return found(StrategySpec(family, params), value, len(extra), "bound")
     params, value, evaluations = _search_family(family, evaluate, extra, cfg, values)
     return found(StrategySpec(family, params), value, evaluations, "search")
@@ -645,9 +708,10 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
     ``profile`` is player-1-first.  ``space`` is a Family or an explicit
     sequence of StrategySpec candidates.  Discrete spaces are enumerated and
     the qubit families solved exactly; SU(3) returns a strategy that attains
-    the bound f * d * lambda_max(T) + (1 - f) * u if the current one or a
-    preset does, and otherwise searches by grid plus refinement.  ``threads``
-    is accepted for compatibility and ignored: every search runs in one thread.
+    the lower of f * d * lambda_max(T) + (1 - f) * u and
+    d * lambda_max(f T + (1 - f) N) if the current one or a preset does, and
+    otherwise searches by grid plus refinement.  ``threads`` is accepted for
+    compatibility and ignored: every search runs in one thread.
     """
     cfg = cfg or SearchConfig()
     n = game.shape.n
@@ -656,8 +720,7 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
         raise ValueError(f"player {player} out of range 1..{n}")
     fidelity = protocol_fidelity(game, fidelity)
     form = _deviation_form(game, ordered, player)
-    uniform = game.payoffs.mean(axis=1)[player - 1]
-    return _respond(form, profile, player, space, cfg, fidelity, uniform)
+    return _respond(game, form, profile, player, space, cfg, fidelity)
 
 
 def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
@@ -686,7 +749,7 @@ def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
         own = ordered[n - player][None, :, :]
         value = _deviation_payoffs(form, own)[0]
         profile_payoffs.append(float(_at_fidelity(value, fidelity, uniform)))
-        responses.append(_respond(form, profile, player, space, cfg, fidelity, uniform))
+        responses.append(_respond(game, form, profile, player, space, cfg, fidelity))
     profile_payoffs *= n // solved
     responses *= n // solved
     gains = [r.payoff - base for r, base in zip(responses, profile_payoffs)]
@@ -765,14 +828,9 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
         index = int(np.argmax(values))
         best_spec, best_value = discrete[index], float(values[index])
     else:
-        family = space
-
-        def evaluate(matrices: np.ndarray) -> np.ndarray:
-            return _symmetric_payoffs(game, matrices)
-
-        extra = list(FAMILY_PRESETS.get(family, ()))
-        params, best_value, _ = _search_family(family, evaluate, extra, cfg)
-        best_spec = StrategySpec(family, params)
+        extra = list(FAMILY_PRESETS.get(space, ()))
+        params, best_value, _ = _search_family(space, _symmetric_evaluator(game), extra, cfg)
+        best_spec = StrategySpec(space, params)
     # searched at f = 1: for f > 0 the map keeps the argmax
     best_value = float(_at_fidelity(best_value, fidelity, game.payoffs.mean(axis=1)[0]))
     if best_value > payoff + cfg.epsilon_nash:

@@ -122,8 +122,9 @@ class TestErrors:
         assert json.loads(out) == {"error": "grid_points_per_axis must lie in [2, 256], got 257"}
 
     def test_search_above_work_budget(self):
-        # 256^3 rows of 104 amplitudes, the powers U^0 .. U^7 and the 12 type
-        # products of minority(14): 1.7e9 amplitudes, rejected before any work
+        # 256 * 255^2 rows (alpha and beta drop their repeated endpoint) of 104
+        # amplitudes, the powers U^0 .. U^7 and the 12 type products of
+        # minority(14): 1.7e9 amplitudes, rejected before any work
         start = time.perf_counter()
         code, out = run_cli(["search", "--game", "minority", "-n", "14", "--mode", "pareto",
                              "--payoff", "0.05", "--grid", "256"])
@@ -131,12 +132,12 @@ class TestErrors:
         assert code == 2
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": (
-            "a symmetric search over 16777216 grid rows evaluates 1744830464 amplitudes "
+            "a symmetric search over 16646400 grid rows evaluates 1731225600 amplitudes "
             "(104 per row), above the cap of 1073741824")}
 
     def test_default_grid_of_minority_fourteen_now_fits_the_work_budget(self):
-        # 33^3 = 35 937 rows of 104 amplitudes: 3.7e6 of the 2^30 cap, though
-        # rows x D x d would be 1.18e9
+        # 33 * 32^2 = 33 792 rows of 104 amplitudes: 3.5e6 of the 2^30 cap, though
+        # rows x D x d would be 1.11e9
         code, payload = run_json(["search", "--game", "minority", "-n", "14", "--mode",
                                   "pareto", "--payoff", "0.05", "--grid", "33"])
         assert code == 0

@@ -318,11 +318,11 @@ class TestLargeSystems:
         assert abs(value - expected) < 1e-12
 
     def test_minority_ten_symmetric_grid_batch_is_sub_batched(self):
-        # the 13 824-point full grid at D = 1024: a row of the type kernel holds
+        # the 12 696-point full grid at D = 1024: a row of the type kernel holds
         # the powers U^0 .. U^9, its 8 type products and one gathered factor;
         # unsplit that is about 16 MB, and a sub-batch holds it within the budget
         game = minority(10)
-        grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 ** 3))
+        grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 * 23 ** 2))
         matrices = _family_matrices(Family.FULL_SU2, grid)
         budget_bytes = solver._SEARCH_BUDGET * 16
         counts, weights = game.occupation_types
@@ -341,7 +341,7 @@ class TestLargeSystems:
 
     def test_minority_fourteen_symmetric_grid_stays_in_budget(self):
         game = minority(14)
-        grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 ** 3))
+        grid = solver._grid_rows(solver._grid_axes(Family.FULL_SU2, 24), np.arange(24 * 23 ** 2))
         matrices = _family_matrices(Family.FULL_SU2, grid)
         game.occupation_types  # the table is built once per game, outside the bound
         tracemalloc.start()
@@ -368,15 +368,15 @@ class TestLargeSystems:
 
     def test_kolkata_su3_pareto_grid_is_streamed(self):
         # streamed, the scan holds one chunk's rows, matrices and amplitudes at a
-        # time: the gauge-fixed 6^6-point grid runs in 7 chunks of 7 281 rows
+        # time: the gauge-fixed 6^3 x 5^3-point grid runs in 6 chunks of 4 500 rows
         assert self.pareto_peak(KOLKATA, 4 / 9, Family.FRAME_SU3) < 8 * 2 ** 20
 
     def test_minority_ten_pareto_grid_is_streamed(self):
-        # the 24^3 grid is one chunk, whose D = 1024 sub-batches hold 32 rows
+        # the 24 x 23^2 grid is one chunk, whose D = 1024 sub-batches hold 32 rows
         assert self.pareto_peak(minority(10), 0.05, Family.FULL_SU2) < 8 * 2 ** 20
 
     def test_default_minority_fourteen_grid_passes_the_work_budget(self, monkeypatch):
-        # 24^3 rows x 104 amplitudes = 1.4e6, under the 2^30 cap; the search
+        # 24 x 23^2 rows x 104 amplitudes = 1.3e6, under the 2^30 cap; the search
         # itself is stubbed out
         searched = []
 
@@ -691,7 +691,7 @@ def per_player_verdict(game, profile, space, cfg=None, fidelity=1.0):
         form = _deviation_form(game, ordered, player)
         value = _deviation_payoffs(form, ordered[n - player][None])[0]
         bases.append(float(solver._at_fidelity(value, fidelity, uniform)))
-        responses.append(solver._respond(form, profile, player, space, cfg, fidelity, uniform))
+        responses.append(solver._respond(game, form, profile, player, space, cfg, fidelity))
     gains = [r.payoff - base for r, base in zip(responses, bases)]
     return solver.EquilibriumVerdict(
         max(gains) <= cfg.epsilon_nash, max(gains), tuple(bases),
@@ -1204,16 +1204,17 @@ class TestGridOpenMeshes:
     BUILDERS = {Family.FRAME_SU3: "su3_frame_batch", Family.FULL_SU2: "su2_full_batch",
                 Family.EISERT_SU2: "su2_eisert_batch"}
 
-    # (family, rows per chunk, chunks); the SU(3) axes hold (6, 6, 6, 1, 1, 6, 6, 6)
-    # points, the full axes 24^3 and the eisert axes 24^2
+    # (family, rows per chunk, chunks); the SU(3) axes hold (6, 6, 6, 1, 1, 5, 5, 5)
+    # points, the full axes 24 x 23 x 23 and the eisert axes 24^2: a periodic
+    # axis drops its repeated endpoint
     @pytest.mark.parametrize("family,rows,chunks", [
-        (Family.FRAME_SU3, None, 12),      # split on axis 1: 6480 + 1296 rows per phi point
-        (Family.FRAME_SU3, 900, 72),       # split on axis 2 in blocks of 4 + 2
-        (Family.FRAME_SU3, 150, 432),      # split on axis 5, the one-point gauge axes lead
-        (Family.FRAME_SU3, 25, 2592),      # split on axis 6 in blocks of 4 + 2
+        (Family.FRAME_SU3, None, 6),       # split on axis 0: 4500 rows per phi point
+        (Family.FRAME_SU3, 500, 72),       # split on axis 2 in blocks of 4 + 2
+        (Family.FRAME_SU3, 100, 432),      # split on axis 5 in blocks of 4 + 1, gauge axes lead
+        (Family.FRAME_SU3, 20, 2160),      # split on axis 6 in blocks of 4 + 1
         (Family.FULL_SU2, None, 1),
-        (Family.FULL_SU2, 120, 120),       # split on axis 1 in blocks of 5, 5, 5, 5, 4
-        (Family.FULL_SU2, 20, 1152),       # split on the last axis in blocks of 20 + 4
+        (Family.FULL_SU2, 120, 120),       # split on axis 1 in blocks of 5, 5, 5, 5, 3
+        (Family.FULL_SU2, 20, 1104),       # split on the last axis in blocks of 20 + 3
         (Family.EISERT_SU2, None, 1),
         (Family.EISERT_SU2, 500, 2),       # split on axis 0 in blocks of 20 + 4
         (Family.EISERT_SU2, 20, 48),       # split on the last axis in blocks of 20 + 4
@@ -1251,7 +1252,7 @@ class TestGridOpenMeshes:
         assert len(done) == chunks and sum(done) == math.prod(map(len, axes))
 
     def test_grid_chunks_then_the_starts_call_the_constructor(self, monkeypatch):
-        # the 46 656 grid rows in 12 calls, then the preset and random starts in one
+        # the 27 000 grid rows in 6 calls, then the preset and random starts in one
         calls = []
 
         def recording(*params):
@@ -1261,7 +1262,26 @@ class TestGridOpenMeshes:
         monkeypatch.setattr(solver, "su3_frame_batch", recording)
         pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, SearchConfig(refine_iterations=0))
         starts = len(FAMILY_PRESETS[Family.FRAME_SU3]) + solver._RANDOM_STARTS
-        assert calls == [(6, 6480), (6, 1296)] * 6 + [(starts, starts)]
+        assert calls == [(6, 4500)] * 6 + [(starts, starts)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(list(BUILDERS)), points=st.integers(2, 8))
+    def test_grid_holds_each_point_once_modulo_the_period(self, family, points):
+        box = solver._search_box(family)
+        periodic = solver._PERIODIC_AXES.get(family, ())
+
+        def classes(axes):
+            # a periodic coordinate as its phase, so 0 and 2 pi are one class
+            rows = solver._grid_rows(axes, np.arange(math.prod(map(len, axes))))
+            columns = [np.exp(1j * rows[:, j]) if j in periodic else rows[:, j] + 0j
+                       for j in range(len(box))]
+            return list(map(tuple, np.round(np.stack(columns, axis=-1), 9).tolist()))
+
+        grid = classes(solver._grid_axes(family, points))
+        size = points if len(box) <= 3 else min(points, 6)
+        endpoints = classes([np.linspace(lo, hi, size if lo < hi else 1) for lo, hi in box])
+        assert len(set(grid)) == len(grid)
+        assert set(grid) == set(endpoints)
 
     def test_discrete_families_have_no_constructor(self):
         for family in (Family.CLASSICAL_BIT, Family.CYCLIC_C3):
@@ -1349,10 +1369,11 @@ class TestPhaseGauge:
 
     def test_grid_keeps_the_values_of_the_eight_axis_grid(self):
         axes = solver._grid_axes(Family.FRAME_SU3, 24)
-        assert [len(axis) for axis in axes] == [6, 6, 6, 1, 1, 6, 6, 6]
-        assert math.prod(len(axis) for axis in axes) == 46656
-        # sums of three alpha points, mod 2 pi, are the classes of one axis
-        point = np.linspace(0, 2 * np.pi, 6)
+        assert [len(axis) for axis in axes] == [6, 6, 6, 1, 1, 5, 5, 5]
+        assert math.prod(len(axis) for axis in axes) == 27000
+        # sums of three alpha points, mod 2 pi, are the classes of one axis; the
+        # eight-axis grid's phase axes also drop their repeated endpoint
+        point = np.linspace(0, 2 * np.pi, 6)[:-1]
         classes = lambda values: set(np.round(np.exp(1j * values), 9).tolist())
         sums = np.add.outer(np.add.outer(point, point), point).ravel()
         assert classes(sums) == classes(axes[5]) and len(classes(axes[5])) == 5
@@ -1433,6 +1454,51 @@ class TestAffineFidelity:
                 bound = at_fidelity(RANDOM3, player, fidelity, 2 * np.linalg.eigvalsh(form)[-1])
                 noisy = dense_deviation_form(RANDOM3, ops, player, fidelity)
                 assert bound < 2 * np.linalg.eigvalsh(noisy)[-1] - 1e-3
+
+    def test_noise_form_gives_the_noisy_payoffs_and_a_second_bound(self):
+        # f T + (1 - f) N, N = diag(S_a / D), pays what a noisy play pays on
+        # Haar deviations, and d * lambda_max of it bounds them as the affine
+        # bound does; on tables whose slot sums S_a differ it can be the tighter
+        rng = np.random.default_rng(41)
+        tighter = 0
+        for seed in range(40):
+            game = random_table_game(3, 3, seed)
+            ops = list(random_unitaries(rng, 3, 3))  # player-n-first
+            for player in (1, 2, 3):
+                form = _deviation_form(game, ops, player)
+                noise = np.diag(solver._noise_diagonal(game, player))
+                for fidelity in (0.37, 0.6):
+                    mixed = solver._at_fidelity(form, fidelity, noise)
+                    deviations = random_unitaries(rng, 30, 3)
+                    played = []
+                    for u in deviations:
+                        moves = list(ops)
+                        moves[3 - player] = u
+                        report = play_profile(game, moves, fidelity=fidelity)
+                        played.append(report.payoffs[player - 1])
+                    values = _deviation_payoffs(mixed, deviations)
+                    np.testing.assert_allclose(values, played, rtol=0, atol=1e-14)
+                    affine = at_fidelity(game, player, fidelity, 3 * np.linalg.eigvalsh(form)[-1])
+                    noisy = 3 * np.linalg.eigvalsh(mixed)[-1]
+                    assert values.max() <= min(affine, noisy) + 1e-12
+                    tighter += noisy < affine - 1e-9
+        assert tighter > 0
+
+    def test_su3_response_exits_on_the_noisy_bound(self):
+        # a form the current strategy, a permutation, meets only with the noise:
+        # it pays f T + (1 - f) N's top entry on every row, but T's top entry
+        # on one row alone, so only d * lambda_max(f T + (1 - f) N) certifies it
+        fidelity = 0.6
+        slots = solver._noise_diagonal(RANDOM_QUTRIT, 1)[::3]  # S_a / D
+        current = StrategySpec(Family.FRAME_SU3, (0.0,) * 8)
+        top = (1 - fidelity) * slots.max() + fidelity
+        entries = (top - (1 - fidelity) * slots) / fidelity  # one per row
+        form = np.diag(((np.abs(current.matrix()) > 0.5) * entries[:, None]).ravel())
+        assert fidelity * (3 * entries.max() - entries.sum()) > 1e-3  # off the affine bound
+        result = solver._respond(RANDOM_QUTRIT, form, [current, current], 1,
+                                 Family.FRAME_SU3, SearchConfig(), fidelity)
+        assert (result.certificate, result.strategy, result.evaluations) == ("bound", current, 2)
+        assert abs(result.payoff - 3 * top) < 1e-12
 
     def test_su3_response_at_zero_fidelity_exits_on_the_bound(self):
         rng = np.random.default_rng(92)
