@@ -68,7 +68,12 @@ how it was obtained (``BestResponseResult.certificate``):
             6^3 * 5^3 = 27 000 rows) is built chunk by chunk on open meshes
             and followed by multi-start compass search with complete polling,
             every start in lockstep with one batched call per round
-            (``_search_family``, ``_refine``).
+            (``_search_family``, ``_refine``).  A symmetric SU(3) search on
+            the GHZ state pays U and conj(U) alike (``_conjugate_invariant``),
+            and negating the phases a3, b1, b2 conjugates su3_frame, so it
+            scans the a3 indices 0 .. m // 2 of m, 6^3 * 3 * 5^2 = 16 200
+            rows, and refines the best row of each of the 8 best conjugation
+            orbits (``_top_orbits``) instead of the 16 best rows.
 
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
@@ -266,24 +271,53 @@ _PERIODIC_AXES = {
 }
 
 
-def _grid_axes(family: Family, grid_points: int) -> list[np.ndarray]:
+def _grid_axes(family: Family, grid_points: int, conjugate: bool = False) -> list[np.ndarray]:
     """The points along each axis of the family's search grid.
 
     An axis is ``grid_points`` evenly spaced points over its interval (6 for
     a family of more than 3 parameters); a periodic axis drops its last
     point, which is its first one's phase, so every grid point is distinct.
+    A ``conjugate`` SU(3) grid (``_conjugate_invariant``) keeps the a3
+    indices 0 .. m // 2 of its m: a row outside them mirrors into them.
     """
     box = _search_box(family)
     points = grid_points if len(box) <= 3 else min(grid_points, 6)
     periodic = _PERIODIC_AXES.get(family, ())
     axes = [np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box]
-    return [axis[:-1] if j in periodic else axis for j, axis in enumerate(axes)]
+    axes = [axis[:-1] if j in periodic else axis for j, axis in enumerate(axes)]
+    if conjugate:
+        a3 = periodic[0]
+        axes[a3] = axes[a3][:len(axes[a3]) // 2 + 1]  # by index, so an even m keeps pi
+    return axes
 
 
 def _grid_rows(axes: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
     """Rows of the lexicographic grid over ``axes`` at the given flat indices."""
     digits = np.unravel_index(flat, [len(axis) for axis in axes])
     return np.stack([axis[i] for axis, i in zip(axes, digits)], axis=-1)
+
+
+def _top_orbits(values: np.ndarray, axes: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """The best row of each of the k best conjugation orbits of a ``conjugate`` SU(3) grid.
+
+    Conjugation maps a row's phase indices j (a3, b1, b2) to (m - j) mod m,
+    m the points of a whole phase axis (b2's), and an orbit is a row and its
+    mirror.  Rows are taken in ``_top_indices`` order and one whose mirror
+    was taken is skipped; an orbit holds at most two rows, so the 2k best
+    rows hold k orbits.
+    """
+    phases = list(_PERIODIC_AXES[Family.FRAME_SU3])
+    rows = _top_indices(values, 2 * k)
+    digits = np.stack(np.unravel_index(rows, [len(axis) for axis in axes]), axis=-1)
+    mirrors = digits.copy()
+    mirrors[:, phases] = -digits[:, phases] % len(axes[phases[-1]])
+    taken, seen = [], set()
+    for row, digit, mirror in zip(rows, digits.tolist(), mirrors.tolist()):
+        orbit = min(tuple(digit), tuple(mirror))
+        if orbit not in seen:
+            seen.add(orbit)
+            taken.append(row)
+    return np.asarray(taken[:k], dtype=int)
 
 
 def _clamp_to_box(params: Sequence[float], box) -> tuple[float, ...]:
@@ -474,39 +508,53 @@ def _refine(evaluate_batch: Callable[[np.ndarray], np.ndarray], starts: np.ndarr
     best_values = np.array(start_values, dtype=float)
     lower, upper = np.asarray(box, dtype=float).T
     axes = np.flatnonzero(lower < upper).repeat(2)  # poll j moves axes[j] by signs[j] * step
-    polls = np.arange(len(axes))
     signs = np.tile([1.0, -1.0], len(axes) // 2)
     lower, upper = lower[axes], upper[axes]  # the bounds of each poll's coordinate
+    moved = np.arange(len(axes)) * best.shape[1] + axes  # poll j's coordinate in a start's polls
+    # the working set holds the active starts only, compacted when one stops
+    index = np.arange(len(best))
+    points, values = best.copy(), best_values.copy()
     steps = np.full(len(best), cfg.refine_initial_step)
     evaluations = 0
     for _ in range(best.shape[1] * cfg.refine_iterations if len(axes) else 0):
-        active = (steps >= _MIN_STEP).nonzero()[0]
-        if not len(active):
+        stopped = steps < _MIN_STEP
+        if stopped.any():
+            best[index[stopped]], best_values[index[stopped]] = points[stopped], values[stopped]
+            running = ~stopped
+            index, points, values, steps = (index[running], points[running], values[running],
+                                            steps[running])
+        if not len(index):
             break
-        candidates = best[active, None].repeat(len(axes), axis=1)  # (A, 2k, p)
-        polled = candidates[:, polls, axes] + signs * steps[active, None]
-        candidates[:, polls, axes] = np.minimum(np.maximum(polled, lower), upper)
-        values = evaluate_batch(candidates.reshape(-1, best.shape[1])).reshape(len(active), -1)
-        evaluations += values.size
-        pick = values.argmax(axis=1)
-        top = values[np.arange(len(active)), pick]
-        won = top > best_values[active]
-        moved = active[won]
-        best[moved], best_values[moved] = candidates[won, pick[won]], top[won]
-        steps[active[~won]] /= 2.0
+        candidates = points.repeat(len(axes), axis=0)  # (A * 2k, p): start a's polls in a row
+        polled = points[:, axes] + signs * steps[:, None]
+        candidates.reshape(len(points), -1)[:, moved] = np.minimum(np.maximum(polled, lower), upper)
+        polls = evaluate_batch(candidates).reshape(len(points), -1)
+        evaluations += polls.size
+        pick = polls.argmax(axis=1)
+        top = polls[np.arange(len(points)), pick]
+        won = top > values
+        winners = candidates.reshape(len(points), len(axes), -1)[won, pick[won]]
+        points[won], values[won] = winners, top[won]
+        steps[~won] /= 2.0
+    best[index], best_values[index] = points, values
     return best, best_values, evaluations
 
 
 def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
-                   extra_starts, cfg: SearchConfig,
-                   extra_values=None) -> tuple[tuple[float, ...], float, int]:
+                   extra_starts, cfg: SearchConfig, extra_values=None,
+                   conjugate: bool = False) -> tuple[tuple[float, ...], float, int]:
     """Grid + multi-start refinement over one continuous family's search box.
 
     ``evaluate`` maps a batch of (N, d, d) strategy matrices to payoffs.  The
     family's batch constructor builds every matrix: the grid's on one open
     mesh per chunk (``_chunked``), and the starts and moves from their
-    parameter rows.  The best grid points start refinement with the values
-    the grid scan gave them.
+    parameter rows.  The 16 best grid points (1 for a family of at most 3
+    parameters) start refinement with the values the grid scan gave them.
+    A ``conjugate`` search, one whose payoffs do not change under complex
+    conjugation (``_conjugate_invariant``), scans the half grid of
+    ``_grid_axes`` and starts from the best row of each of its 8 best
+    conjugation orbits (``_top_orbits``); its refinement box is the whole
+    search box.
     The extra starts are mapped into the box by the gauge, which keeps their
     values, so ``extra_values``, when the caller has them, are used as they
     are; otherwise the extra starts are evaluated with the seeded random
@@ -518,10 +566,13 @@ def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
         return evaluate(_family_matrices(family, params))
 
     box = _search_box(family)
-    axes = _grid_axes(family, cfg.grid_points_per_axis)
+    axes = _grid_axes(family, cfg.grid_points_per_axis, conjugate)
     grid_payoffs = _chunked(evaluate, family, axes)
 
-    order = _top_indices(grid_payoffs, 16 if len(box) >= 4 else 1)
+    if conjugate:
+        order = _top_orbits(grid_payoffs, axes, 8)
+    else:
+        order = _top_indices(grid_payoffs, 16 if len(box) >= 4 else 1)
     rng = np.random.default_rng(cfg.seed)
     others = [_clamp_to_box(_gauge_fixed(family, params), box) for params in extra_starts]
     # drawn over the whole parameter box and then mapped, so a seed gives the
@@ -783,6 +834,20 @@ def dominant_strategy(game: GameSpec, player: int) -> int | None:
     return None
 
 
+def _conjugate_invariant(game: GameSpec, space) -> bool:
+    """Whether a symmetric search over ``space`` on ``game`` may scan the conjugate half grid.
+
+    On the GHZ state a symmetric payoff depends on U only through
+    |sum_k prod_i U[i, k]^{m_i}|^2, so U and conj(U) pay the same, and
+    su3_frame at negated phases is the conjugate frame: negating every phase
+    index maps the SU(3) grid onto itself.  A deviation form is not invariant
+    under conjugation, and conj U(theta, alpha, beta) = U(theta, -alpha,
+    pi - beta) maps a ``full`` beta grid onto itself only at an even point
+    count, so best responses and SU(2) searches scan the whole grid.
+    """
+    return space is Family.FRAME_SU3 and not game.use_entangler_pair
+
+
 def _payoff_sum_bound(game: GameSpec) -> Fraction:
     """max_b sum_i payoff_i(b); bounds total payoff in any state."""
     return Fraction(int(game.numerators.sum(axis=0).max()), game.denominator)
@@ -797,10 +862,12 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     value, that analytic certificate is returned.  Otherwise symmetric
     profiles over the space are searched for one that beats the value by
     more than epsilon; finding one disproves optimality with a witness.
-    A grid that would evaluate more than ``_WORK_BUDGET`` amplitudes (rows
-    times the amplitudes ``_symmetric_payoffs`` holds per row) is rejected
-    before any work, as is a payoff that is not finite.  ``threads`` is
-    accepted for compatibility and ignored.
+    An SU(3) search on the GHZ state scans the conjugate half grid
+    (``_conjugate_invariant``).  A grid that would evaluate more than
+    ``_WORK_BUDGET`` amplitudes (the rows searched times the amplitudes
+    ``_symmetric_payoffs`` holds per row) is rejected before any work, as is
+    a payoff that is not finite.  ``threads`` is accepted for compatibility
+    and ignored.
     """
     cfg = cfg or SearchConfig()
     if not math.isfinite(payoff):
@@ -809,8 +876,10 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     if _space_dimension(space) != game.shape.d:
         raise ValueError("strategy space dimension does not match the game")
     discrete = _discrete_candidates(space)
+    conjugate = _conjugate_invariant(game, space)
     if discrete is None:
-        rows = math.prod(len(axis) for axis in _grid_axes(space, cfg.grid_points_per_axis))
+        axes = _grid_axes(space, cfg.grid_points_per_axis, conjugate)
+        rows = math.prod(len(axis) for axis in axes)
         width = _symmetric_width(game)
         work = rows * width
         if work > _WORK_BUDGET:
@@ -829,7 +898,8 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
         best_spec, best_value = discrete[index], float(values[index])
     else:
         extra = list(FAMILY_PRESETS.get(space, ()))
-        params, best_value, _ = _search_family(space, _symmetric_evaluator(game), extra, cfg)
+        params, best_value, _ = _search_family(space, _symmetric_evaluator(game), extra, cfg,
+                                               conjugate=conjugate)
         best_spec = StrategySpec(space, params)
     # searched at f = 1: for f > 0 the map keeps the argmax
     best_value = float(_at_fidelity(best_value, fidelity, game.payoffs.mean(axis=1)[0]))

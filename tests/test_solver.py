@@ -368,7 +368,8 @@ class TestLargeSystems:
 
     def test_kolkata_su3_pareto_grid_is_streamed(self):
         # streamed, the scan holds one chunk's rows, matrices and amplitudes at a
-        # time: the gauge-fixed 6^3 x 5^3-point grid runs in 6 chunks of 4 500 rows
+        # time: the gauge-fixed conjugate half grid, 6^3 x 3 x 5^2 points, runs in
+        # 3 chunks of 5 400 rows
         assert self.pareto_peak(KOLKATA, 4 / 9, Family.FRAME_SU3) < 8 * 2 ** 20
 
     def test_minority_ten_pareto_grid_is_streamed(self):
@@ -380,7 +381,7 @@ class TestLargeSystems:
         # itself is stubbed out
         searched = []
 
-        def stub(family, evaluate_batch, extra_starts, cfg, extra_values=None):
+        def stub(family, evaluate_batch, extra_starts, cfg, extra_values=None, conjugate=False):
             searched.append(cfg.grid_points_per_axis)
             return (0.0, 0.0, 0.0), 0.0, 0
 
@@ -1252,7 +1253,8 @@ class TestGridOpenMeshes:
         assert len(done) == chunks and sum(done) == math.prod(map(len, axes))
 
     def test_grid_chunks_then_the_starts_call_the_constructor(self, monkeypatch):
-        # the 27 000 grid rows in 6 calls, then the preset and random starts in one
+        # the 16 200 rows of the conjugate half grid in 3 calls, then the preset
+        # and random starts in one
         calls = []
 
         def recording(*params):
@@ -1262,7 +1264,7 @@ class TestGridOpenMeshes:
         monkeypatch.setattr(solver, "su3_frame_batch", recording)
         pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, SearchConfig(refine_iterations=0))
         starts = len(FAMILY_PRESETS[Family.FRAME_SU3]) + solver._RANDOM_STARTS
-        assert calls == [(6, 4500)] * 6 + [(starts, starts)]
+        assert calls == [(6, 5400)] * 3 + [(starts, starts)]
 
     @settings(max_examples=30, deadline=None)
     @given(family=st.sampled_from(list(BUILDERS)), points=st.integers(2, 8))
@@ -1405,6 +1407,136 @@ class TestPhaseGauge:
         assert result.payoff >= reference - 1e-12
         played = played_payoff(KOLKATA, SU3_OFF_BOUND, 2, result.strategy, fidelity)
         assert abs(result.payoff - played) < 1e-12
+
+
+def mirror_digits(m, digits):
+    """Each SU(3) grid row's conjugate: a phase index j (a3, b1, b2) becomes (m - j) mod m."""
+    mirrors = np.array(digits)
+    phases = list(solver._PERIODIC_AXES[Family.FRAME_SU3])
+    mirrors[..., phases] = (m - mirrors[..., phases]) % m
+    return mirrors
+
+
+def full_grid_reference(game, cfg):
+    """The symmetric SU(3) search on the whole grid from its 16 best rows, with
+    the presets and seeded random starts: the search before the conjugate half."""
+    family = Family.FRAME_SU3
+    evaluate = on_params(family, lambda matrices: _symmetric_payoffs(game, matrices))
+    box = solver._search_box(family)
+    axes = solver._grid_axes(family, cfg.grid_points_per_axis)
+    grid = solver._grid_rows(axes, np.arange(math.prod(map(len, axes))))
+    values = evaluate(grid)
+    order = np.argsort(-values, kind="stable")[:16]
+    rng = np.random.default_rng(cfg.seed)
+    others = [solver._clamp_to_box(solver._gauge_fixed(family, params), box)
+              for params in FAMILY_PRESETS[family]]
+    others += [solver._gauge_fixed(family, [rng.uniform(lo, hi) for lo, hi in parameter_box(family)])
+               for _ in range(solver._RANDOM_STARTS)]
+    starts = np.concatenate([grid[order], np.asarray(others)])
+    start_values = np.concatenate([values[order], evaluate(np.asarray(others))])
+    refined, refined_values, _ = solver._refine(evaluate, starts, start_values, box, cfg)
+    winner = int(np.argmax(refined_values))
+    return tuple(map(float, refined[winner])), float(refined_values[winner])
+
+
+class TestConjugateHalf:
+    """A symmetric SU(3) search on the GHZ state pays U and conj(U) alike, so it
+    scans the conjugate half of the grid and refines one row per orbit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4))
+    def test_negated_phases_conjugate_the_frame_and_keep_the_payoff(self, seed, n):
+        rng = np.random.default_rng(seed)
+        game = random_table_game(n, 3, seed % 1000)
+        params = np.column_stack([rng.uniform(0, np.pi / 2, (16, 3)),
+                                  rng.uniform(0, 2 * np.pi, (16, 5))])
+        negated = np.column_stack([params[:, :3], -params[:, 3:]])
+        frame, mirrored = su3_frame_batch(*params.T), su3_frame_batch(*negated.T)
+        np.testing.assert_array_equal(mirrored, frame.conj())
+        np.testing.assert_array_equal(_symmetric_payoffs(game, mirrored),
+                                      _symmetric_payoffs(game, frame))
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 6])
+    def test_half_grid_holds_every_orbit_and_starts_on_eight(self, points):
+        family = Family.FRAME_SU3
+        full = solver._grid_axes(family, points)
+        half = solver._grid_axes(family, points, conjugate=True)
+        m = len(full[7])
+        assert len(half[5]) == m // 2 + 1
+        for whole, kept in zip(full, half):
+            np.testing.assert_array_equal(kept, whole[:len(kept)])
+        sizes = [len(axis) for axis in full]
+        digits = np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes), axis=-1)
+        mirrors = mirror_digits(m, digits)
+        symmetric = symmetric_evaluator(KOLKATA)
+        values = solver._chunked(symmetric, family, full)
+        mirror_values = values[np.ravel_multi_index(tuple(mirrors.T), sizes)]
+        assert np.max(np.abs(values - mirror_values)) <= 1e-15
+        # an orbit is named by the lower of its rows' digits
+        orbits = [min(a, b) for a, b in zip(map(tuple, digits.tolist()),
+                                            map(tuple, mirrors.tolist()))]
+        kept = digits[:, 5] <= m // 2
+        half_orbits = list(itertools.compress(orbits, kept))
+        assert set(half_orbits) == set(orbits)
+        half_values = solver._chunked(symmetric, family, half)
+        np.testing.assert_array_equal(half_values, values[kept])
+        # the starts are the best row of each of the 8 best orbits, by a whole sort
+        want, seen = [], set()
+        for row in np.argsort(-half_values, kind="stable"):
+            if half_orbits[row] not in seen:
+                seen.add(half_orbits[row])
+                want.append(row)
+        starts = solver._top_orbits(half_values, half, 8)
+        np.testing.assert_array_equal(starts, want[:8])
+        assert len({half_orbits[row] for row in starts}) == len(starts) == min(8, len(seen))
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 6])
+    def test_witness_equals_the_full_grid_search(self, points):
+        cfg = SearchConfig(grid_points_per_axis=points)
+        verdict = pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3, cfg)
+        params, value = full_grid_reference(KOLKATA, cfg)
+        assert verdict.witness.params == params
+        assert verdict.witness_payoff == value
+
+    def test_the_work_budget_counts_the_half_grid(self, monkeypatch):
+        # 6^3 x 3 x 5^2 = 16 200 rows, not 27 000
+        width = solver._symmetric_width(KOLKATA)
+        monkeypatch.setattr(solver, "_search_family", lambda *args, **kwargs: ((0.0,) * 8, 0.0, 0))
+        monkeypatch.setattr(solver, "_WORK_BUDGET", 16200 * width)
+        pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3)
+        monkeypatch.setattr(solver, "_WORK_BUDGET", 16200 * width - 1)
+        with pytest.raises(ValueError, match="over 16200 grid rows"):
+            pareto_check_symmetric(KOLKATA, 4 / 9, Family.FRAME_SU3)
+
+    def test_responses_and_su2_searches_scan_the_whole_grid(self, monkeypatch):
+        assert solver._conjugate_invariant(KOLKATA, Family.FRAME_SU3)
+        assert not solver._conjugate_invariant(MINORITY4, Family.FULL_SU2)
+        assert not solver._conjugate_invariant(KOLKATA, [KOLKATA_OPT])
+        calls, starts = {}, []
+        refine = solver._refine
+
+        def recording_refine(evaluate_batch, rows, values, box, cfg):
+            starts.append(len(rows))
+            return refine(evaluate_batch, rows, values, box, cfg)
+
+        monkeypatch.setattr(solver, "_refine", recording_refine)
+        for name in ("su3_frame_batch", "su2_full_batch"):
+            def recording(*params, builder=getattr(solver, name), name=name):
+                calls.setdefault(name, []).append(np.broadcast(*params).size)
+                return builder(*params)
+            monkeypatch.setattr(solver, name, recording)
+        cfg = SearchConfig(refine_iterations=0)
+        result = best_response(KOLKATA, SU3_OFF_BOUND, 2, Family.FRAME_SU3, cfg)
+        assert result.certificate == "search"
+        extra = 1 + len(FAMILY_PRESETS[Family.FRAME_SU3])
+        # the current strategy and the presets, 27 000 grid rows in 6 chunks, the random starts
+        assert calls["su3_frame_batch"] == [extra] + [4500] * 6 + [solver._RANDOM_STARTS]
+        assert starts == [16 + extra + solver._RANDOM_STARTS]
+        verdict = pareto_check_symmetric(minority(5), 0.1, Family.FULL_SU2, cfg)
+        assert verdict.certificate == "symmetric-witness"
+        extra = len(FAMILY_PRESETS.get(Family.FULL_SU2, ()))
+        assert sum(calls["su2_full_batch"][:-1]) == 24 * 23 ** 2 == 12696
+        assert starts[1:] == [1 + extra + solver._RANDOM_STARTS]
 
 
 class TestAffineFidelity:
