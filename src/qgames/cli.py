@@ -7,9 +7,9 @@ report on stdout).
 
 Identical invocations produce byte-identical output: floats are rendered at
 12 significant digits, key order is fixed, and searches are deterministic for
-a given seed.  Every search runs in one thread; ``search --threads N`` is
-accepted for compatibility and has no effect, and ``QGAMES_THREADS`` is
-ignored.
+a given seed.  Every search runs in one thread: ``search --threads N`` has
+no effect and stays only because the bench workloads pass it, and
+``QGAMES_THREADS`` is ignored.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ def _emit(report: dict, fmt: str, out: IO[str]) -> None:
         out.write(_render_text(report) + "\n")
 
 
-def _probabilities_payload(probabilities: dict[str, float]) -> dict:
-    return {label: p for label, p in probabilities.items()}
-
-
 def _parse_profile(game: GameSpec, literals: Sequence[str]) -> list[StrategySpec]:
     specs = [parse_strategy(text) for text in literals]
     if len(specs) == 1 and game.shape.n > 1:
@@ -145,7 +141,7 @@ def _cmd_game(args, out: IO[str]) -> int:
             "bob": bob.literal(),
             "fidelity": report.fidelity,
             "payoffs": list(report.payoffs),
-            "probabilities": _probabilities_payload(report.probabilities),
+            "probabilities": report.probabilities,
         }
         _emit(payload, args.format, out)
         return 0
@@ -170,7 +166,7 @@ def _cmd_game(args, out: IO[str]) -> int:
         {
             "fidelity": report.fidelity,
             "payoffs": list(report.payoffs),
-            "probabilities": _probabilities_payload(report.probabilities),
+            "probabilities": report.probabilities,
         }
     )
     _emit(payload, args.format, out)

@@ -32,9 +32,11 @@ constant, whatever the grid size or the number of players.  A symmetric
 Pareto search whose grid would hold more than ``_WORK_BUDGET`` amplitudes
 (rows x ``_symmetric_width``) is rejected before it starts.
 
-A periodic axis (``_PERIODIC_AXES``: the full SU(2) alpha and beta, the SU(3)
-a3, b1 and b2) drops the grid point at the end of its interval, which is
-the phase of its first point, so every grid row is a distinct strategy.
+A periodic axis, one whose search interval is exactly 2 pi
+(``_periodic_axes``: the full SU(2) alpha and beta, the SU(3) a3, b1 and
+b2, but not the gauge-pinned a1 and a2), drops the grid point at the end of
+its interval, which is the phase of its first point, so every grid row is a
+distinct strategy.
 Each grid chunk is an open mesh of the axes (``np.ix_``) built by the
 family's batch constructor, which takes every sine, cosine and phase on its
 own argument, so a chunk computes one per axis point and a one-point axis
@@ -88,7 +90,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -149,13 +151,7 @@ class SearchConfig:
             raise ValueError("epsilon_nash must be finite and positive")
 
     def to_json(self) -> dict:
-        return {
-            "grid_points_per_axis": self.grid_points_per_axis,
-            "refine_iterations": self.refine_iterations,
-            "refine_initial_step": self.refine_initial_step,
-            "epsilon_nash": self.epsilon_nash,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -219,11 +215,9 @@ def _family_matrices(family: Family, params: np.ndarray) -> np.ndarray:
 
 def _discrete_candidates(space) -> list[StrategySpec] | None:
     if isinstance(space, Family):
-        if space == Family.CLASSICAL_BIT:
-            return [StrategySpec(space, (float(k),)) for k in range(2)]
-        if space == Family.CYCLIC_C3:
-            return [StrategySpec(space, (float(k),)) for k in range(3)]
-        return None
+        if parameter_box(space) is not None:
+            return None
+        return [StrategySpec(space, (float(k),)) for k in range(LOCAL_DIMENSION[space])]
     return [s if isinstance(s, StrategySpec) else StrategySpec(*s) for s in space]
 
 
@@ -264,11 +258,11 @@ def _gauge_fixed(family: Family, params: Sequence[float]) -> tuple[float, ...]:
     return params[:3] + (0.0, 0.0, sum(params[3:6]) % (2 * math.pi)) + params[6:]
 
 
-# parameters whose search interval is one period: its end is its start's phase
-_PERIODIC_AXES = {
-    Family.FULL_SU2: (1, 2),  # alpha and beta on [-pi, pi]
-    Family.FRAME_SU3: (5, 6, 7),  # a3, b1 and b2 on [0, 2 pi]; a1 = a2 = 0 by the gauge
-}
+def _periodic_axes(family: Family) -> tuple[int, ...]:
+    """The axes whose search interval is one period, 2 pi exactly: the end of
+    such an axis is its start's phase.  The gauge-pinned SU(3) a1 and a2
+    (lo == hi) are not among them."""
+    return tuple(j for j, (lo, hi) in enumerate(_search_box(family)) if hi - lo == 2 * math.pi)
 
 
 def _grid_axes(family: Family, grid_points: int, conjugate: bool = False) -> list[np.ndarray]:
@@ -282,7 +276,7 @@ def _grid_axes(family: Family, grid_points: int, conjugate: bool = False) -> lis
     """
     box = _search_box(family)
     points = grid_points if len(box) <= 3 else min(grid_points, 6)
-    periodic = _PERIODIC_AXES.get(family, ())
+    periodic = _periodic_axes(family)
     axes = [np.linspace(lo, hi, points if lo < hi else 1) for lo, hi in box]
     axes = [axis[:-1] if j in periodic else axis for j, axis in enumerate(axes)]
     if conjugate:
@@ -306,7 +300,7 @@ def _top_orbits(values: np.ndarray, axes: Sequence[np.ndarray], k: int) -> np.nd
     was taken is skipped; an orbit holds at most two rows, so the 2k best
     rows hold k orbits.
     """
-    phases = list(_PERIODIC_AXES[Family.FRAME_SU3])
+    phases = list(_periodic_axes(Family.FRAME_SU3))
     rows = _top_indices(values, 2 * k)
     digits = np.stack(np.unravel_index(rows, [len(axis) for axis in axes]), axis=-1)
     mirrors = digits.copy()
@@ -761,8 +755,9 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
     the qubit families solved exactly; SU(3) returns a strategy that attains
     the lower of f * d * lambda_max(T) + (1 - f) * u and
     d * lambda_max(f T + (1 - f) N) if the current one or a preset does, and
-    otherwise searches by grid plus refinement.  ``threads`` is accepted for
-    compatibility and ignored: every search runs in one thread.
+    otherwise searches by grid plus refinement.  Every search runs in one
+    thread; ``threads`` is ignored and stays only because the bench workloads
+    pass it.
     """
     cfg = cfg or SearchConfig()
     n = game.shape.n
@@ -775,8 +770,7 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
 
 
 def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
-                cfg: SearchConfig | None = None, fidelity: float = 1.0,
-                threads: int = 1) -> EquilibriumVerdict:
+                cfg: SearchConfig | None = None, fidelity: float = 1.0) -> EquilibriumVerdict:
     """Scan every player for profitable unilateral deviations.
 
     A player's deviation form is built once and gives both the profile
@@ -786,7 +780,6 @@ def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
     players 1 and i fixes the shared state, the entangler and the profile
     and carries player 1's payoffs to player i's, so player i's form, starts
     and seed are player 1's.  Any other profile or game solves each player.
-    ``threads`` is accepted for compatibility and ignored.
     """
     cfg = cfg or SearchConfig()
     ordered = _validated_ops(game, profile, space)
@@ -866,8 +859,8 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
     (``_conjugate_invariant``).  A grid that would evaluate more than
     ``_WORK_BUDGET`` amplitudes (the rows searched times the amplitudes
     ``_symmetric_payoffs`` holds per row) is rejected before any work, as is
-    a payoff that is not finite.  ``threads`` is accepted for compatibility
-    and ignored.
+    a payoff that is not finite.  Every search runs in one thread;
+    ``threads`` is ignored and stays only because the bench workloads pass it.
     """
     cfg = cfg or SearchConfig()
     if not math.isfinite(payoff):

@@ -144,22 +144,13 @@ class PureState:
         object.__setattr__(self, "amplitudes", frozen(amp))
 
 
-def ghz(shape: SystemShape, phase: float = 0.0) -> PureState:
-    """Maximally entangled shared state (sum_k |k...k>)/sqrt(d).
-
-    For qubits the second branch picks up ``exp(i*phase)``:
-    (|0...0> + e^{i phase}|1...1>)/sqrt(2).  For d >= 3 the state is defined
-    with uniform positive amplitudes and a nonzero phase is rejected.
-    """
-    if shape.d > 2 and phase != 0.0:
-        raise ValueError("a GHZ phase is only defined for qubit systems (d=2)")
+def ghz(shape: SystemShape) -> PureState:
+    """Maximally entangled shared state (sum_k |k...k>)/sqrt(d)."""
     amp = np.zeros(shape.dim, dtype=complex)
     step = (shape.dim - 1) // (shape.d - 1)  # index stride between |k...k> kets
     weight = 1.0 / math.sqrt(shape.d)
     for k in range(shape.d):
         amp[k * step] = weight
-    if shape.d == 2 and phase != 0.0:
-        amp[shape.dim - 1] = weight * complex(math.cos(phase), math.sin(phase))
     return PureState(shape, amp)
 
 

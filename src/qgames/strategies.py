@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +33,23 @@ class Family(str, Enum):
     FRAME_SU3 = "su3"
 
 
-PARAM_COUNTS = {
-    Family.FULL_SU2: 3,
-    Family.EISERT_SU2: 2,
-    Family.CLASSICAL_BIT: 1,
-    Family.CYCLIC_C3: 1,
-    Family.FRAME_SU3: 8,
+def _axes(lo: float, hi: float, *names: str) -> tuple[tuple[str, float, float], ...]:
+    return tuple((name, lo, hi) for name in names)
+
+
+# The one home of each continuous family's parameters: (name, lo, hi) in
+# order.  The boxes, the constructors' range checks, the property draws of
+# ``qgames verify`` and the solver's periodic axes all read it.
+_PARAMETERS = {
+    Family.FULL_SU2: _axes(0.0, math.pi, "theta") + _axes(-math.pi, math.pi, "alpha", "beta"),
+    Family.EISERT_SU2: _axes(0.0, math.pi, "theta") + _axes(0.0, math.pi / 2, "alpha"),
+    Family.FRAME_SU3: _axes(0.0, math.pi / 2, "phi", "theta", "chi")
+    + _axes(0.0, 2 * math.pi, "alpha1", "alpha2", "alpha3", "beta1", "beta2"),
 }
+
+# the discrete families take one integer power
+PARAM_COUNTS = {family: len(_PARAMETERS[family]) if family in _PARAMETERS else 1
+                for family in Family}
 
 LOCAL_DIMENSION = {
     Family.FULL_SU2: 2,
@@ -72,18 +83,17 @@ FAMILY_PRESETS = {
 
 def parameter_box(family: Family) -> tuple[tuple[float, float], ...] | None:
     """Search box per parameter, or None for the discrete families."""
-    if family == Family.FULL_SU2:
-        return ((0.0, math.pi), (-math.pi, math.pi), (-math.pi, math.pi))
-    if family == Family.EISERT_SU2:
-        return ((0.0, math.pi), (0.0, math.pi / 2))
-    if family == Family.FRAME_SU3:
-        return tuple([(0.0, math.pi / 2)] * 3 + [(0.0, 2 * math.pi)] * 5)
-    return None
+    if family not in _PARAMETERS:
+        return None
+    return tuple((lo, hi) for _, lo, hi in _PARAMETERS[family])
 
 
-def _require_range(value: float, lo: float, hi: float, name: str) -> None:
-    if not lo - 1e-12 <= value <= hi + 1e-12:
-        raise ValueError(f"{name}={value} outside [{lo:.6g}, {hi:.6g}]")
+def _require_box(family: Family, params: Sequence[float]) -> None:
+    """Reject a parameter outside its interval (1e-12 slack) or NaN."""
+    for (name, lo, hi), value in zip(_PARAMETERS[family], params):
+        value = float(value)
+        if not lo - 1e-12 <= value <= hi + 1e-12:
+            raise ValueError(f"{name}={value} outside [{lo:.6g}, {hi:.6g}]")
 
 
 # --- SU(2) -----------------------------------------------------------------
@@ -105,11 +115,9 @@ def su2_full_batch(theta, alpha, beta) -> np.ndarray:
 
 
 def su2_full(theta: float, alpha: float, beta: float) -> np.ndarray:
-    """General SU(2) operator U(theta, alpha, beta): theta in [0, pi], alpha and
-    beta in [-pi, pi]."""
-    _require_range(theta, 0.0, math.pi, "theta")
-    _require_range(alpha, -math.pi, math.pi, "alpha")
-    _require_range(beta, -math.pi, math.pi, "beta")
+    """General SU(2) operator U(theta, alpha, beta), parameters within
+    ``parameter_box(Family.FULL_SU2)``."""
+    _require_box(Family.FULL_SU2, (theta, alpha, beta))
     return su2_full_batch(theta, alpha, beta)
 
 
@@ -126,8 +134,7 @@ def su2_eisert(theta: float, alpha: float) -> np.ndarray:
     strategy set under which the entangled dilemma protocol has its
     cooperative equilibrium.
     """
-    _require_range(theta, 0.0, math.pi, "theta")
-    _require_range(alpha, 0.0, math.pi / 2, "alpha")
+    _require_box(Family.EISERT_SU2, (theta, alpha))
     return su2_eisert_batch(theta, alpha)
 
 
@@ -194,15 +201,9 @@ def su3_frame(phi, theta, chi, a1, a2, a3, b1, b2) -> np.ndarray:
 
     x and y are the unit vectors of the eight-parameter frame construction;
     the third column is the unique completion that makes the matrix special
-    unitary.  phi, theta, chi lie in [0, pi/2]; the alphas and betas in
-    [0, 2*pi].
+    unitary.  The parameters lie within ``parameter_box(Family.FRAME_SU3)``.
     """
-    for name, value in (("phi", phi), ("theta", theta), ("chi", chi)):
-        _require_range(float(value), 0.0, math.pi / 2, name)
-    for name, value in (
-        ("alpha1", a1), ("alpha2", a2), ("alpha3", a3), ("beta1", b1), ("beta2", b2)
-    ):
-        _require_range(float(value), 0.0, 2 * math.pi, name)
+    _require_box(Family.FRAME_SU3, (phi, theta, chi, a1, a2, a3, b1, b2))
     out = su3_frame_batch(phi, theta, chi, a1, a2, a3, b1, b2)
     residual = unitarity_residual(out)
     if not residual < 1e-9:

@@ -35,6 +35,7 @@ from .strategies import (
     MINORITY_OPTIMAL_PARAMS,
     PD_EQUILIBRIUM_PARAMS,
     StrategySpec,
+    parameter_box,
     su2_eisert_batch,
     su2_full_batch,
     su3_frame_batch,
@@ -185,19 +186,12 @@ def check_kolkata_classical_embedding() -> list[CheckResult]:
 # --- criterion 7: property suites ------------------------------------------------
 
 def _random_family_batches(rng: np.random.Generator):
-    draws = PROPERTY_DRAWS
-    yield Family.FULL_SU2, su2_full_batch(
-        rng.uniform(0, np.pi, draws),
-        rng.uniform(-np.pi, np.pi, draws),
-        rng.uniform(-np.pi, np.pi, draws),
-    )
-    yield Family.EISERT_SU2, su2_eisert_batch(
-        rng.uniform(0, np.pi, draws), rng.uniform(0, np.pi / 2, draws)
-    )
-    yield Family.FRAME_SU3, su3_frame_batch(
-        *(rng.uniform(0, np.pi / 2, draws) for _ in range(3)),
-        *(rng.uniform(0, 2 * np.pi, draws) for _ in range(5)),
-    )
+    """PROPERTY_DRAWS uniform draws per parameter over each family's box."""
+    for family, build in ((Family.FULL_SU2, su2_full_batch),
+                          (Family.EISERT_SU2, su2_eisert_batch),
+                          (Family.FRAME_SU3, su3_frame_batch)):
+        draws = (rng.uniform(lo, hi, PROPERTY_DRAWS) for lo, hi in parameter_box(family))
+        yield family, build(*draws)
 
 
 def _dense_trace_residual(ops: np.ndarray, psi: np.ndarray, fs: np.ndarray) -> float:

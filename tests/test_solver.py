@@ -1270,7 +1270,7 @@ class TestGridOpenMeshes:
     @given(family=st.sampled_from(list(BUILDERS)), points=st.integers(2, 8))
     def test_grid_holds_each_point_once_modulo_the_period(self, family, points):
         box = solver._search_box(family)
-        periodic = solver._PERIODIC_AXES.get(family, ())
+        periodic = solver._periodic_axes(family)
 
         def classes(axes):
             # a periodic coordinate as its phase, so 0 and 2 pi are one class
@@ -1412,7 +1412,7 @@ class TestPhaseGauge:
 def mirror_digits(m, digits):
     """Each SU(3) grid row's conjugate: a phase index j (a3, b1, b2) becomes (m - j) mod m."""
     mirrors = np.array(digits)
-    phases = list(solver._PERIODIC_AXES[Family.FRAME_SU3])
+    phases = list(solver._periodic_axes(Family.FRAME_SU3))
     mirrors[..., phases] = (m - mirrors[..., phases]) % m
     return mirrors
 

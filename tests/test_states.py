@@ -153,19 +153,11 @@ class TestGhzAndBell:
         expected[0] = expected[15] = 1 / math.sqrt(2)
         np.testing.assert_allclose(psi.amplitudes, expected, atol=1e-15)
 
-    def test_qubit_phase(self):
-        psi = ghz(SystemShape(2, 2), phase=math.pi / 2)
-        assert abs(psi.amplitudes[3] - 1j / math.sqrt(2)) < 1e-15
-
     def test_qutrit_ghz_uniform(self):
         psi = ghz(SystemShape(3, 3))
         nonzero = np.flatnonzero(psi.amplitudes)
         np.testing.assert_array_equal(nonzero, [0, 13, 26])
         np.testing.assert_allclose(psi.amplitudes[nonzero], 1 / math.sqrt(3))
-
-    def test_qutrit_phase_rejected(self):
-        with pytest.raises(ValueError):
-            ghz(SystemShape(3, 3), phase=0.3)
 
     def test_bell_states(self):
         np.testing.assert_allclose(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
+from qgames import solver
 from qgames.games import entangler
 from qgames.strategies import (
     FAMILY_PRESETS,
     Family,
     KOLKATA_OPTIMAL_PARAMS,
     MINORITY_OPTIMAL_PARAMS,
+    PARAM_COUNTS,
     StrategySpec,
     classical_set,
     cyclic_s,
@@ -28,6 +31,12 @@ from qgames.strategies import (
 )
 
 ATOL = 1e-12
+# each continuous family's parameters in order, as the range errors name them
+PARAMETER_NAMES = {
+    Family.FULL_SU2: ("theta", "alpha", "beta"),
+    Family.EISERT_SU2: ("theta", "alpha"),
+    Family.FRAME_SU3: ("phi", "theta", "chi", "alpha1", "alpha2", "alpha3", "beta1", "beta2"),
+}
 
 
 def su3_params(rng):
@@ -369,6 +378,32 @@ class TestBoxesAndPresets:
     def test_discrete_families_have_no_box(self):
         assert parameter_box(Family.CLASSICAL_BIT) is None
         assert parameter_box(Family.CYCLIC_C3) is None
+
+    @pytest.mark.parametrize("family,axis,name", [
+        (family, axis, name) for family, names in PARAMETER_NAMES.items()
+        for axis, name in enumerate(names)
+    ])
+    def test_each_parameter_checked_against_its_interval(self, family, axis, name):
+        box = parameter_box(family)
+        lo, hi = box[axis]
+        inside = [(a + b) / 2 for a, b in box]
+
+        def matrix(value):
+            params = inside[:axis] + [value] + inside[axis + 1:]
+            return StrategySpec(family, params).matrix()
+
+        matrix(lo), matrix(hi)  # the box is closed
+        message = rf"^{name}=.* outside {re.escape(f'[{lo:.6g}, {hi:.6g}]')}$"
+        for bad in (lo - 1e-9, hi + 1e-9, float("nan")):
+            with pytest.raises(ValueError, match=message):
+                matrix(bad)
+
+    @pytest.mark.parametrize("family,periodic", [
+        (Family.FULL_SU2, (1, 2)), (Family.EISERT_SU2, ()), (Family.FRAME_SU3, (5, 6, 7)),
+    ])
+    def test_counts_and_periodic_axes_follow_the_table(self, family, periodic):
+        assert PARAM_COUNTS[family] == len(parameter_box(family)) == len(PARAMETER_NAMES[family])
+        assert solver._periodic_axes(family) == periodic
 
     def test_presets_valid(self):
         for family, presets in FAMILY_PRESETS.items():
