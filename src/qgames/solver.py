@@ -80,7 +80,9 @@ how it was obtained (``BestResponseResult.certificate``):
 Everything here is deterministic: eigenvectors are signed by a fixed rule,
 grids are traversed in lexicographic order, ties resolve to the first
 candidate encountered, and the only randomness (the supplementary random
-starts) comes from the seed in `SearchConfig`.
+starts) comes from the seed in `SearchConfig`: they are the uniform draws of
+numpy's ``default_rng(seed)``, its PCG64 stream, computed in the package
+(``_pcg64.pcg64_doubles``), so no search imports ``numpy.random``.
 The budget is a constant, not a setting.  A symmetric payoff ends in a
 per-row reduction, so a row's value does not depend on the size of the
 chunk or sub-batch it is evaluated in.
@@ -90,6 +92,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -126,10 +129,11 @@ class SearchConfig:
 
     grid_points_per_axis spaces each axis of the search box evenly, at
     most 6 for SU(3); a periodic axis drops its endpoint, which repeats its
-    start.  seed draws the supplementary random refinement starts; given
-    the same seed, results are reproducible bit for bit.  refine_iterations
-    bounds refinement at p * refine_iterations polling rounds, p the
-    family's parameter count.
+    start.  seed, a non-negative integer, draws the supplementary random
+    refinement starts from numpy's ``default_rng(seed)`` PCG64 stream,
+    computed in the package; given the same seed, results are reproducible
+    bit for bit.  refine_iterations bounds refinement at
+    p * refine_iterations polling rounds, p the family's parameter count.
     """
 
     grid_points_per_axis: int = 24
@@ -149,6 +153,12 @@ class SearchConfig:
             raise ValueError("refine_initial_step must be finite and positive")
         if not (math.isfinite(self.epsilon_nash) and self.epsilon_nash > 0):
             raise ValueError("epsilon_nash must be finite and positive")
+        try:
+            valid_seed = operator.index(self.seed) >= 0
+        except TypeError:
+            valid_seed = False
+        if not valid_seed:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -567,11 +577,14 @@ def _search_family(family: Family, evaluate: Callable[[np.ndarray], np.ndarray],
         order = _top_orbits(grid_payoffs, axes, 8)
     else:
         order = _top_indices(grid_payoffs, 16 if len(box) >= 4 else 1)
-    rng = np.random.default_rng(cfg.seed)
+    # imported on first use, so a session that never draws starts does not load it
+    from ._pcg64 import pcg64_doubles
+
+    draws = pcg64_doubles(cfg.seed)
     others = [_clamp_to_box(_gauge_fixed(family, params), box) for params in extra_starts]
     # drawn over the whole parameter box and then mapped, so a seed gives the
     # same starting payoffs as a draw over every axis
-    randoms = [_gauge_fixed(family, [rng.uniform(lo, hi) for lo, hi in parameter_box(family)])
+    randoms = [_gauge_fixed(family, [lo + (hi - lo) * next(draws) for lo, hi in parameter_box(family)])
                for _ in range(_RANDOM_STARTS)]
     if extra_values is None:
         other_values = evaluate_batch(np.asarray(others + randoms))

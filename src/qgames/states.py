@@ -108,10 +108,14 @@ class SystemShape:
             raise ValueError(f"need at least one player, got n={self.n}")
         if self.d < 2:
             raise ValueError(f"local dimension must be >= 2, got d={self.d}")
-        if self.d ** self.n > DIMENSION_CAP:
-            raise ValueError(
-                f"total dimension {self.d}**{self.n} exceeds cap {DIMENSION_CAP}"
-            )
+        # multiplied up to the cap, so a huge n costs no more than a small one
+        dim = 1
+        for _ in range(self.n):
+            dim *= self.d
+            if dim > DIMENSION_CAP:
+                raise ValueError(
+                    f"total dimension {self.d}**{self.n} exceeds cap {DIMENSION_CAP}"
+                )
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -7,6 +10,8 @@ import pytest
 
 from qgames import cli, solver
 from qgames.strategies import KOLKATA_OPTIMAL_PARAMS
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def run_cli(argv):
@@ -205,6 +210,34 @@ class TestErrors:
         assert code == 2
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": "a sweep takes at most 1001 fidelities, got 1002"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--game", "kolkata", "--mode", "pareto", "--payoff", "0.4444444", "--grid", "4"],
+        ["--game", "kolkata", "--mode", "best-response", "--player", "2",
+         "--profile", "su3:0.3,0.7,1.1,0.5,2,4,1,3"],
+        ["--game", "minority", "-n", "4", "--mode", "nash", "--profile", "full:pi/2,-pi/8,pi/8"],
+    ])
+    def test_negative_seed(self, monkeypatch, argv):
+        # rejected before the grid is scanned, on a searched path as on an exact one
+        def never(*args):
+            raise AssertionError("grid scanned")
+
+        monkeypatch.setattr(solver, "_chunked", never)
+        code, out = run_cli(["search", *argv, "--seed", "-1"])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "seed must be a non-negative integer, got -1"}
+
+    def test_oversized_player_count(self):
+        # the cap is checked by multiplying up to it: d ** n is never formed
+        code = ("import sys, qgames.cli; "
+                "sys.exit(qgames.cli.run(['minority', '-n', '99999999999']))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert result.returncode == 2
+        assert result.stdout.count("\n") == 1
+        assert json.loads(result.stdout) == {
+            "error": "total dimension 2**99999999999 exceeds cap 19683"}
 
     def test_pd_sweep_rejected(self):
         code, payload = run_json(["sweep", "--game", "pd", "--strategy", "bit:0"])

@@ -23,6 +23,7 @@ from qgames.games import (
     prisoners_dilemma,
 )
 import qgames.solver as solver
+from qgames._pcg64 import pcg64_doubles
 from qgames.solver import (
     SearchConfig,
     best_response,
@@ -97,6 +98,11 @@ class TestSearchConfig:
         assert SearchConfig(grid_points_per_axis=256).grid_points_per_axis == 256
         with pytest.raises(ValueError, match=r"grid_points_per_axis must lie in \[2, 256\]"):
             SearchConfig(grid_points_per_axis=257)
+
+    @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got"):
+            SearchConfig(seed=seed)
 
     def test_refine_iterations_must_be_non_negative(self):
         with pytest.raises(ValueError, match="refine_iterations"):
@@ -399,6 +405,53 @@ def test_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out == "False\n"
+
+
+def test_search_loads_no_numpy_random():
+    # the random starts come from the in-package PCG64 stream
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    code = ("import io, sys, qgames.cli as cli\n"
+            "for argv in (['--mode', 'pareto', '--payoff', '0.4444444', '--grid', '4'],\n"
+            "             ['--mode', 'best-response', '--player', '2',\n"
+            "              '--profile', 'su3:0.3,0.7,1.1,0.5,2,4,1,3']):\n"
+            "    assert cli.run(['search', '--game', 'kolkata', *argv], io.StringIO()) == 0\n"
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out == "False\n"
+
+
+_SEED_WORDS = [2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 10**40, 2**200 + 12345]
+_CONTINUOUS = [family for family in Family if parameter_box(family) is not None]
+
+
+def _assert_pcg64_uniform_parity(seed):
+    draws = pcg64_doubles(seed)
+    rng = np.random.default_rng(seed)
+    for family in _CONTINUOUS:
+        for _ in range(4):
+            for lo, hi in parameter_box(family):
+                assert lo + (hi - lo) * next(draws) == rng.uniform(lo, hi)
+
+
+class TestPcg64Doubles:
+    """The search's starts are numpy's default_rng(seed).uniform, bit for bit."""
+
+    @pytest.mark.parametrize("seeds", [range(0, 1001), range(1001, 2001), _SEED_WORDS])
+    def test_uniform_parity(self, seeds):
+        for seed in seeds:
+            _assert_pcg64_uniform_parity(seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**128 - 1))
+    def test_uniform_parity_drawn(self, seed):
+        _assert_pcg64_uniform_parity(seed)
+
+    def test_negative_seed_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            next(pcg64_doubles(-1))
 
 
 class TestFidelityValidation:

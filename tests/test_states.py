@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -106,6 +107,13 @@ class TestShapeAndLabels:
             SystemShape(2, 1)
         with pytest.raises(ValueError):
             SystemShape(10, 3)  # 3**10 exceeds the dimension cap
+
+    def test_huge_player_count_rejected_at_once(self):
+        # the cap is reached by multiplication, not by forming 2**(10**12)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"total dimension 2\*\*1000000000000 exceeds cap 19683"):
+            SystemShape(10**12, 2)
+        assert time.perf_counter() - start < 0.1
 
     def test_label_round_trip(self):
         shape = SystemShape(3, 3)
