@@ -305,10 +305,17 @@ def _cmd_verify(args, out: IO[str]) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, to be reported as one JSON line."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qgames argument parser, built once per process and shared by every run."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgames",
         description="Quantum game engine: entangled dilemma, minority and "
                     "Kolkata restaurant protocols with equilibrium search.",
@@ -394,9 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     """Parse and dispatch; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command in ("pd", "minority", "kolkata"):
             return _cmd_game(args, out)
         if args.command == "sweep":

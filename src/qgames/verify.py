@@ -8,6 +8,7 @@ the acceptance test module.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,7 +186,57 @@ def check_kolkata_classical_embedding() -> list[CheckResult]:
 
 # --- criterion 7: property suites ------------------------------------------------
 
-def _random_family_batches(rng: np.random.Generator):
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+class _SplitMix64:
+    """The property draws' counter-based stream (Steele, Lea and Flood, OOPSLA 2014).
+
+    Draw k is the SplitMix64 finaliser of ``seed + (k + 1) * 0x9E3779B97F4A7C15``
+    mod 2**64, read as the double ``(z >> 11) * 2**-53`` in [0, 1).  Each call
+    takes the next block of k, so the stream does not depend on how it is split.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = np.uint64(seed)
+        self._drawn = 0
+
+    def random(self, size) -> np.ndarray:
+        count = math.prod(size) if isinstance(size, tuple) else size
+        # in place throughout: one temporary of the draw's size at a time
+        z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        self._drawn += count
+        z *= _GOLDEN
+        z += self._seed
+        z ^= z >> np.uint64(30)
+        z *= _MIX[0]
+        z ^= z >> np.uint64(27)
+        z *= _MIX[1]
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        return (z * 2.0 ** -53).reshape(size)
+
+    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
+        return lo + (hi - lo) * self.random(size)
+
+    def integers(self, n: int, size) -> np.ndarray:
+        """floor(u * n), in [0, n): fl(u * n) < n for every double u < 1 and integer n."""
+        return (self.random(size) * n).astype(np.intp)
+
+    def standard_normal(self, size) -> np.ndarray:
+        """Box-Muller on consecutive pairs of draws, so the count must be even."""
+        u = self.random(size).reshape(-1, 2)
+        # log1p(-u) is finite on [0, 1): u = 0 gives radius 0
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        # an angle on [-pi, pi): numpy's sin and cos are faster there than on [0, 2 pi)
+        angle = np.pi * (2.0 * u[:, 1] - 1.0)
+        u[:, 0] = radius * np.cos(angle)
+        u[:, 1] = radius * np.sin(angle)
+        return u.reshape(size)
+
+
+def _random_family_batches(rng: _SplitMix64):
     """PROPERTY_DRAWS uniform draws per parameter over each family's box."""
     for family, build in ((Family.FULL_SU2, su2_full_batch),
                           (Family.EISERT_SU2, su2_eisert_batch),
@@ -198,7 +249,8 @@ def _dense_trace_residual(ops: np.ndarray, psi: np.ndarray, fs: np.ndarray) -> f
     """max |tr(U rho U-dagger) - 1| over a batch, on the dense D x D path.
 
     Row k has rho = f_k |psi_k><psi_k| + (1 - f_k)/D I and U the dense
-    U_n (x) ... (x) U_1 of its (n, d, d) profile ``ops[k]``.
+    U_n (x) ... (x) U_1 of its (n, d, d) profile ``ops[k]``.  The trace is
+    sum_ij (U rho)_ij conj(U_ij): one product per row, not two.
     """
     count, dim = psi.shape
     full = ops[:, 0]
@@ -209,11 +261,11 @@ def _dense_trace_residual(ops: np.ndarray, psi: np.ndarray, fs: np.ndarray) -> f
         full = full.reshape(count, side, side)
     rho = fs[:, None, None] * (psi[:, :, None] * psi[:, None, :].conj())
     rho += ((1.0 - fs) / dim)[:, None, None] * np.eye(dim)
-    moved = full @ rho @ full.conj().transpose(0, 2, 1)
-    return float(np.max(np.abs(np.trace(moved, axis1=1, axis2=2) - 1.0)))
+    traces = ((full @ rho) * full.conj()).sum(axis=(1, 2))
+    return float(np.max(np.abs(traces - 1.0)))
 
 
-def _preservation_residuals(rng: np.random.Generator, shape: SystemShape,
+def _preservation_residuals(rng: _SplitMix64, shape: SystemShape,
                             source: np.ndarray) -> tuple[float, float]:
     """Worst norm and trace residuals over one shape's property draws."""
     n, d, dim = shape.n, shape.d, shape.dim
@@ -247,17 +299,20 @@ def _preservation_residuals(rng: np.random.Generator, shape: SystemShape,
 def check_property_suites() -> list[CheckResult]:
     """Criterion 7: seeded property draws, evaluated in batches.
 
-    Draw plan, one generator seeded with ``_PROPERTY_SEED``:
+    Draw plan, one :class:`_SplitMix64` stream seeded with ``_PROPERTY_SEED``
+    and read in this order, each double u in [0, 1):
 
     1. the family batches of ``_random_family_batches`` (1000 full SU(2),
-       1000 Eisert SU(2), 1000 SU(3) frame matrices), checked for unitarity
-       and, for full SU(2) and SU(3), unit determinant;
+       1000 Eisert SU(2), 1000 SU(3) frame matrices), each parameter
+       ``lo + (hi - lo) * u`` over its box, checked for unitarity and, for
+       full SU(2) and SU(3), unit determinant;
     2. then for each shape (n, d) in (2, 2), (4, 2), (3, 3), with D = d**n and
        333 draws per shape: ``standard_normal((333, 2, D))`` for the states
-       (real and imaginary parts, normalised per row), ``integers(1000,
-       size=(333, n))`` for each draw's player-n-first operators from the
-       full SU(2) (d = 2) or SU(3) batch, and ``uniform(0, 1, 84)`` for the
-       fidelities of the dense draws 0, 4, 8, ....
+       (real and imaginary parts by Box-Muller, normalised per row),
+       ``integers(1000, size=(333, n))``, floor(1000 u), for each draw's
+       player-n-first operators from the full SU(2) (d = 2) or SU(3) batch,
+       and ``uniform(0, 1, 84)`` for the fidelities of the dense draws 0, 4,
+       8, ....
 
     Every draw goes through :func:`qgames.states.apply_local_batch` for the
     norm check; every dense draw also builds f |psi><psi| + (1 - f)/D I and
@@ -266,7 +321,7 @@ def check_property_suites() -> list[CheckResult]:
     ``states.BATCH_BUDGET`` amplitudes (D per state, D**2 per dense draw),
     so the sample does not depend on the budget.
     """
-    rng = np.random.default_rng(_PROPERTY_SEED)
+    rng = _SplitMix64(_PROPERTY_SEED)
 
     worst_residual = 0.0
     worst_det = 0.0

@@ -228,6 +228,27 @@ class TestErrors:
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": "seed must be a non-negative integer, got -1"}
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--game", "foo"], "qgames search: argument --game: invalid choice: 'foo'"),
+        (["--game", "pd", "--grid", "abc"], "qgames search: argument --grid: invalid int value: 'abc'"),
+        (["--game", "pd", "--seed", "1e400"],
+         "qgames search: argument --seed: invalid int value: '1e400'"),
+        (["--game", "pd", "--no-such-flag"], "qgames: unrecognized arguments: --no-such-flag"),
+    ])
+    def test_parser_errors(self, capsys, argv, message):
+        # argparse's usage errors take the one-line JSON path, with nothing on stderr
+        code, out = run_cli(["search", *argv])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"].startswith(message)
+        assert capsys.readouterr().err == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["search", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qgames search ")
+
     def test_oversized_player_count(self):
         # the cap is checked by multiplying up to it: d ** n is never formed
         code = ("import sys, qgames.cli; "
@@ -378,8 +399,8 @@ class TestParserCache:
         assert before[0] == 0
         code, out = run_cli(["minority", "-n", "1", "--fidelity", "0.9"])
         assert code == 2 and "error" in json.loads(out)
-        with pytest.raises(SystemExit):
-            run_cli(["minority", "--fidelity", "0.2", "--no-such-flag"])
+        code, out = run_cli(["minority", "--fidelity", "0.2", "--no-such-flag"])
+        assert code == 2 and "error" in json.loads(out)
         assert run_cli(self.ARGV) == before
 
 
