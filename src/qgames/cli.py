@@ -3,7 +3,8 @@
 Subcommands: pd, minority, kolkata, sweep, search, verify.  Reports go to
 stdout (JSON by default, CSV for sweeps), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 input error (with a one-line JSON error
-report on stdout).
+report on stdout).  Every move a literal builds is checked: one that is not a
+unitary of the game's local dimension is an input error.
 
 Identical invocations produce byte-identical output: floats are rendered at
 12 significant digits, key order is fixed, and searches are deterministic for
@@ -132,9 +133,7 @@ def _cmd_game(args, out: IO[str]) -> int:
             return 0
         alice = parse_strategy(args.alice)
         bob = parse_strategy(args.bob)
-        report = play_profile(
-            game, [bob.matrix(), alice.matrix()], strict=not args.lenient
-        )
+        report = play_profile(game, [bob.matrix(), alice.matrix()])
         payload = {
             "game": "pd",
             "alice": alice.literal(),
@@ -154,13 +153,11 @@ def _cmd_game(args, out: IO[str]) -> int:
     if args.profile:
         specs = _parse_profile(game, args.profile)
         ops = [spec.matrix() for spec in reversed(specs)]
-        report = play_profile(game, ops, fidelity=args.fidelity,
-                              strict=not args.lenient)
+        report = play_profile(game, ops, fidelity=args.fidelity)
         payload["profile"] = [spec.literal() for spec in specs]
     else:
         spec = parse_strategy(args.strategy)
-        report = play_symmetric(game, spec.matrix(), fidelity=args.fidelity,
-                                strict=not args.lenient)
+        report = play_symmetric(game, spec.matrix(), fidelity=args.fidelity)
         payload["strategy"] = spec.literal()
     payload.update(
         {
@@ -328,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("pd", help="play one round of the entangled dilemma")
     pd.add_argument("--alice", default="eisert:0,0", help="player 1 strategy literal")
     pd.add_argument("--bob", default="eisert:0,0", help="player 2 strategy literal")
-    pd.add_argument("--lenient", action="store_true",
-                    help="warn instead of failing on non-unitary operators")
     pd.add_argument("--dump-payoffs", action="store_true",
                     help="print the classical payoff table as JSON")
     add_format(pd)
@@ -341,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     mino.add_argument("--profile", nargs="+",
                       help="per-player literals, player 1 first")
     mino.add_argument("--fidelity", type=float, default=1.0)
-    mino.add_argument("--lenient", action="store_true")
     mino.add_argument("--dump-payoffs", action="store_true")
     add_format(mino)
 
@@ -351,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     kol.add_argument("--profile", nargs="+",
                      help="per-player literals, player 1 first")
     kol.add_argument("--fidelity", type=float, default=1.0)
-    kol.add_argument("--lenient", action="store_true")
     kol.add_argument("--dump-payoffs", action="store_true")
     add_format(kol)
 

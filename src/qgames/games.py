@@ -212,11 +212,11 @@ def protocol_fidelity(game: GameSpec, fidelity: float) -> float:
     return check_fidelity(fidelity)
 
 
-def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
-                 strict: bool = True) -> PayoffReport:
+def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0) -> PayoffReport:
     """Run one round with independent per-player operators (player-n-first).
 
-    The moves run through :func:`protocol_amplitudes`.  For the dilemma the
+    Every operator must be a d x d unitary (``states.check_ops``); the moves
+    then run through :func:`protocol_amplitudes`.  For the dilemma the
     entangler pair wraps them and the simulation is pure (fidelity must be
     1).  The GHZ games mix the shared state with white noise at the given
     fidelity.  White noise commutes with the local unitaries, so the outcome
@@ -224,18 +224,16 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0,
     density matrix is built.
     """
     f = protocol_fidelity(game, fidelity)
-    stack = check_ops(ops, game.shape, strict)
-    # a lenient, non-unitary move still fails here, on the norm
+    stack = check_ops(ops, game.shape)
     final = PureState(game.shape, protocol_amplitudes(game, stack[:, None, None])[0, 0])
     probs = f * np.abs(final.amplitudes) ** 2 + (1.0 - f) / game.shape.dim
     payoffs = tuple((game.payoffs @ probs).tolist())
     return PayoffReport(payoffs, dict(zip(game.outcome_labels, probs.tolist())), f)
 
 
-def play_symmetric(game: GameSpec, op, fidelity: float = 1.0,
-                   strict: bool = True) -> PayoffReport:
+def play_symmetric(game: GameSpec, op, fidelity: float = 1.0) -> PayoffReport:
     """Run one round with every player applying the same operator."""
-    return play_profile(game, [op] * game.shape.n, fidelity, strict=strict)
+    return play_profile(game, [op] * game.shape.n, fidelity)
 
 
 def classical_uniform_payoff(game: GameSpec) -> tuple[Fraction, ...]:
@@ -253,8 +251,9 @@ class EmbeddingCheck:
     profiles_checked: int
 
 
-def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> EmbeddingCheck:
-    """Check that classical operator profiles reproduce the payoff table.
+def classical_embedding_check(game: GameSpec) -> EmbeddingCheck:
+    """Check that classical operator profiles reproduce the payoff table,
+    within ``ATOL_PAYOFF``.
 
     Every combination of classical operators (player-n-first powers) is
     played through the full quantum protocol and compared against the table
@@ -285,7 +284,7 @@ def classical_embedding_check(game: GameSpec, atol: float = ATOL_PAYOFF) -> Embe
         # index in lexicographic order is the index of its classical outcome
         outcomes = np.arange(first * tails, first * tails + len(amplitudes))
         worst = max(worst, float(np.max(np.abs(payoffs - game.payoffs[:, outcomes].T))))
-    return EmbeddingCheck(worst <= atol, worst, d ** n)
+    return EmbeddingCheck(worst <= ATOL_PAYOFF, worst, d ** n)
 
 
 def game_to_json(game: GameSpec) -> dict:

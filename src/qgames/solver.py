@@ -48,7 +48,7 @@ stable sort of the rows tied at its threshold (``_top_indices``).
 Best responses are exact wherever the form allows it, and each result names
 how it was obtained (``BestResponseResult.certificate``):
 
-``exact``   Discrete spaces are enumerated.  Every SU(2) element is
+``exact``   The discrete families are enumerated.  Every SU(2) element is
             q0 I + i(q1 Z + q2 Y + q3 X) for a unit 4-vector q, so on qubits
             E is a real quadratic form q^T M q: the ``full`` optimum is the
             top eigenvector of the 4 x 4 matrix M, and the ``eisert`` box is
@@ -223,24 +223,18 @@ def _family_matrices(family: Family, params: np.ndarray) -> np.ndarray:
     return _builder(family)(*params.T)
 
 
-def _discrete_candidates(space) -> list[StrategySpec] | None:
-    if isinstance(space, Family):
-        if parameter_box(space) is not None:
-            return None
-        return [StrategySpec(space, (float(k),)) for k in range(LOCAL_DIMENSION[space])]
-    return [s if isinstance(s, StrategySpec) else StrategySpec(*s) for s in space]
+def _discrete_candidates(space: Family) -> list[StrategySpec] | None:
+    """Every strategy of a discrete family, or None for a continuous one."""
+    if parameter_box(space) is not None:
+        return None
+    return [StrategySpec(space, (float(k),)) for k in range(LOCAL_DIMENSION[space])]
 
 
-def _space_dimension(space) -> int:
-    if isinstance(space, Family):
-        return LOCAL_DIMENSION[space]
-    candidates = _discrete_candidates(space)
-    if not candidates:
-        raise ValueError("an explicit strategy space must be non-empty")
-    dims = {c.local_dimension for c in candidates}
-    if len(dims) != 1:
-        raise ValueError("mixed local dimensions in strategy space")
-    return dims.pop()
+def _space_dimension(space: Family) -> int:
+    """The local dimension of a strategy space, which must be a ``Family``."""
+    if not isinstance(space, Family):
+        raise ValueError(f"a strategy space must be a Family, got {type(space).__name__}")
+    return LOCAL_DIMENSION[space]
 
 
 def _search_box(family: Family) -> tuple[tuple[float, float], ...]:
@@ -360,6 +354,14 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     return (vectors * game.payoffs[player - 1]) @ vectors.conj().T
 
 
+def _own_choice_table(game: GameSpec, table: np.ndarray, player: int) -> np.ndarray:
+    """The player's row of an (n, D) index-order table as (own choice, opponent profile)."""
+    n, d = game.shape.n, game.shape.d
+    # the player's digit is axis n - player of the index-order tensor
+    own = np.moveaxis(table[player - 1].reshape((d,) * n), n - player, 0)
+    return own.reshape(d, -1)
+
+
 def _noise_diagonal(game: GameSpec, player: int) -> np.ndarray:
     """Diagonal of the noise form N: payoff(U) on the maximally mixed state is
     vec(U) . N . conj(vec(U)).
@@ -368,10 +370,8 @@ def _noise_diagonal(game: GameSpec, player: int) -> np.ndarray:
     over the outcomes in which the player's digit is a.  The rows of a
     unitary have unit norm, so N pays u on every unitary.
     """
-    n, d = game.shape.n, game.shape.d
-    # the player's digit is axis n - player of the index-order tensor
-    own = np.moveaxis(game.payoffs[player - 1].reshape((d,) * n), n - player, 0)
-    return np.repeat(own.reshape(d, -1).sum(axis=1) / game.shape.dim, d)
+    sums = _own_choice_table(game, game.payoffs, player).sum(axis=1)
+    return np.repeat(sums / game.shape.dim, game.shape.d)
 
 
 def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -381,13 +381,10 @@ def _deviation_payoffs(form: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("gi,ij,gj->g", flat, form, flat.conj()))
 
 
-def _symmetric_payoffs(game: GameSpec, matrices: np.ndarray) -> np.ndarray:
-    """Noise-free player-1 payoff for symmetric profiles, batched over (N, d, d)."""
-    return _symmetric_evaluator(game)(matrices)
-
-
 def _symmetric_evaluator(game: GameSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """``_symmetric_payoffs`` for one game, its type plan and sub-batch size taken once.
+    """The noise-free player-1 payoffs of symmetric profiles, batched over
+    (N, d, d) matrices, for one game: its type plan and sub-batch size are
+    taken once.
 
     On the GHZ state an outcome of occupation type m has the amplitude
     sum_k prod_i U[i, k]^{m_i} / sqrt(d), so the payoff is
@@ -435,7 +432,7 @@ def _symmetric_evaluator(game: GameSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _symmetric_width(game: GameSpec) -> int:
-    """Complex amplitudes ``_symmetric_payoffs`` holds per row.
+    """Complex amplitudes a ``_symmetric_evaluator`` holds per row.
 
     A GHZ row holds its powers U^0 .. U^top, its type products and one
     gathered factor; a dilemma row holds its D x d protocol amplitudes.
@@ -692,7 +689,7 @@ def _exact_su2_params(family: Family, form: np.ndarray) -> tuple[float, ...]:
 
 
 def _respond(game: GameSpec, form: np.ndarray, profile: Sequence[StrategySpec], player: int,
-             space, cfg: SearchConfig, fidelity: float) -> BestResponseResult:
+             family: Family, cfg: SearchConfig, fidelity: float) -> BestResponseResult:
     """Best response for one player, given that player's noise-free deviation form.
 
     Deviations are compared at f = 1; the payoff returned is mapped to ``fidelity``.
@@ -704,14 +701,12 @@ def _respond(game: GameSpec, form: np.ndarray, profile: Sequence[StrategySpec], 
         payoff = float(_at_fidelity(value, fidelity, uniform))
         return BestResponseResult(strategy, payoff, evaluations, certificate)
 
-    discrete = _discrete_candidates(space)
+    discrete = _discrete_candidates(family)
     if discrete is not None:
         matrices = np.stack([spec.matrix() for spec in discrete])
         payoffs = _deviation_payoffs(form, matrices)
         index = int(np.argmax(payoffs))
         return found(discrete[index], payoffs[index], len(discrete), "exact")
-
-    family = space
 
     def evaluate(matrices: np.ndarray) -> np.ndarray:
         return _deviation_payoffs(form, matrices)
@@ -745,7 +740,8 @@ def _respond(game: GameSpec, form: np.ndarray, profile: Sequence[StrategySpec], 
     return found(StrategySpec(family, params), value, evaluations, "search")
 
 
-def _validated_ops(game: GameSpec, profile: Sequence[StrategySpec], space) -> list[np.ndarray]:
+def _validated_ops(game: GameSpec, profile: Sequence[StrategySpec],
+                   space: Family) -> list[np.ndarray]:
     """The profile's matrices, player-n-first, after the shape checks."""
     n = game.shape.n
     if len(profile) != n:
@@ -759,14 +755,14 @@ def _validated_ops(game: GameSpec, profile: Sequence[StrategySpec], space) -> li
 
 
 def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
-                  space, cfg: SearchConfig | None = None, fidelity: float = 1.0,
+                  space: Family, cfg: SearchConfig | None = None, fidelity: float = 1.0,
                   threads: int = 1) -> BestResponseResult:
     """Best strategy for one player with the rest of the profile held fixed.
 
-    ``profile`` is player-1-first.  ``space`` is a Family or an explicit
-    sequence of StrategySpec candidates.  Discrete spaces are enumerated and
-    the qubit families solved exactly; SU(3) returns a strategy that attains
-    the lower of f * d * lambda_max(T) + (1 - f) * u and
+    ``profile`` is player-1-first and ``space`` is a ``Family``.  The
+    discrete families are enumerated and the qubit families solved exactly;
+    SU(3) returns a strategy that attains the lower of
+    f * d * lambda_max(T) + (1 - f) * u and
     d * lambda_max(f T + (1 - f) N) if the current one or a preset does, and
     otherwise searches by grid plus refinement.  Every search runs in one
     thread; ``threads`` is ignored and stays only because the bench workloads
@@ -782,17 +778,18 @@ def best_response(game: GameSpec, profile: Sequence[StrategySpec], player: int,
     return _respond(game, form, profile, player, space, cfg, fidelity)
 
 
-def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space,
+def verify_nash(game: GameSpec, profile: Sequence[StrategySpec], space: Family,
                 cfg: SearchConfig | None = None, fidelity: float = 1.0) -> EquilibriumVerdict:
     """Scan every player for profitable unilateral deviations.
 
-    A player's deviation form is built once and gives both the profile
-    payoff and the best response.  On a ``GameSpec.symmetric`` game, a
-    profile in which every player plays the same strategy is solved for
-    player 1 alone and that row is reported for every player: swapping
-    players 1 and i fixes the shared state, the entangler and the profile
-    and carries player 1's payoffs to player i's, so player i's form, starts
-    and seed are player 1's.  Any other profile or game solves each player.
+    ``space`` is a ``Family``.  A player's deviation form is built once and
+    gives both the profile payoff and the best response.  On a
+    ``GameSpec.symmetric`` game, a profile in which every player plays the
+    same strategy is solved for player 1 alone and that row is reported for
+    every player: swapping players 1 and i fixes the shared state, the
+    entangler and the profile and carries player 1's payoffs to player i's,
+    so player i's form, starts and seed are player 1's.  Any other profile
+    or game solves each player.
     """
     cfg = cfg or SearchConfig()
     ordered = _validated_ops(game, profile, space)
@@ -831,16 +828,14 @@ def dominant_strategy(game: GameSpec, player: int) -> int | None:
     n, d = game.shape.n, game.shape.d
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range 1..{n}")
-    # the player's digit is axis n - player of the index-order tensor
-    own = np.moveaxis(game.numerators[player - 1].reshape((d,) * n), n - player, 0)
-    table = own.reshape(d, -1)  # (own choice, opponent profile)
+    table = _own_choice_table(game, game.numerators, player)
     for candidate in range(d):
         if (table[candidate] >= table).all():
             return candidate
     return None
 
 
-def _conjugate_invariant(game: GameSpec, space) -> bool:
+def _conjugate_invariant(game: GameSpec, space: Family) -> bool:
     """Whether a symmetric search over ``space`` on ``game`` may scan the conjugate half grid.
 
     On the GHZ state a symmetric payoff depends on U only through
@@ -859,20 +854,21 @@ def _payoff_sum_bound(game: GameSpec) -> Fraction:
     return Fraction(int(game.numerators.sum(axis=0).max()), game.denominator)
 
 
-def pareto_check_symmetric(game: GameSpec, payoff: float, space,
+def pareto_check_symmetric(game: GameSpec, payoff: float, space: Family,
                            cfg: SearchConfig | None = None, fidelity: float = 1.0,
                            threads: int = 1) -> ParetoVerdict:
     """Heuristic Pareto certificate for a symmetric common payoff.
 
     If the exact bound max_b sum_i payoff_i(b) / n already certifies the
     value, that analytic certificate is returned.  Otherwise symmetric
-    profiles over the space are searched for one that beats the value by
-    more than epsilon; finding one disproves optimality with a witness.
+    profiles over ``space``, a ``Family``, are searched for one that beats
+    the value by more than epsilon; finding one disproves optimality with a
+    witness.
     An SU(3) search on the GHZ state scans the conjugate half grid
     (``_conjugate_invariant``).  A grid that would evaluate more than
     ``_WORK_BUDGET`` amplitudes (the rows searched times the amplitudes
-    ``_symmetric_payoffs`` holds per row) is rejected before any work, as is
-    a payoff that is not finite.  Every search runs in one thread;
+    a ``_symmetric_evaluator`` holds per row) is rejected before any work, as
+    is a payoff that is not finite.  Every search runs in one thread;
     ``threads`` is ignored and stays only because the bench workloads pass it.
     """
     cfg = cfg or SearchConfig()
@@ -899,7 +895,7 @@ def pareto_check_symmetric(game: GameSpec, payoff: float, space,
 
     if discrete is not None:
         matrices = np.stack([spec.matrix() for spec in discrete])
-        values = _symmetric_payoffs(game, matrices)
+        values = _symmetric_evaluator(game)(matrices)
         index = int(np.argmax(values))
         best_spec, best_value = discrete[index], float(values[index])
     else:

@@ -13,7 +13,8 @@ Conventions used everywhere in this package:
 
 Everything here works on state vectors; no D x D matrix is built.  White
 noise enters the protocols in closed form (see :mod:`qgames.games`).  The
-unitarity checks every local move passes through live here too.
+unitarity checks every local move passes through live here too: a move that
+is not unitary within ``ATOL_UNITARY`` raises ``ValueError``.
 
 :func:`apply_local_batch` is the one propagation kernel.  Each row of a batch
 holds one set of moves per player and stands for every profile of their
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -78,21 +78,18 @@ def unitarity_residual(u) -> float:
     return float(unitarity_residuals(um)) if square else float("inf")
 
 
-def _flag_unitarity(residual: float, atol: float, strict: bool, name: str) -> None:
-    if not residual < atol:  # NaN fails too: ``nan < atol`` is False
-        message = f"{name} is not unitary (residual {residual:.3e} >= {atol:.0e})"
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message, stacklevel=3)
+def _require_residual(residual: float, name: str) -> None:
+    if not residual < ATOL_UNITARY:  # NaN fails too: ``nan < atol`` is False
+        raise ValueError(
+            f"{name} is not unitary (residual {residual:.3e} >= {ATOL_UNITARY:.0e})")
 
 
-def require_unitary(u, atol: float = ATOL_UNITARY, strict: bool = True,
-                    name: str = "operator") -> np.ndarray:
-    """Validate unitarity; raise in strict mode, warn in lenient mode."""
+def require_unitary(u, name: str = "operator") -> np.ndarray:
+    """U as a complex array; raises ValueError unless it is a unitary matrix."""
     um = np.asarray(u, dtype=complex)
     if um.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {um.shape}")
-    _flag_unitarity(unitarity_residual(um), atol, strict, name)
+    _require_residual(unitarity_residual(um), name)
     return um
 
 
@@ -158,11 +155,11 @@ def ghz(shape: SystemShape) -> PureState:
     return PureState(shape, amp)
 
 
-def check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> np.ndarray:
+def check_ops(ops: Sequence, shape: SystemShape) -> np.ndarray:
     """Validate one player-n-first operator profile and return it as one (n, d, d)
     stack.  A well-shaped unitary profile costs one stacked residual product;
-    otherwise each player is checked in profile order and a fault raises or
-    warns per ``strict``, naming the player."""
+    otherwise each player is checked in profile order and the first fault
+    raises ValueError, naming the player."""
     if len(ops) != shape.n:
         raise ValueError(f"need {shape.n} local operators, got {len(ops)}")
     side = (shape.d, shape.d)
@@ -171,17 +168,16 @@ def check_ops(ops: Sequence, shape: SystemShape, strict: bool) -> np.ndarray:
     stack = np.array(mats if well_shaped else
                      [m if m.shape == side else np.eye(shape.d) for m in mats])
     residuals = unitarity_residuals(stack)
-    if well_shaped and residuals.max() < ATOL_UNITARY:  # NaN fails too
-        return stack
-    for k, (mat, residual) in enumerate(zip(mats, residuals)):
-        name = f"operator for player {shape.n - k}"
-        if mat.ndim != 2:
-            raise ValueError(f"{name} must be 2-dimensional, got shape {mat.shape}")
-        fits = mat.shape == side
-        _flag_unitarity(residual if fits else unitarity_residual(mat), ATOL_UNITARY, strict, name)
-        if not fits:
-            raise ValueError(f"local operator shape {mat.shape} != {side}")
-    return stack  # a lenient profile that is not unitary
+    if not (well_shaped and residuals.max() < ATOL_UNITARY):  # NaN fails too
+        for k, (mat, residual) in enumerate(zip(mats, residuals)):
+            name = f"operator for player {shape.n - k}"
+            if mat.ndim != 2:
+                raise ValueError(f"{name} must be 2-dimensional, got shape {mat.shape}")
+            fits = mat.shape == side
+            _require_residual(residual if fits else unitarity_residual(mat), name)
+            if not fits:
+                raise ValueError(f"local operator shape {mat.shape} != {side}")
+    return stack
 
 
 def apply_local_batch(moves: Sequence[np.ndarray], amplitudes: np.ndarray,

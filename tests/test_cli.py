@@ -70,16 +70,14 @@ class TestGameCommands:
         assert code == 0
         assert payload["payoffs"]["01"] == [5, 0]
 
-    @pytest.mark.parametrize("argv", [
-        ["pd", "--alice", "eisert:0,pi/2", "--bob", "eisert:0.3,0.4"],
-        ["minority", "-n", "5", "--strategy", "full:pi/2,-pi/8,pi/8"],
-        ["kolkata", "--fidelity", "0.6"],
-    ])
-    def test_lenient_keeps_bytes(self, argv):
-        # unitary moves: lenient checking changes nothing in the output
-        strict = run_cli(argv)
-        assert strict[0] == 0
-        assert run_cli(argv + ["--lenient"]) == strict
+    @pytest.mark.parametrize("command", ["pd", "minority", "kolkata"])
+    def test_lenient_is_rejected(self, capsys, command):
+        # every move is checked for unitarity; there is no option to skip it
+        code, out = run_cli([command, "--lenient"])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "qgames: unrecognized arguments: --lenient"}
+        assert capsys.readouterr().err == ""
 
     def test_text_format(self):
         code, out = run_cli(

@@ -289,7 +289,7 @@ def test_every_protocol_caller_runs_the_kernel(monkeypatch):
         # player 2's slot holds the 9 matrix units
         "deviation form": (lambda: solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2),
                            [[(1, 1), (1, 9), (1, 1)]]),
-        "pd symmetric": (lambda: solver._symmetric_payoffs(pd, np.stack([I2, X])),
+        "pd symmetric": (lambda: solver._symmetric_evaluator(pd)(np.stack([I2, X])),
                          [[(2, 1)] * 2]),
     }
     for name, (run, sets) in runs.items():
@@ -332,7 +332,7 @@ def test_no_kernel_array_exceeds_the_batch_budget(monkeypatch, budget):
     for n in (4, 9, 11):
         solver._deviation_form(minority(n), [u] * n, 2)
     solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2)
-    solver._symmetric_payoffs(prisoners_dilemma(), np.stack([u] * 3000))
+    solver._symmetric_evaluator(prisoners_dilemma())(np.stack([u] * 3000))
     play_profile(minority(12), [u] * 12)
     verify.check_property_suites()
     assert len(outputs) > 20
@@ -694,14 +694,11 @@ class TestPlayValidation:
         with pytest.raises(ValueError, match=r"fidelity must lie in \[0, 1\]"):
             play_profile(kolkata(), [np.eye(3)] * 3, fidelity=fidelity)
 
-    def test_lenient_mode_warns_on_non_unitary(self):
-        # columns of unit norm: not unitary, but |00> + |11> keeps its norm
+    def test_norm_keeping_non_unitary_rejected(self):
+        # columns of unit norm: not unitary, though |00> + |11> keeps its norm
         skew = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not unitary"):
             play_profile(minority(2), [skew, I2])
-        with pytest.warns(UserWarning, match="not unitary"):
-            report = play_profile(minority(2), [skew, I2], strict=False)
-        assert abs(sum(report.probabilities.values()) - 1.0) < 1e-12
 
 
 def test_public_surface():

@@ -36,7 +36,7 @@ from qgames.solver import (
     _deviation_payoffs,
     _family_matrices,
     _search_family,
-    _symmetric_payoffs,
+    _symmetric_evaluator,
 )
 from qgames.states import SystemShape, ghz
 from qgames.strategies import (
@@ -147,7 +147,7 @@ class TestReducedEvaluators:
         rng = np.random.default_rng(43)
         mats = su3_frame_batch(*[rng.uniform(0, 1, 6) for _ in range(8)])
         for f in (1.0, 0.4):
-            batch = at_fidelity(KOLKATA, 1, f, _symmetric_payoffs(KOLKATA, mats))
+            batch = at_fidelity(KOLKATA, 1, f, _symmetric_evaluator(KOLKATA)(mats))
             for i in range(6):
                 direct = play_symmetric(KOLKATA, mats[i], fidelity=f)
                 assert abs(batch[i] - direct.payoffs[0]) < 1e-10
@@ -157,7 +157,7 @@ class TestReducedEvaluators:
         mats = su2_full_batch(rng.uniform(0, np.pi, 6),
                               rng.uniform(-np.pi, np.pi, 6),
                               rng.uniform(-np.pi, np.pi, 6))
-        batch = _symmetric_payoffs(PD, mats)
+        batch = _symmetric_evaluator(PD)(mats)
         for i in range(6):
             direct = play_symmetric(PD, mats[i])
             assert abs(batch[i] - direct.payoffs[0]) < 1e-10
@@ -258,7 +258,7 @@ def test_symmetric_payoffs_match_dense_reference(game):
     matrices = random_unitaries(rng, 2 if n >= 9 else 4, d)
     if d == 3:
         matrices = np.concatenate([matrices, su3_frame_batch(*rng.uniform(0, np.pi, (8, 3)))])
-    values = _symmetric_payoffs(game, matrices)
+    values = _symmetric_evaluator(game)(matrices)
     rho = dense.density(ghz(game.shape).amplitudes)
     for u, value in zip(matrices, values):
         reference = dense.expectation(game.payoffs[0], dense.conjugate([u] * n, rho))
@@ -269,7 +269,7 @@ def test_symmetric_payoffs_match_dense_reference(game):
 def test_symmetric_payoffs_match_play_symmetric_on_large_minority(n):
     game = minority(n)
     matrices = random_unitaries(np.random.default_rng(n), 4, 2)
-    values = _symmetric_payoffs(game, matrices)
+    values = _symmetric_evaluator(game)(matrices)
     for u, value in zip(matrices, values):
         assert abs(value - play_symmetric(game, u).payoffs[0]) < 1e-13
 
@@ -283,10 +283,11 @@ def test_symmetric_row_value_does_not_depend_on_its_batch(game):
     counts, weights = game.occupation_types
     rows = solver._search_rows((counts.max() + 1) * d * d + 2 * len(weights) * d)
     matrices = random_unitaries(np.random.default_rng(5), rows + 7, d)
-    values = _symmetric_payoffs(game, matrices)
+    evaluate = _symmetric_evaluator(game)
+    values = evaluate(matrices)
     boundary = slice(rows - 5, rows + 5)
-    np.testing.assert_array_equal(_symmetric_payoffs(game, matrices[boundary]), values[boundary])
-    singles = [_symmetric_payoffs(game, matrices[i:i + 1])[0]
+    np.testing.assert_array_equal(evaluate(matrices[boundary]), values[boundary])
+    singles = [evaluate(matrices[i:i + 1])[0]
                for i in [*range(3), *range(rows - 3, rows + 7)]]
     np.testing.assert_array_equal(singles, values[[*range(3), *range(rows - 3, rows + 7)]])
 
@@ -294,7 +295,7 @@ def test_symmetric_row_value_does_not_depend_on_its_batch(game):
 def test_symmetric_payoffs_of_a_game_that_pays_player_one_nothing():
     game = GameSpec("zero", SystemShape(3, 2), False, np.zeros((3, 8), dtype=int))
     assert len(game.occupation_types[1]) == 0
-    np.testing.assert_array_equal(_symmetric_payoffs(game, random_unitaries(
+    np.testing.assert_array_equal(_symmetric_evaluator(game)(random_unitaries(
         np.random.default_rng(1), 3, 2)), np.zeros(3))
 
 
@@ -316,7 +317,7 @@ class TestLargeSystems:
         finally:
             tracemalloc.stop()
         assert play_peak < self.BOUND and form_peak < self.BOUND
-        expected = at_fidelity(game, 1, 0.5, _symmetric_payoffs(game, u[None, :, :])[0])
+        expected = at_fidelity(game, 1, 0.5, _symmetric_evaluator(game)(u[None, :, :])[0])
         np.testing.assert_allclose(report.payoffs, [expected] * 14, rtol=0, atol=1e-12)
         assert abs(sum(report.probabilities.values()) - 1.0) < 1e-12
         assert len(report.probabilities) == 2 ** 14
@@ -336,13 +337,13 @@ class TestLargeSystems:
         assert len(grid) * width * 16 > 4 * budget_bytes
         tracemalloc.start()
         try:
-            values = _symmetric_payoffs(game, matrices)
+            values = _symmetric_evaluator(game)(matrices)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * budget_bytes
         for i in range(0, len(grid), 997):
-            single = _symmetric_payoffs(game, matrices[i:i + 1])[0]
+            single = _symmetric_evaluator(game)(matrices[i:i + 1])[0]
             assert abs(values[i] - single) < 1e-12
 
     def test_minority_fourteen_symmetric_grid_stays_in_budget(self):
@@ -352,7 +353,7 @@ class TestLargeSystems:
         game.occupation_types  # the table is built once per game, outside the bound
         tracemalloc.start()
         try:
-            values = _symmetric_payoffs(game, matrices)
+            values = _symmetric_evaluator(game)(matrices)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -505,12 +506,22 @@ class TestBestResponse:
         assert result.payoff <= 0.25 + 1e-6
         assert result.payoff >= 0.25 - 1e-9
 
-    def test_single_point_space_returned(self):
-        only = StrategySpec(Family.CLASSICAL_BIT, (1.0,))
-        result = best_response(PD, [EQ, EQ], 1, [only])
-        assert result.strategy == only
-        assert result.evaluations == 1
+    def test_discrete_space_enumerated(self):
+        # against Q, cooperating pays 1 and defecting 0
+        result = best_response(PD, [EQ, EQ], 1, Family.CLASSICAL_BIT)
+        assert result.strategy == StrategySpec(Family.CLASSICAL_BIT, (0.0,))
+        assert abs(result.payoff - 1.0) < 1e-12
+        assert result.evaluations == 2
         assert result.certificate == "exact"
+
+    @pytest.mark.parametrize("call", [
+        lambda space: best_response(PD, [EQ, EQ], 1, space),
+        lambda space: verify_nash(PD, [EQ, EQ], space),
+        lambda space: pareto_check_symmetric(PD, 2.0, space),
+    ], ids=["best_response", "verify_nash", "pareto_check_symmetric"])
+    def test_list_space_rejected(self, call):
+        with pytest.raises(ValueError, match="a strategy space must be a Family, got list"):
+            call([StrategySpec(Family.CLASSICAL_BIT, (1.0,))])
 
     def test_full_su2_beats_restricted_equilibrium(self):
         result = best_response(PD, [EQ, EQ], 1, Family.FULL_SU2)
@@ -940,22 +951,23 @@ class TestPareto:
         assert verdict.witness_payoff > 4 / 9 + 1e-3
         assert abs(verdict.witness_payoff - 2 / 3) < 1e-6
 
-    def test_single_point_space(self):
-        verdict = pareto_check_symmetric(
-            KOLKATA, 2 / 3, [StrategySpec(Family.CYCLIC_C3, (0.0,))]
-        )
+    def test_discrete_space(self):
+        # a cyclic shift keeps every GHZ outcome unanimous, so each c3 move pays 0
+        verdict = pareto_check_symmetric(KOLKATA, 2 / 3, Family.CYCLIC_C3)
         assert verdict.is_optimal
-        assert verdict.certificate in ("payoff-sum-bound", "symmetric-search-exhausted")
+        assert verdict.certificate == "symmetric-search-exhausted"
+        assert verdict.witness == StrategySpec(Family.CYCLIC_C3, (0.0,))
+        assert verdict.witness_payoff == 0.0
 
     @pytest.mark.parametrize("payoff", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("space", [Family.FRAME_SU3, [KOLKATA_OPT]])
+    @pytest.mark.parametrize("space", [Family.FRAME_SU3, Family.CYCLIC_C3])
     def test_payoff_must_be_finite(self, payoff, space):
         # nan compares false with every bound and witness, so it would pass as optimal
         with pytest.raises(ValueError, match="payoff must be finite"):
             pareto_check_symmetric(KOLKATA, payoff, space)
 
     @pytest.mark.parametrize("game,space", [(PD, Family.FRAME_SU3), (KOLKATA, Family.FULL_SU2),
-                                            (MINORITY4, [KOLKATA_OPT])])
+                                            (MINORITY4, Family.CYCLIC_C3)])
     def test_space_dimension_must_match(self, game, space):
         with pytest.raises(ValueError, match="strategy space dimension does not match"):
             pareto_check_symmetric(game, 0.1, space)
@@ -1080,7 +1092,7 @@ def deviation_evaluator(game, profile, player, fidelity=1.0):
 
 def symmetric_evaluator(game, fidelity=1.0):
     """Symmetric payoffs of a batch of strategy matrices."""
-    return lambda matrices: at_fidelity(game, 1, fidelity, _symmetric_payoffs(game, matrices))
+    return lambda matrices: at_fidelity(game, 1, fidelity, _symmetric_evaluator(game)(matrices))
 
 
 def on_params(family, evaluate):
@@ -1417,7 +1429,7 @@ class TestPhaseGauge:
         forms = [_deviation_form(game, list(m[:3]), player) for m in (before, after)]
         deviation = [at_fidelity(game, player, fidelity, _deviation_payoffs(form, m))
                      for form, m in zip(forms, (before, after))]
-        symmetric = [at_fidelity(game, 1, fidelity, _symmetric_payoffs(game, m))
+        symmetric = [at_fidelity(game, 1, fidelity, _symmetric_evaluator(game)(m))
                      for m in (before, after)]
         assert np.max(np.abs(deviation[0] - deviation[1])) <= 1e-12
         assert np.max(np.abs(symmetric[0] - symmetric[1])) <= 1e-12
@@ -1474,7 +1486,7 @@ def full_grid_reference(game, cfg):
     """The symmetric SU(3) search on the whole grid from its 16 best rows, with
     the presets and seeded random starts: the search before the conjugate half."""
     family = Family.FRAME_SU3
-    evaluate = on_params(family, lambda matrices: _symmetric_payoffs(game, matrices))
+    evaluate = on_params(family, _symmetric_evaluator(game))
     box = solver._search_box(family)
     axes = solver._grid_axes(family, cfg.grid_points_per_axis)
     grid = solver._grid_rows(axes, np.arange(math.prod(map(len, axes))))
@@ -1506,8 +1518,8 @@ class TestConjugateHalf:
         negated = np.column_stack([params[:, :3], -params[:, 3:]])
         frame, mirrored = su3_frame_batch(*params.T), su3_frame_batch(*negated.T)
         np.testing.assert_array_equal(mirrored, frame.conj())
-        np.testing.assert_array_equal(_symmetric_payoffs(game, mirrored),
-                                      _symmetric_payoffs(game, frame))
+        np.testing.assert_array_equal(_symmetric_evaluator(game)(mirrored),
+                                      _symmetric_evaluator(game)(frame))
 
     @pytest.mark.parametrize("points", [2, 3, 4, 5, 6])
     def test_half_grid_holds_every_orbit_and_starts_on_eight(self, points):

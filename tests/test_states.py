@@ -212,14 +212,10 @@ class TestLocalOperations:
         full = np.kron(np.kron(ops[0], ops[1]), ops[2])
         np.testing.assert_allclose(moved(ops, psi), full @ psi.amplitudes, atol=1e-12)
 
-    def test_non_unitary_rejected_and_lenient(self):
+    def test_non_unitary_rejected(self):
         bad = np.array([[1.0, 0.0], [0.0, 0.5]])
         with pytest.raises(ValueError, match="not unitary"):
             play_profile(minority(2), [bad, I2])
-        with pytest.warns(UserWarning, match="not unitary"):
-            with pytest.raises(ValueError, match="state norm"):
-                # lenient mode only warns; the broken norm still fails
-                play_profile(minority(2), [bad, I2], strict=False)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -330,44 +326,36 @@ class TestCheckOps:
     SHAPE = SystemShape(4, 2)
     BAD = np.diag([1.0, 2.0])
 
-    def check(self, ops, strict):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    def check(self, ops):
+        """check_ops's error message, or None; a warning fails the test."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             try:
-                check_ops(ops, self.SHAPE, strict)
-                error = None
+                check_ops(ops, self.SHAPE)
             except ValueError as exc:
-                error = str(exc)
-        return error, [str(w.message) for w in caught]
+                return str(exc)
+        return None
 
     def test_non_unitary_names_the_first_bad_player(self):
         ops = [I2, self.BAD, I2, self.BAD]
         message = "operator for player {} is not unitary (residual 3.000e+00 >= 1e-09)"
-        assert self.check(ops, strict=True) == (message.format(3), [])
-        assert self.check(ops, strict=False) == (None, [message.format(3), message.format(1)])
+        assert self.check(ops) == message.format(3)
 
     def test_wrong_shape(self):
         square = [I2, np.eye(3), I2, I2]
-        for strict in (True, False):
-            assert self.check(square, strict) == ("local operator shape (3, 3) != (2, 2)", [])
+        assert self.check(square) == "local operator shape (3, 3) != (2, 2)"
         ragged = [I2, I2, np.ones((2, 3)), I2]
-        unitary = "operator for player 2 is not unitary (residual inf >= 1e-09)"
-        assert self.check(ragged, strict=True) == (unitary, [])
-        assert self.check(ragged, strict=False) == (
-            "local operator shape (2, 3) != (2, 2)", [unitary])
+        assert self.check(ragged) == "operator for player 2 is not unitary (residual inf >= 1e-09)"
 
     def test_wrong_ndim(self):
         for op, shape in ((np.ones(4), "(4,)"), (np.ones((1, 2, 2)), "(1, 2, 2)")):
             message = f"operator for player 2 must be 2-dimensional, got shape {shape}"
-            for strict in (True, False):
-                assert self.check([I2, I2, op, I2], strict) == (message, [])
+            assert self.check([I2, I2, op, I2]) == message
 
     def test_earlier_bad_operator_comes_first(self):
         ops = [self.BAD, I2, np.ones(4), I2]
         unitary = "operator for player 4 is not unitary (residual 3.000e+00 >= 1e-09)"
-        assert self.check(ops, strict=True) == (unitary, [])
-        assert self.check(ops, strict=False) == (
-            "operator for player 2 must be 2-dimensional, got shape (4,)", [unitary])
+        assert self.check(ops) == unitary
 
     def test_verdict_at_the_tolerance_matches_unitarity_residual(self):
         # diag(1, e) with e^2 - 1 straddling ATOL_UNITARY, rotated so that the
@@ -381,8 +369,7 @@ class TestCheckOps:
             op = rotation @ np.diag([1.0, edge + step * 2.0 ** -52])
             unitary = unitarity_residual(op) < ATOL_UNITARY
             verdicts.add(unitary)
-            error, _ = self.check([I2, I2, op, I2], strict=True)
-            assert (error is None) == unitary
+            assert (self.check([I2, I2, op, I2]) is None) == unitary
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -392,14 +379,6 @@ class TestCheckOps:
         message = "operator for player 4 is not unitary (residual nan >= 1e-09)"
         with pytest.raises(ValueError, match=re.escape(message)):
             play_symmetric(minority(4), op)
-        # lenient mode warns for every player; the play then fails on the norm
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="state norm nan is not 1"):
-                play_symmetric(minority(4), op, strict=False)
-        assert [str(w.message) for w in caught if w.category is UserWarning] == [
-            f"operator for player {k} is not unitary (residual nan >= 1e-09)"
-            for k in (4, 3, 2, 1)]
 
 
 class TestDensityOperations:
