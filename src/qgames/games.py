@@ -154,14 +154,18 @@ def kolkata() -> GameSpec:
 
 
 def game_by_name(name: str, n: int | None = None) -> GameSpec:
+    """The named game; ``n`` sets the minority game's players (default 4) and
+    must equal the fixed player count of pd and kolkata where it is given."""
     key = name.strip().lower()
-    if key == PD:
-        return prisoners_dilemma()
     if key == MINORITY:
         return minority(4 if n is None else n)
-    if key == KOLKATA:
-        return kolkata()
-    raise ValueError(f"unknown game {name!r}; known: pd, minority, kolkata")
+    fixed = {PD: prisoners_dilemma, KOLKATA: kolkata}.get(key)
+    if fixed is None:
+        raise ValueError(f"unknown game {name!r}; known: pd, minority, kolkata")
+    game = fixed()
+    if n is not None and n != game.shape.n:
+        raise ValueError(f"the {key} game has {game.shape.n} players, got n={n}")
+    return game
 
 
 @cache
@@ -194,14 +198,36 @@ def protocol_amplitudes(game: GameSpec, moves: Sequence[np.ndarray]) -> np.ndarr
 
     ``moves`` holds n player-n-first arrays of shape (B, k_i, d, d) (or
     (1, k_i, d, d), shared by every row); row b stands for the K = prod k_i
-    profiles of the product of its move sets, in lexicographic order.  A play
-    passes one move per player.  The moves act on the resource state through
-    the one propagation kernel, :func:`qgames.states.apply_local_batch`, and
-    the dilemma then applies J-dagger.  The operators are not checked.
+    profiles of the product of its move sets, in lexicographic order.  The
+    moves act on the resource state through the propagation kernel for
+    batches, :func:`qgames.states.apply_local_batch`, and the dilemma then
+    applies J-dagger.  A single play takes the closed form of
+    :func:`play_profile` instead.  The operators are not checked.
     """
     amplitudes = apply_local_batch(moves, resource_state(game).amplitudes, game.shape.d)
     if game.use_entangler_pair:
         amplitudes = amplitudes @ entangler().conj()  # each row v -> J-dagger v
+    return amplitudes
+
+
+def _play_amplitudes(game: GameSpec, stack: np.ndarray) -> np.ndarray:
+    """Final amplitudes (D,) of one player-n-first (n, d, d) profile, in closed form.
+
+    The resource is sum_k c_k |k...k>, so the amplitude of outcome x is
+    sum_k c_k prod_p U_p[x_p, k].  The players' columns are multiplied in
+    left to right, player n's digit the most significant, and the last
+    player's product sums over k; the dilemma then applies J-dagger.  No array
+    is larger than one state.  The operators are not checked.
+    """
+    d = game.shape.d
+    step = (game.shape.dim - 1) // (d - 1)  # index stride between |k...k> kets
+    acc = resource_state(game).amplitudes[None, ::step]  # (digits so far, k)
+    for u in stack[:-1]:
+        # einsum, not a broadcast product: that one allocates ufunc buffers every step
+        acc = np.einsum("mk,xk->mxk", acc, u).reshape(-1, d)
+    amplitudes = (acc @ stack[-1].T).reshape(-1)
+    if game.use_entangler_pair:
+        amplitudes = amplitudes @ entangler().conj()  # v -> J-dagger v
     return amplitudes
 
 
@@ -215,8 +241,9 @@ def protocol_fidelity(game: GameSpec, fidelity: float) -> float:
 def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0) -> PayoffReport:
     """Run one round with independent per-player operators (player-n-first).
 
-    Every operator must be a d x d unitary (``states.check_ops``); the moves
-    then run through :func:`protocol_amplitudes`.  For the dilemma the
+    Every operator must be a d x d unitary (``states.check_ops``); the
+    final amplitudes then take the closed form of :func:`_play_amplitudes`,
+    with no propagation through the batch kernel.  For the dilemma the
     entangler pair wraps them and the simulation is pure (fidelity must be
     1).  The GHZ games mix the shared state with white noise at the given
     fidelity.  White noise commutes with the local unitaries, so the outcome
@@ -225,8 +252,7 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0) -> Payoff
     """
     f = protocol_fidelity(game, fidelity)
     stack = check_ops(ops, game.shape)
-    final = PureState(game.shape, protocol_amplitudes(game, stack[:, None, None])[0, 0])
-    probs = f * np.abs(final.amplitudes) ** 2 + (1.0 - f) / game.shape.dim
+    probs = f * np.abs(_play_amplitudes(game, stack)) ** 2 + (1.0 - f) / game.shape.dim
     payoffs = tuple((game.payoffs @ probs).tolist())
     return PayoffReport(payoffs, dict(zip(game.outcome_labels, probs.tolist())), f)
 

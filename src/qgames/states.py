@@ -16,17 +16,17 @@ noise enters the protocols in closed form (see :mod:`qgames.games`).  The
 unitarity checks every local move passes through live here too: a move that
 is not unitary within ``ATOL_UNITARY`` raises ``ValueError``.
 
-:func:`apply_local_batch` is the one propagation kernel.  Each row of a batch
+:func:`apply_local_batch` is the propagation kernel for batches.  Each row
 holds one set of moves per player and stands for every profile of their
 Cartesian product.  A player is one (k d, d) @ (d, P D/d) product per row:
 its k moves act on the leading tensor axis of all P profiles so far, and that
-axis then rotates last.  A play is the case of one move per player; a
-deviation form puts the d^2 matrix units at one slot, and a classical
-embedding check the classical set at several.  The kernel checks nothing;
-its callers check their operators once, :func:`check_ops` a profile in one
-stacked product.  Every play, deviation form and embedding check reaches it
-through ``games.protocol_amplitudes``; the property suite of ``qgames
-verify`` calls it directly.  The batched callers keep each call's output, the
+axis then rotates last.  A deviation form puts the d^2 matrix units at one
+slot, and a classical embedding check the classical set at several.  The
+kernel checks nothing; callers check their operators once, :func:`check_ops`
+a profile in one stacked product.  Deviation forms and embedding checks reach
+it through ``games.protocol_amplitudes``, the property suite of ``qgames
+verify`` directly; ``games.play_profile`` takes one profile's closed form
+in place of it.  The batched callers keep each call's output, the
 largest array the kernel builds, to at most ``BATCH_BUDGET`` complex
 amplitudes (or one state, where a state is larger), sized by
 :func:`batch_rows`.

@@ -186,6 +186,23 @@ class TestErrors:
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": message}
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--game", "kolkata", "-n", "5", "--mode", "best-response",
+         "--profile", "su3:table2"],
+        ["sweep", "--game", "kolkata", "-n", "5", "--strategy", "su3:table2"],
+    ])
+    def test_player_count_of_a_fixed_size_game(self, argv):
+        # kolkata has three players; a different -n is an error, not ignored
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "the kolkata game has 3 players, got n=5"}
+
+    def test_equal_player_count_of_a_fixed_size_game(self):
+        code, payload = run_json(["search", "--game", "pd", "-n", "2", "--mode", "nash"])
+        assert code == 0
+        assert payload["n"] == 2
+
     def test_dimension_mismatch(self):
         code, payload = run_json(["minority", "--strategy", "su3:table2"])
         assert code == 2

@@ -96,6 +96,13 @@ class TestPayoffTables:
         with pytest.raises(ValueError):
             game_by_name("poker")
 
+    def test_game_by_name_holds_fixed_player_counts(self):
+        assert game_by_name("pd", 2).shape.n == 2
+        assert game_by_name("kolkata", 3).shape.n == 3
+        for name, n, fixed in (("pd", 3, 2), ("kolkata", 5, 3), ("kolkata", 2, 3)):
+            with pytest.raises(ValueError, match=f"the {name} game has {fixed} players, got n={n}"):
+                game_by_name(name, n)
+
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_vectorised_minority_matches_label_loop(n):
@@ -279,11 +286,12 @@ def test_every_protocol_caller_runs_the_kernel(monkeypatch):
     monkeypatch.setattr(games, "apply_local_batch", spy)
     pd = prisoners_dilemma()
     runs = {
-        "pd play": (lambda: play_profile(pd, [I2, X]), [[(1, 1)] * 2]),
+        # a play takes the closed form and never reaches the kernel
+        "pd play": (lambda: play_profile(pd, [I2, X]), []),
         "minority play": (lambda: play_profile(minority(4), [su2_full(0.3, 0.2, 0.1)] * 4),
-                          [[(1, 1)] * 4]),
+                          []),
         "kolkata play": (lambda: play_symmetric(kolkata(), su3_frame(*KOLKATA_OPTIMAL_PARAMS)),
-                         [[(1, 1)] * 3]),
+                         []),
         # every player takes the whole classical set: 8 profiles in one row
         "embedding check": (lambda: classical_embedding_check(minority(3)), [[(1, 2)] * 3]),
         # player 2's slot holds the 9 matrix units
@@ -333,12 +341,46 @@ def test_no_kernel_array_exceeds_the_batch_budget(monkeypatch, budget):
         solver._deviation_form(minority(n), [u] * n, 2)
     solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2)
     solver._symmetric_evaluator(prisoners_dilemma())(np.stack([u] * 3000))
-    play_profile(minority(12), [u] * 12)
     verify.check_property_suites()
     assert len(outputs) > 20
     for rows, profiles, dim in outputs:
         # one state is the floor: a single row of a large game holds more
         assert rows * profiles * dim <= max(budget, dim), (rows, profiles, dim)
+    # a play's closed form builds no array larger than one state; its closing
+    # product holds two at once, its input and its output
+    game, stack = minority(12), np.stack([u] * 12)
+    games._play_amplitudes(game, stack)
+    tracemalloc.start()
+    try:
+        amplitudes = games._play_amplitudes(game, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amplitudes.shape == (game.shape.dim,)
+    state_bytes = game.shape.dim * np.dtype(complex).itemsize
+    assert peak < 2 * state_bytes + state_bytes // 2, (peak, state_bytes)
+
+
+# the dilemma's resource J|00> carries a phase i on |11>; a one-player GHZ state
+# is the uniform superposition of the d choices
+SOLO = GameSpec("solo", SystemShape(1, 3), False, np.array([[2, 0, 1]]), 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from([*EMBEDDED, "solo"]), seed=st.integers(0, 2 ** 32 - 1),
+       fidelity=st.floats(0, 1))
+def test_closed_form_play_matches_the_kernel(name, seed, fidelity):
+    # amplitude(x) = sum_k c_k prod_p U_p[x_p, k] against the kernel's propagation
+    game = SOLO if name == "solo" else EMBEDDED[name]
+    rng = np.random.default_rng(seed)
+    stack = np.stack([haar_unitary(rng, game.shape.d) for _ in range(game.shape.n)])
+    amplitudes = protocol_amplitudes(game, stack[:, None, None])[0, 0]
+    for f in (1.0,) if game.use_entangler_pair else (1.0, fidelity):
+        report = play_profile(game, list(stack), f)
+        probs = f * np.abs(amplitudes) ** 2 + (1 - f) / game.shape.dim
+        np.testing.assert_allclose(list(report.probabilities.values()), probs,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(report.payoffs, game.payoffs @ probs, rtol=0, atol=1e-13)
 
 
 class TestPlayProfile:
