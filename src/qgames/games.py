@@ -14,6 +14,13 @@ numerators over a common denominator, in index order, with row i-1 for
 player i.  Plays read its float quotient ``payoffs``; the exact oracles
 (uniform payoffs, dominance, the payoff-sum bound, JSON) read the integers.
 
+Every protocol applies local moves to a resource sum_k c_k |k...k> (J|00>
+for the dilemma, GHZ otherwise), so one closed form gives every amplitude:
+amplitude(x) = sum_k c_k prod_p U_p[x_p, k], then J-dagger for the dilemma.
+:func:`protocol_amplitudes` is that form, the one place amplitudes are
+computed; a play, a batch of profiles and a Cartesian set of moves differ
+only in the leading axes of the moves.
+
 Ordering conventions (see :mod:`qgames.states`): operator sequences are
 player-n-first (tensor order), payoff lists are player-1-first, and outcome
 labels are digit strings with player 1 as the rightmost digit.  For the
@@ -33,7 +40,6 @@ import numpy as np
 from .states import (
     PureState,
     SystemShape,
-    apply_local_batch,
     batch_rows,
     check_fidelity,
     check_ops,
@@ -194,40 +200,29 @@ def _resource_state(shape: SystemShape, use_entangler_pair: bool) -> PureState:
 
 
 def protocol_amplitudes(game: GameSpec, moves: Sequence[np.ndarray]) -> np.ndarray:
-    """Final amplitudes (B, K, D) of per-row Cartesian move sets.
-
-    ``moves`` holds n player-n-first arrays of shape (B, k_i, d, d) (or
-    (1, k_i, d, d), shared by every row); row b stands for the K = prod k_i
-    profiles of the product of its move sets, in lexicographic order.  The
-    moves act on the resource state through the propagation kernel for
-    batches, :func:`qgames.states.apply_local_batch`, and the dilemma then
-    applies J-dagger.  A single play takes the closed form of
-    :func:`play_profile` instead.  The operators are not checked.
-    """
-    amplitudes = apply_local_batch(moves, resource_state(game).amplitudes, game.shape.d)
-    if game.use_entangler_pair:
-        amplitudes = amplitudes @ entangler().conj()  # each row v -> J-dagger v
-    return amplitudes
-
-
-def _play_amplitudes(game: GameSpec, stack: np.ndarray) -> np.ndarray:
-    """Final amplitudes (D,) of one player-n-first (n, d, d) profile, in closed form.
+    """Final amplitudes (..., D) of n player-n-first move arrays (..., d, d).
 
     The resource is sum_k c_k |k...k>, so the amplitude of outcome x is
     sum_k c_k prod_p U_p[x_p, k].  The players' columns are multiplied in
     left to right, player n's digit the most significant, and the last
-    player's product sums over k; the dilemma then applies J-dagger.  No array
-    is larger than one state.  The operators are not checked.
+    player's product sums over k; the dilemma then applies J-dagger.  The
+    moves' leading axes broadcast: a play has none, a batch of profiles
+    shares one, and a Cartesian set of one player's moves sits on an axis of
+    its own.  Every product is per profile, so a profile's amplitudes are the
+    same bits whatever axes it rides on.  The operators are not checked.
     """
     d = game.shape.d
     step = (game.shape.dim - 1) // (d - 1)  # index stride between |k...k> kets
-    acc = resource_state(game).amplitudes[None, ::step]  # (digits so far, k)
-    for u in stack[:-1]:
+    acc = resource_state(game).amplitudes[None, ::step]  # (..., digits so far, k)
+    for u in moves[:-1]:
         # einsum, not a broadcast product: that one allocates ufunc buffers every step
-        acc = np.einsum("mk,xk->mxk", acc, u).reshape(-1, d)
-    amplitudes = (acc @ stack[-1].T).reshape(-1)
+        acc = np.einsum("...mk,...xk->...mxk", acc, u)
+        acc = acc.reshape(acc.shape[:-3] + (-1, d))
+    amplitudes = acc @ moves[-1].swapaxes(-1, -2)
+    amplitudes = amplitudes.reshape(amplitudes.shape[:-2] + (-1,))
     if game.use_entangler_pair:
-        amplitudes = amplitudes @ entangler().conj()  # v -> J-dagger v
+        # one vector-matrix product per profile: v -> J-dagger v
+        amplitudes = (amplitudes[..., None, :] @ entangler().conj())[..., 0, :]
     return amplitudes
 
 
@@ -242,17 +237,16 @@ def play_profile(game: GameSpec, ops: Sequence, fidelity: float = 1.0) -> Payoff
     """Run one round with independent per-player operators (player-n-first).
 
     Every operator must be a d x d unitary (``states.check_ops``); the
-    final amplitudes then take the closed form of :func:`_play_amplitudes`,
-    with no propagation through the batch kernel.  For the dilemma the
-    entangler pair wraps them and the simulation is pure (fidelity must be
-    1).  The GHZ games mix the shared state with white noise at the given
-    fidelity.  White noise commutes with the local unitaries, so the outcome
-    distribution is f |psi|^2 + (1 - f)/D, computed on the state vector; no
-    density matrix is built.
+    final amplitudes then come from :func:`protocol_amplitudes` with no
+    leading axes.  For the dilemma the entangler pair wraps them and the
+    simulation is pure (fidelity must be 1).  The GHZ games mix the shared
+    state with white noise at the given fidelity.  White noise commutes with
+    the local unitaries, so the outcome distribution is f |psi|^2 + (1 - f)/D,
+    computed on the state vector; no density matrix is built.
     """
     f = protocol_fidelity(game, fidelity)
     stack = check_ops(ops, game.shape)
-    probs = f * np.abs(_play_amplitudes(game, stack)) ** 2 + (1.0 - f) / game.shape.dim
+    probs = f * np.abs(protocol_amplitudes(game, stack)) ** 2 + (1.0 - f) / game.shape.dim
     payoffs = tuple((game.payoffs @ probs).tolist())
     return PayoffReport(payoffs, dict(zip(game.outcome_labels, probs.tolist())), f)
 
@@ -284,11 +278,13 @@ def classical_embedding_check(game: GameSpec) -> EmbeddingCheck:
     Every combination of classical operators (player-n-first powers) is
     played through the full quantum protocol and compared against the table
     entry of the classical outcome string.  The trailing players whose
-    profiles fit ``states.BATCH_BUDGET`` amplitudes take the whole classical
-    set as one Cartesian move set, so each of their moves is one product over
-    every profile before it; each leading prefix is one row, and as many rows
-    go to one :func:`protocol_amplitudes` call as the budget holds.  The
-    payoffs are read off |amplitude|^2.
+    profiles fit ``states.BATCH_BUDGET`` amplitudes each take the whole
+    classical set on a leading axis of their own, so each of their moves is
+    one product over every profile before it; each leading prefix is one row
+    of the axis before them, and as many rows go to one
+    :func:`protocol_amplitudes` call as the budget holds.  The payoffs are
+    read off |amplitude|^2 and compared with the table once, after the
+    last call.
     """
     n, d, dim = game.shape.n, game.shape.d, game.shape.dim
     operators = np.stack([require_unitary(op, name="classical operator")
@@ -297,19 +293,21 @@ def classical_embedding_check(game: GameSpec) -> EmbeddingCheck:
     trailing = 0  # players that take the whole classical set in every row
     while trailing < n and d ** (trailing + 1) <= fits:
         trailing += 1
-    leading, tails = n - trailing, d ** trailing
-    rows = batch_rows(tails * dim)
-    worst = 0.0
+    leading = n - trailing
+    rows = batch_rows(d ** trailing * dim)
+    # trailing player t's set on leading axis t + 1, after the rows
+    sets = [operators.reshape((d,) + (1,) * (trailing - 1 - t) + (d, d))
+            for t in range(trailing)]
+    blocks = []
     for first in range(0, d ** leading, rows):
         prefixes = np.arange(first, min(first + rows, d ** leading))
         powers = prefixes[:, None] // d ** np.arange(leading - 1, -1, -1) % d
-        moves = list(operators[powers.T, None]) + [operators[None]] * trailing
-        amplitudes = protocol_amplitudes(game, moves).reshape(-1, dim)
-        payoffs = np.abs(amplitudes) ** 2 @ game.payoffs.T
-        # the d classical operators are the powers s^0..s^(d-1), so a profile's
-        # index in lexicographic order is the index of its classical outcome
-        outcomes = np.arange(first * tails, first * tails + len(amplitudes))
-        worst = max(worst, float(np.max(np.abs(payoffs - game.payoffs[:, outcomes].T))))
+        heads = operators[powers.T].reshape((leading, len(prefixes)) + (1,) * trailing + (d, d))
+        amplitudes = protocol_amplitudes(game, [*heads, *sets]).reshape(-1, dim)
+        blocks.append(np.abs(amplitudes) ** 2 @ game.payoffs.T)
+    # the d classical operators are the powers s^0..s^(d-1), so a profile's
+    # index in lexicographic order is the index of its classical outcome
+    worst = float(np.max(np.abs(np.concatenate(blocks) - game.payoffs.T)))
     return EmbeddingCheck(worst <= ATOL_PAYOFF, worst, d ** n)
 
 

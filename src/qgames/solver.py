@@ -2,11 +2,11 @@
 
 Payoff evaluation for a unilateral deviation is reduced once per player to a
 d^2 x d^2 Hermitian form T with E(U) = vec(U) . T . conj(vec(U)).  T is built
-from one Cartesian row through ``games.protocol_amplitudes``: the other
-players' moves stay fixed and the deviating slot holds the d^2 matrix units
-E_ab as one move set, so the kernel makes n products, not d^2 n, and no
-D x D matrix is built.  Symmetric dilemma profiles run
-through the same protocol.  A symmetric profile U^(x)n on the GHZ state gives
+through ``games.protocol_amplitudes``: the other players' moves stay fixed
+and the deviating slot holds the d^2 matrix units E_ab on one leading axis,
+so the players before it multiply in once for all d^2 units and no D x D
+matrix is built.  Symmetric dilemma profiles run through the same core, one
+profile per row.  A symmetric profile U^(x)n on the GHZ state gives
 every outcome with the same occupation type (the number of players on each
 choice) the same amplitude, so symmetric GHZ scans evaluate one amplitude per
 weighted type, ``GameSpec.occupation_types``, instead of d^n.  All are
@@ -337,19 +337,19 @@ def _deviation_form(game: GameSpec, fixed_ops: Sequence[np.ndarray], player: int
     ``fixed_ops`` is the player-n-first operator list; the entry at the
     deviating player's slot is ignored.  The form folds in the shared state,
     the entangler pair for the dilemma, and the player's payoff operator.
-    The d^2 matrix units E_ab, one move set at the deviating slot beside the
-    fixed moves, run through the protocol as one Cartesian row (in blocks of
-    units under ``states.BATCH_BUDGET``) and give d^2 final vectors v_ab;
+    The d^2 matrix units E_ab, one axis at the deviating slot beside the
+    fixed moves, run through the protocol (in blocks of units under
+    ``states.BATCH_BUDGET``) and give d^2 final vectors v_ab;
     T = sum_K diag_K v_ab[K] conj(v_a'b'[K]).
     """
     n, d = game.shape.n, game.shape.d
-    moves = list(np.stack(fixed_ops)[:, None, None])  # one fixed move per player
-    units = np.eye(d * d, dtype=complex).reshape(1, d * d, d, d)
-    step = batch_rows(game.shape.dim)  # units per kernel call
+    moves = list(np.stack(fixed_ops))  # one fixed move per player
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    step = batch_rows(game.shape.dim)  # units per call
     blocks = []
     for first in range(0, d * d, step):
-        moves[n - player] = units[:, first:first + step]  # the player's slot
-        blocks.append(protocol_amplitudes(game, moves)[0])
+        moves[n - player] = units[first:first + step]  # the player's slot
+        blocks.append(protocol_amplitudes(game, moves))
     vectors = np.concatenate(blocks)
     return (vectors * game.payoffs[player - 1]) @ vectors.conj().T
 
@@ -396,7 +396,7 @@ def _symmetric_evaluator(game: GameSpec) -> Callable[[np.ndarray], np.ndarray]:
 
         def dilemma(matrices: np.ndarray) -> np.ndarray:
             final = np.concatenate([
-                protocol_amplitudes(game, [matrices[start:start + rows, None]] * 2)[:, 0]
+                protocol_amplitudes(game, [matrices[start:start + rows]] * 2)
                 for start in range(0, len(matrices), rows)])
             return np.einsum("gi,i->g", np.abs(final) ** 2, game.payoffs[0])
         return dilemma

@@ -7,29 +7,24 @@ Conventions used everywhere in this package:
   player 3 holds digit 1, player 2 holds digit 2, player 1 holds digit 0.
 * The flat array index of a label is its base-d value read left to right,
   so player ``i`` contributes ``digit * d**(i-1)``.
-* Operator lists, in ``games.play_profile`` and the move sets of
-  :func:`apply_local_batch`, are ordered player-n-first, matching the tensor
-  product U_n (x) U_{n-1} (x) ... (x) U_1.
+* Operator lists, in ``games.play_profile`` and the moves of
+  ``games.protocol_amplitudes``, are ordered player-n-first, matching the
+  tensor product U_n (x) U_{n-1} (x) ... (x) U_1.
 
 Everything here works on state vectors; no D x D matrix is built.  White
 noise enters the protocols in closed form (see :mod:`qgames.games`).  The
 unitarity checks every local move passes through live here too: a move that
 is not unitary within ``ATOL_UNITARY`` raises ``ValueError``.
 
-:func:`apply_local_batch` is the propagation kernel for batches.  Each row
-holds one set of moves per player and stands for every profile of their
-Cartesian product.  A player is one (k d, d) @ (d, P D/d) product per row:
-its k moves act on the leading tensor axis of all P profiles so far, and that
-axis then rotates last.  A deviation form puts the d^2 matrix units at one
-slot, and a classical embedding check the classical set at several.  The
-kernel checks nothing; callers check their operators once, :func:`check_ops`
-a profile in one stacked product.  Deviation forms and embedding checks reach
-it through ``games.protocol_amplitudes``, the property suite of ``qgames
-verify`` directly; ``games.play_profile`` takes one profile's closed form
-in place of it.  The batched callers keep each call's output, the
-largest array the kernel builds, to at most ``BATCH_BUDGET`` complex
-amplitudes (or one state, where a state is larger), sized by
-:func:`batch_rows`.
+Local moves act on the protocols' shared states in one place,
+``games.protocol_amplitudes``: every shared state is sum_k c_k |k...k>, so
+the amplitudes come in closed form, over any leading axes of profiles, and
+no state is propagated here.  That core checks nothing; callers check their
+operators once, :func:`check_ops` a profile in one stacked product.  Its
+batched callers (deviation forms, embedding checks, the property suite of
+``qgames verify``) keep each call's output, the largest array it builds, to
+at most ``BATCH_BUDGET`` complex amplitudes (or one state, where a state is
+larger), sized by :func:`batch_rows`.
 """
 
 from __future__ import annotations
@@ -178,39 +173,6 @@ def check_ops(ops: Sequence, shape: SystemShape) -> np.ndarray:
             if not fits:
                 raise ValueError(f"local operator shape {mat.shape} != {side}")
     return stack
-
-
-def apply_local_batch(moves: Sequence[np.ndarray], amplitudes: np.ndarray,
-                      d: int) -> np.ndarray:
-    """(U_n (x) ... (x) U_1)|psi> for every profile of per-row Cartesian move sets.
-
-    ``moves`` holds n player-n-first arrays; the i-th is (B, k_i, d, d), the k_i
-    moves of that player in each row, or (1, k_i, d, d) for the same moves in
-    every row.  ``amplitudes`` is (B, d**n) or broadcasts to it.  Row b stands
-    for every profile of the product of its move sets, in lexicographic order
-    (player n's move the most significant), and the result is the
-    (B, prod k_i, d**n) moved amplitudes.  With every k_i = 1 each row is one
-    profile.  The operators are not checked.
-    """
-    n = len(moves)
-    dim = d ** n
-    rest = dim // d  # the other tensor axes
-    # per row: the acted tensor axis, then the profiles so far, then the other axes
-    state = np.reshape(amplitudes, (-1, d, rest))
-    profiles = 1
-    for axis, ops in enumerate(moves):
-        k = ops.shape[1]
-        # (k d, d) @ (d, P D/d) per row: every move of the set on every profile so far
-        out = ops.reshape(-1, k * d, d) @ state
-        if axis < n - 1:
-            # the acted axis rotates last and the next player's leads; the
-            # profile index becomes (P, k)
-            out = out.reshape(len(out), k, d, profiles, d, rest // d)
-            state = out.transpose(0, 4, 3, 1, 5, 2).reshape(len(out), d, -1)
-        profiles *= k
-    # the last acted axis rotates last too, so n steps end in order
-    out = out.reshape(len(out), k, d, profiles // k, rest).transpose(0, 3, 1, 4, 2)
-    return out.reshape(len(out), profiles, dim)
 
 
 def check_fidelity(fidelity: float) -> float:

@@ -15,12 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from .games import (
+    GameSpec,
     classical_embedding_check,
     classical_uniform_payoff,
     kolkata,
     minority,
     play_symmetric,
     prisoners_dilemma,
+    protocol_amplitudes,
 )
 from .solver import (
     SearchConfig,
@@ -29,7 +31,7 @@ from .solver import (
     pareto_check_symmetric,
     verify_nash,
 )
-from .states import SystemShape, apply_local_batch, batch_rows, unitarity_residuals
+from .states import batch_rows, unitarity_residuals
 from .strategies import (
     Family,
     KOLKATA_OPTIMAL_PARAMS,
@@ -44,8 +46,6 @@ from .strategies import (
 
 PROPERTY_DRAWS = 1000
 _PROPERTY_SEED = 20240917
-# the shapes of the norm and trace draws, PROPERTY_DRAWS // 3 draws each
-_PROPERTY_SHAPES = (SystemShape(2, 2), SystemShape(4, 2), SystemShape(3, 3))
 
 
 @dataclass(frozen=True)
@@ -265,34 +265,31 @@ def _dense_trace_residual(ops: np.ndarray, psi: np.ndarray, fs: np.ndarray) -> f
     return float(np.max(np.abs(traces - 1.0)))
 
 
-def _preservation_residuals(rng: _SplitMix64, shape: SystemShape,
-                            source: np.ndarray) -> tuple[float, float]:
-    """Worst norm and trace residuals over one shape's property draws."""
-    n, d, dim = shape.n, shape.d, shape.dim
-    count = PROPERTY_DRAWS // len(_PROPERTY_SHAPES)
-    raw = rng.standard_normal((count, 2, dim))
-    # filled in place and the draw dropped: one (count, dim) copy at the peak
-    psi = np.empty((count, dim), dtype=complex)
+def _preservation_residuals(rng: _SplitMix64, game: GameSpec, source: np.ndarray,
+                            count: int) -> tuple[float, float]:
+    """Worst norm and trace residuals over one game's ``count`` property draws."""
+    n, dim = game.shape.n, game.shape.dim
+    dense = np.arange(0, count, 4)  # the draws of the trace check
+    raw = rng.standard_normal((count, 2, dim))[dense]
+    psi = np.empty((len(dense), dim), dtype=complex)
     psi.real, psi.imag = raw[:, 0], raw[:, 1]
     del raw
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     picks = rng.integers(len(source), size=(count, n))
-    dense = np.arange(0, count, 4)
     fs = rng.uniform(0, 1, len(dense))
 
     worst_norm = 0.0
     rows = batch_rows(dim)
     for first in range(0, count, rows):
-        chunk = slice(first, first + rows)
-        # one move per player and row: (n, rows, 1, d, d)
-        moved = apply_local_batch(source[picks[chunk].T, None], psi[chunk], d)[:, 0]
-        worst_norm = max(worst_norm, float(np.max(np.abs(np.linalg.norm(moved, axis=1) - 1.0))))
+        # one profile per row on the game's resource: n arrays of (rows, d, d)
+        final = protocol_amplitudes(game, source[picks[first:first + rows].T])
+        worst_norm = max(worst_norm, float(np.max(np.abs(np.linalg.norm(final, axis=1) - 1.0))))
     worst_trace = 0.0
     rows = batch_rows(dim * dim)
     for first in range(0, len(dense), rows):
-        draws = dense[first:first + rows]
+        chunk = slice(first, first + rows)
         worst_trace = max(worst_trace, _dense_trace_residual(
-            source[picks[draws]], psi[draws], fs[first:first + rows]))
+            source[picks[dense[chunk]]], psi[chunk], fs[chunk]))
     return worst_norm, worst_trace
 
 
@@ -306,20 +303,23 @@ def check_property_suites() -> list[CheckResult]:
        1000 Eisert SU(2), 1000 SU(3) frame matrices), each parameter
        ``lo + (hi - lo) * u`` over its box, checked for unitarity and, for
        full SU(2) and SU(3), unit determinant;
-    2. then for each shape (n, d) in (2, 2), (4, 2), (3, 3), with D = d**n and
-       333 draws per shape: ``standard_normal((333, 2, D))`` for the states
-       (real and imaginary parts by Box-Muller, normalised per row),
+    2. then for each game, ``prisoners_dilemma()``, ``minority(4)`` and
+       ``kolkata()`` of shapes (n, d) = (2, 2), (4, 2), (3, 3), with D = d**n
+       and 333 draws per game: ``standard_normal((333, 2, D))`` for the
+       states (real and imaginary parts by Box-Muller, normalised per row),
        ``integers(1000, size=(333, n))``, floor(1000 u), for each draw's
        player-n-first operators from the full SU(2) (d = 2) or SU(3) batch,
        and ``uniform(0, 1, 84)`` for the fidelities of the dense draws 0, 4,
        8, ....
 
-    Every draw goes through :func:`qgames.states.apply_local_batch` for the
-    norm check; every dense draw also builds f |psi><psi| + (1 - f)/D I and
-    the dense U_n (x) ... (x) U_1 for the trace check.  The draws are made
-    before any evaluation and evaluated in batches of at most
-    ``states.BATCH_BUDGET`` amplitudes (D per state, D**2 per dense draw),
-    so the sample does not depend on the budget.
+    Every draw's profile goes through :func:`qgames.games.protocol_amplitudes`
+    on its game's resource (the dilemma's J and J-dagger included) for the
+    norm check; every dense draw also builds f |psi><psi| + (1 - f)/D I from
+    its state and the dense U_n (x) ... (x) U_1 for the trace check, and the
+    other draws' states go unused.  The draws are made before any evaluation
+    and evaluated in batches of at most ``states.BATCH_BUDGET`` amplitudes (D
+    per profile, D**2 per dense draw), so the sample does not depend on the
+    budget.
     """
     rng = _SplitMix64(_PROPERTY_SEED)
 
@@ -332,18 +332,20 @@ def check_property_suites() -> list[CheckResult]:
         if family in (Family.FULL_SU2, Family.FRAME_SU3):
             worst_det = max(worst_det, float(np.max(np.abs(np.linalg.det(mats) - 1))))
 
-    # norm / trace preservation over random states and random local unitaries
+    # norm preservation of the protocols' final states, and trace preservation
+    # of random states under random local unitaries; shapes (2, 2), (4, 2), (3, 3)
+    games = (prisoners_dilemma(), minority(4), kolkata())
     worst_norm = 0.0
     worst_trace = 0.0
-    for shape in _PROPERTY_SHAPES:
-        source = batches[Family.FULL_SU2 if shape.d == 2 else Family.FRAME_SU3]
-        norm, trace = _preservation_residuals(rng, shape, source)
+    for game in games:
+        source = batches[Family.FULL_SU2 if game.shape.d == 2 else Family.FRAME_SU3]
+        norm, trace = _preservation_residuals(rng, game, source, PROPERTY_DRAWS // len(games))
         worst_norm = max(worst_norm, norm)
         worst_trace = max(worst_trace, trace)
 
     # the float payoff tables equal the exact numerators over the denominator
     worst_table = 0.0
-    for game in (prisoners_dilemma(), minority(4), kolkata()):
+    for game in games:
         exact = np.array([[float(Fraction(int(v), game.denominator)) for v in row]
                           for row in game.numerators])
         worst_table = max(worst_table, float(np.max(np.abs(game.payoffs - exact))))

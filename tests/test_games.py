@@ -251,15 +251,20 @@ class TestPlayPd:
 
     def test_protocol_matches_dense_dilemma(self):
         # J-dagger (U_B (x) U_A) J |00>, amplitudes with their phases, for every
-        # pair of one Cartesian row of 4 Bob and 4 Alice moves, Bob's the major index
+        # pair of 4 Bob moves on the first axis and 4 Alice moves on the second
         rng = np.random.default_rng(29)
         j = entangler()
         bobs, alices = (np.array([haar_unitary(rng, 2) for _ in range(4)]) for _ in range(2))
-        final = protocol_amplitudes(prisoners_dilemma(), [bobs[None], alices[None]])
-        assert final.shape == (1, 16, 4)
-        for row, (u_bob, u_alice) in zip(final[0], itertools.product(bobs, alices)):
+        final = protocol_amplitudes(prisoners_dilemma(), [bobs[:, None], alices])
+        assert final.shape == (4, 4, 4)
+        for row, (u_bob, u_alice) in zip(final.reshape(16, 4), itertools.product(bobs, alices)):
             np.testing.assert_allclose(row, j.conj().T @ np.kron(u_bob, u_alice) @ j[:, 0],
                                        rtol=0, atol=1e-13)
+
+    def test_resource_phase(self):
+        # J|00> = (|00> + i|11>)/sqrt(2): J-dagger undoes it only with the phase i
+        np.testing.assert_allclose(protocol_amplitudes(prisoners_dilemma(), [I2, I2]),
+                                   [1, 0, 0, 0], rtol=0, atol=1e-15)
 
 
 def test_resource_state_is_built_once_per_shape_and_protocol():
@@ -275,36 +280,46 @@ def test_resource_state_is_built_once_per_shape_and_protocol():
                                   entangler()[:, 0])
 
 
-def test_every_protocol_caller_runs_the_kernel(monkeypatch):
+def spy_on_the_core(monkeypatch, record):
+    """Route every module's protocol_amplitudes through ``record(moves, out)``."""
+    core = games.protocol_amplitudes
+
+    def spy(game, moves):
+        out = core(game, moves)
+        record(moves, out)
+        return out
+
+    for module in (games, solver, verify):
+        monkeypatch.setattr(module, "protocol_amplitudes", spy)
+
+
+def test_every_protocol_caller_runs_the_core(monkeypatch):
     calls = []
-    kernel = games.apply_local_batch
-
-    def spy(moves, amplitudes, d):
-        calls.append([ops.shape[:2] for ops in moves])  # (rows, set size) per player
-        return kernel(moves, amplitudes, d)
-
-    monkeypatch.setattr(games, "apply_local_batch", spy)
+    spy_on_the_core(monkeypatch, lambda moves, out: calls.append(
+        [np.shape(u)[:-2] for u in moves]))  # the leading axes of each player's moves
     pd = prisoners_dilemma()
     runs = {
-        # a play takes the closed form and never reaches the kernel
-        "pd play": (lambda: play_profile(pd, [I2, X]), []),
+        # a play has no leading axes
+        "pd play": (lambda: play_profile(pd, [I2, X]), [[()] * 2]),
         "minority play": (lambda: play_profile(minority(4), [su2_full(0.3, 0.2, 0.1)] * 4),
-                          []),
+                          [[()] * 4]),
         "kolkata play": (lambda: play_symmetric(kolkata(), su3_frame(*KOLKATA_OPTIMAL_PARAMS)),
-                         []),
-        # every player takes the whole classical set: 8 profiles in one row
-        "embedding check": (lambda: classical_embedding_check(minority(3)), [[(1, 2)] * 3]),
+                         [[()] * 3]),
+        # every player takes the whole classical set on an axis of its own: 8 profiles
+        "embedding check": (lambda: classical_embedding_check(minority(3)),
+                            [[(2, 1, 1), (2, 1), (2,)]]),
         # player 2's slot holds the 9 matrix units
         "deviation form": (lambda: solver._deviation_form(kolkata(), [cyclic_s(1)] * 3, 2),
-                           [[(1, 1), (1, 9), (1, 1)]]),
+                           [[(), (9,), ()]]),
         "pd symmetric": (lambda: solver._symmetric_evaluator(pd)(np.stack([I2, X])),
-                         [[(2, 1)] * 2]),
+                         [[(2,)] * 2]),
     }
     for name, (run, sets) in runs.items():
         calls.clear()
         run()
-        assert calls == sets, f"{name} reached the propagation kernel as {calls}"
-    assert not hasattr(states, "apply_local_pure")
+        assert calls == sets, f"{name} reached the protocol core as {calls}"
+    assert not hasattr(states, "apply_local_batch")
+    assert not hasattr(games, "_play_amplitudes")
 
 
 EMBEDDED = {"pd": prisoners_dilemma(), **{f"minority{n}": minority(n) for n in range(2, 13)},
@@ -321,18 +336,10 @@ def test_embedding_check_does_not_depend_on_the_batch_budget(monkeypatch, name):
 
 
 @pytest.mark.parametrize("budget", [64, states.BATCH_BUDGET])
-def test_no_kernel_array_exceeds_the_batch_budget(monkeypatch, budget):
-    # the kernel's output is its largest array: the profiles only grow, step by step
+def test_no_core_output_exceeds_the_batch_budget(monkeypatch, budget):
+    # the core's output is its largest array: the profiles only grow, step by step
     outputs = []
-    kernel = states.apply_local_batch
-
-    def spy(moves, amplitudes, d):
-        out = kernel(moves, amplitudes, d)
-        outputs.append(out.shape)
-        return out
-
-    monkeypatch.setattr(games, "apply_local_batch", spy)
-    monkeypatch.setattr(verify, "apply_local_batch", spy)
+    spy_on_the_core(monkeypatch, lambda moves, out: outputs.append(out.shape))
     monkeypatch.setattr(states, "BATCH_BUDGET", budget)
     u = su2_full(0.3, 0.2, 0.1)
     for game in (prisoners_dilemma(), minority(8), minority(11), kolkata()):
@@ -343,16 +350,16 @@ def test_no_kernel_array_exceeds_the_batch_budget(monkeypatch, budget):
     solver._symmetric_evaluator(prisoners_dilemma())(np.stack([u] * 3000))
     verify.check_property_suites()
     assert len(outputs) > 20
-    for rows, profiles, dim in outputs:
+    for shape in outputs:
         # one state is the floor: a single row of a large game holds more
-        assert rows * profiles * dim <= max(budget, dim), (rows, profiles, dim)
-    # a play's closed form builds no array larger than one state; its closing
-    # product holds two at once, its input and its output
+        assert math.prod(shape) <= max(budget, shape[-1]), shape
+    # a play builds no array larger than one state; its closing product holds
+    # two at once, its input and its output
     game, stack = minority(12), np.stack([u] * 12)
-    games._play_amplitudes(game, stack)
+    protocol_amplitudes(game, stack)
     tracemalloc.start()
     try:
-        amplitudes = games._play_amplitudes(game, stack)
+        amplitudes = protocol_amplitudes(game, stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -364,23 +371,125 @@ def test_no_kernel_array_exceeds_the_batch_budget(monkeypatch, budget):
 # the dilemma's resource J|00> carries a phase i on |11>; a one-player GHZ state
 # is the uniform superposition of the d choices
 SOLO = GameSpec("solo", SystemShape(1, 3), False, np.array([[2, 0, 1]]), 2)
+# games small enough for the dense reference: D <= 256
+CORE_GAMES = {"pd": prisoners_dilemma(), **{f"minority{n}": minority(n) for n in range(2, 9)},
+              "kolkata": kolkata(), "solo": SOLO}
+# amplitudes one drawn batch may hold
+CORE_LIMIT = 1 << 15
 
 
-@settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from([*EMBEDDED, "solo"]), seed=st.integers(0, 2 ** 32 - 1),
-       fidelity=st.floats(0, 1))
-def test_closed_form_play_matches_the_kernel(name, seed, fidelity):
-    # amplitude(x) = sum_k c_k prod_p U_p[x_p, k] against the kernel's propagation
-    game = SOLO if name == "solo" else EMBEDDED[name]
-    rng = np.random.default_rng(seed)
-    stack = np.stack([haar_unitary(rng, game.shape.d) for _ in range(game.shape.n)])
-    amplitudes = protocol_amplitudes(game, stack[:, None, None])[0, 0]
-    for f in (1.0,) if game.use_entangler_pair else (1.0, fidelity):
-        report = play_profile(game, list(stack), f)
-        probs = f * np.abs(amplitudes) ** 2 + (1 - f) / game.shape.dim
-        np.testing.assert_allclose(list(report.probabilities.values()), probs,
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose(report.payoffs, game.payoffs @ probs, rtol=0, atol=1e-13)
+def dense_final(game, ops):
+    """J-dagger U J|00> or U|GHZ> for one player-n-first profile, on D x D matrices."""
+    state = dense.tensor(ops) @ games.resource_state(game).amplitudes
+    return entangler().conj().T @ state if game.use_entangler_pair else state
+
+
+def haar_batch(rng, shape, d):
+    """Haar-random d x d unitaries of the given leading shape."""
+    return np.array([haar_unitary(rng, d) for _ in range(math.prod(shape))]).reshape(
+        shape + (d, d))
+
+
+@st.composite
+def cartesian_sets(draw):
+    """(game name, rows or None, set sizes player n first, seed), at most CORE_LIMIT amplitudes."""
+    name = draw(st.sampled_from(list(CORE_GAMES)))
+    shape = CORE_GAMES[name].shape
+    rows = draw(st.none() | st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=shape.n, max_size=shape.n))
+    for i in range(shape.n):  # sets of one move, player n first, until the batch fits
+        if (rows or 1) * math.prod(sizes) * shape.dim > CORE_LIMIT:
+            sizes[i] = 1
+    return name, rows, sizes, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestProtocolCore:
+    """sum_k c_k prod_p U_p[x_p, k] over broadcast leading axes, against the dense
+    reference and against each profile run alone."""
+
+    def check_profile(self, game, out, profile):
+        alone = protocol_amplitudes(game, np.stack(profile))
+        np.testing.assert_array_equal(out, alone)  # the same bits on any axis
+        np.testing.assert_allclose(alone, dense_final(game, profile), rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(list(CORE_GAMES)), rows=st.integers(1, 4),
+           shared=st.lists(st.booleans(), min_size=8, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows(self, name, rows, shared, seed):
+        # one axis of profiles; a player with no leading axes plays every row
+        game = CORE_GAMES[name]
+        n, d = game.shape.n, game.shape.d
+        rng = np.random.default_rng(seed)
+        moves = [haar_batch(rng, () if shared[i] else (rows,), d) for i in range(n)]
+        out = protocol_amplitudes(game, moves)
+        leading = () if all(shared[:n]) else (rows,)
+        assert out.shape == leading + (game.shape.dim,)
+        for b in range(rows if leading else 1):
+            self.check_profile(game, out[b] if leading else out,
+                               [u if u.ndim == 2 else u[b] for u in moves])
+
+    @settings(max_examples=60, deadline=None)
+    @given(cartesian_sets())
+    def test_cartesian_sets(self, case):
+        # each player's set on an axis of its own, player n's the major one,
+        # optionally behind an axis of rows
+        name, rows, sizes, seed = case
+        game = CORE_GAMES[name]
+        n, d = game.shape.n, game.shape.d
+        rng = np.random.default_rng(seed)
+        front = () if rows is None else (rows,)
+        # player i's set on leading axis i (after the rows); with no rows the
+        # axes before it are left out and broadcast
+        moves = [haar_batch(rng, (front + (1,) * i if front else ()) + (k,) + (1,) * (n - 1 - i),
+                            d) for i, k in enumerate(sizes)]
+        out = protocol_amplitudes(game, moves)
+        assert out.shape == front + tuple(sizes) + (game.shape.dim,)
+        for index in itertools.product(*map(range, front + tuple(sizes))):
+            picks = [index[:len(front)] + (0,) * i + (index[len(front) + i],) + (0,) * (n - 1 - i)
+                     for i in range(n)]
+            profile = [u[pick[len(pick) + 2 - u.ndim:]] for u, pick in zip(moves, picks)]
+            self.check_profile(game, out[index], profile)
+
+    @pytest.mark.parametrize("d, n", [(2, n) for n in range(1, 15)]
+                             + [(3, n) for n in range(1, 10)])
+    def test_rows_do_not_depend_on_their_batch(self, d, n):
+        # up to the dimension cap: three rows, then a set of three moves at the
+        # middle slot beside fixed moves, each profile the same bits as alone
+        game = GameSpec("probe", SystemShape(n, d), False, np.zeros((n, d ** n), int))
+        rng = np.random.default_rng(100 * d + n)
+        rows = haar_batch(rng, (n, 3), d)
+        for k, out in enumerate(protocol_amplitudes(game, list(rows))):
+            np.testing.assert_array_equal(out, protocol_amplitudes(game, rows[:, k]))
+        fixed = list(rows[:, 0])
+        for k, out in enumerate(protocol_amplitudes(game, fixed[:n // 2] + [rows[n // 2]]
+                                                    + fixed[n // 2 + 1:])):
+            profile = fixed[:n // 2] + [rows[n // 2, k]] + fixed[n // 2 + 1:]
+            np.testing.assert_array_equal(out, protocol_amplitudes(game, np.stack(profile)))
+
+    def test_one_player(self):
+        # n = 1: U times the uniform superposition, one profile or a row of them
+        rng = np.random.default_rng(3)
+        moves = haar_batch(rng, (4,), 3)
+        out = protocol_amplitudes(SOLO, [moves])
+        np.testing.assert_allclose(out, moves.sum(axis=-1) / math.sqrt(3), rtol=0, atol=1e-15)
+        for row, u in zip(out, moves):
+            np.testing.assert_array_equal(row, protocol_amplitudes(SOLO, [u]))
+
+    @pytest.mark.parametrize("name", ["pd", "minority2", "minority5", "kolkata", "solo"])
+    def test_a_play_keeps_the_closed_form_of_one_profile(self, name):
+        # the play path's arithmetic, bit for bit: a running Khatri-Rao product
+        # of the players' columns, one product with the last matrix, then J-dagger
+        game = CORE_GAMES[name]
+        d = game.shape.d
+        stack = haar_batch(np.random.default_rng(7), (game.shape.n,), d)
+        acc = games.resource_state(game).amplitudes[None, ::(game.shape.dim - 1) // (d - 1)]
+        for u in stack[:-1]:
+            acc = np.einsum("mk,xk->mxk", acc, u).reshape(-1, d)
+        expected = (acc @ stack[-1].T).reshape(-1)
+        if game.use_entangler_pair:
+            expected = expected @ entangler().conj()
+        np.testing.assert_array_equal(protocol_amplitudes(game, stack), expected)
 
 
 class TestPlayProfile:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 import time
@@ -10,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
-from qgames.games import kolkata, minority, play_profile, play_symmetric
+from qgames.games import (
+    kolkata,
+    minority,
+    play_profile,
+    play_symmetric,
+    prisoners_dilemma,
+    protocol_amplitudes,
+)
 from qgames.states import (
     ATOL_UNITARY,
     PureState,
     SystemShape,
-    apply_local_batch,
     check_fidelity,
     check_ops,
     ghz,
@@ -89,14 +94,9 @@ def bell(kind):
     return PureState(SystemShape(2, 2), amp)
 
 
-def per_row(ops, amplitudes, d):
-    """The kernel on (B, n, d, d) per-row profiles, one move per player: (B, D)."""
-    return apply_local_batch(np.swapaxes(ops, 0, 1)[:, :, None], amplitudes, d)[:, 0]
-
-
-def moved(ops, psi):
-    """(U_n (x) ... (x) U_1)|psi> for one player-n-first profile, through the kernel."""
-    return per_row(np.stack(ops)[None], psi.amplitudes, psi.shape.d)[0]
+def final(game, ops):
+    """One player-n-first profile's final amplitudes through the protocol core."""
+    return protocol_amplitudes(game, np.stack(ops))
 
 
 class TestShapeAndLabels:
@@ -187,30 +187,30 @@ class TestGhzAndBell:
 
 
 class TestLocalOperations:
+    """Local moves on the shared resource, through the protocol core."""
+
     def test_identity_leaves_state(self):
-        psi = ghz(SystemShape(3, 2))
-        np.testing.assert_allclose(moved([I2, I2, I2], psi), psi.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(final(minority(3), [I2, I2, I2]),
+                                   ghz(SystemShape(3, 2)).amplitudes, atol=1e-15)
 
     def test_double_flip(self):
-        psi = basis_state(SystemShape(2, 2), "00")
-        np.testing.assert_allclose(moved([X, X], psi), [0, 0, 0, 1], atol=1e-15)
+        # X (x) X commutes with J, so J-dagger (X (x) X) J |00> = |11>
+        np.testing.assert_allclose(final(prisoners_dilemma(), [X, X]), [0, 0, 0, 1],
+                                   atol=1e-15)
 
     def test_qutrit_shift_profile(self):
-        # s^1 (x) s^2 (x) s^0 |000> = |120>
-        psi = basis_state(SystemShape(3, 3), "000")
-        np.testing.assert_allclose(
-            moved([cyclic_s(1), cyclic_s(2), cyclic_s(0)], psi),
-            basis_state(SystemShape(3, 3), "120").amplitudes,
-            atol=1e-15,
-        )
+        # s^1 (x) s^2 (x) s^0 takes |kkk> to |k+1, k+2, k>
+        expected = sum(basis_state(SystemShape(3, 3), label).amplitudes
+                       for label in ("120", "201", "012")) / math.sqrt(3)
+        np.testing.assert_allclose(final(kolkata(), [cyclic_s(1), cyclic_s(2), cyclic_s(0)]),
+                                   expected, atol=1e-15)
 
     def test_matches_explicit_kronecker(self):
         rng = np.random.default_rng(11)
-        shape = SystemShape(3, 2)
-        psi = random_state(rng, shape)
         ops = [random_su2(rng) for _ in range(3)]
         full = np.kron(np.kron(ops[0], ops[1]), ops[2])
-        np.testing.assert_allclose(moved(ops, psi), full @ psi.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(final(minority(3), ops),
+                                   full @ ghz(SystemShape(3, 2)).amplitudes, atol=1e-12)
 
     def test_non_unitary_rejected(self):
         bad = np.array([[1.0, 0.0], [0.0, 0.5]])
@@ -221,103 +221,8 @@ class TestLocalOperations:
     @given(st.integers(0, 2 ** 31 - 1))
     def test_norm_preservation(self, seed):
         rng = np.random.default_rng(seed)
-        shape = SystemShape(3, 2)
-        psi = random_state(rng, shape)
-        out = moved([random_su2(rng) for _ in range(3)], psi)
+        out = final(minority(3), [random_su2(rng) for _ in range(3)])
         assert abs(np.linalg.norm(out) - 1.0) < 1e-9
-
-
-class TestApplyLocalBatch:
-    @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (2, 2), (4, 2), (3, 3), (6, 3), (11, 2)])
-    def test_matches_dense_reference(self, n, d):
-        rng = np.random.default_rng(17 + n * d)
-        shape = SystemShape(n, d)
-        draw = random_su2 if d == 2 else random_su3
-        states = [random_state(rng, shape) for _ in range(5)]
-        profiles = [[draw(rng) for _ in range(n)] for _ in states]
-        rows = per_row(np.array(profiles), np.array([psi.amplitudes for psi in states]), d)
-        for row, ops, psi in zip(rows, profiles, states):
-            np.testing.assert_allclose(row, dense.tensor(ops) @ psi.amplitudes,
-                                       rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("d, n", [(2, n) for n in range(1, 12)]
-                             + [(3, n) for n in range(1, 12)])
-    def test_rows_do_not_depend_on_their_batch(self, d, n):
-        # every row is bit-identical to its profile run alone, for per-row
-        # states and for one broadcast state
-        rng = np.random.default_rng(100 * d + n)
-        count, dim = 3, d ** n
-        raw = rng.standard_normal((count, n, d, d)) + 1j * rng.standard_normal((count, n, d, d))
-        ops = np.linalg.qr(raw)[0]
-        psi = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        rows = per_row(ops, psi, d)
-        shared = per_row(ops, psi[0], d)
-        assert rows.shape == shared.shape == (count, dim)
-        for k in range(count):
-            np.testing.assert_array_equal(rows[k], per_row(ops[k:k + 1], psi[k], d)[0])
-            np.testing.assert_array_equal(shared[k], per_row(ops[k:k + 1], psi[0], d)[0])
-
-
-def legacy_kernel(ops, amplitudes, d):
-    """The per-profile kernel that the Cartesian one generalises: ops is
-    (B, n, d, d), one (d, d) @ (d, D/d) product per profile and player."""
-    count, n = ops.shape[:2]
-    amplitudes = np.broadcast_to(amplitudes, (count, d ** n))
-    for axis in range(n):
-        amplitudes = (ops[:, axis] @ amplitudes.reshape(count, d, -1)).swapaxes(1, 2)
-    return amplitudes.reshape(count, d ** n)
-
-
-# amplitudes one drawn Cartesian batch may hold
-CARTESIAN_LIMIT = 1 << 15
-
-
-@st.composite
-def cartesian_batches(draw):
-    """(d, sizes, rows, shared state, seed), at most CARTESIAN_LIMIT amplitudes."""
-    d = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 8))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    rows = draw(st.integers(1, 3))
-    for i in range(n):  # sets of one move, player n first, until the batch fits
-        if rows * math.prod(sizes) * d ** n > CARTESIAN_LIMIT:
-            sizes[i] = 1
-    return d, sizes, rows, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
-
-
-class TestCartesianKernel:
-    """Per-row Cartesian move sets against the per-row batch they expand to."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(cartesian_batches())
-    def test_rows_match_their_expanded_profiles(self, batch):
-        d, sizes, rows, shared, seed = batch
-        rng = np.random.default_rng(seed)
-        dim = d ** len(sizes)
-        moves = [np.linalg.qr(rng.standard_normal((rows, k, d, d))
-                              + 1j * rng.standard_normal((rows, k, d, d)))[0] for k in sizes]
-        psi = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
-        out = apply_local_batch(moves, psi[0] if shared else psi, d)
-        count = math.prod(sizes)
-        assert out.shape == (rows, count, dim)
-        # every profile of each row, lexicographic with player n's move the major index
-        profiles = np.array([[moves[i][b, pick] for i, pick in enumerate(picks)]
-                             for b in range(rows)
-                             for picks in itertools.product(*map(range, sizes))])
-        states = psi[0] if shared else np.repeat(psi, count, axis=0)
-        expanded = per_row(profiles, states, d)
-        np.testing.assert_allclose(out.reshape(-1, dim), expanded, rtol=0, atol=1e-13)
-        # one move per player: the per-profile kernel's arithmetic, bit for bit
-        np.testing.assert_array_equal(expanded, legacy_kernel(profiles, states, d))
-
-    def test_shared_move_sets_broadcast_over_rows(self):
-        rng = np.random.default_rng(5)
-        shared = np.linalg.qr(rng.standard_normal((1, 3, 2, 2)))[0].astype(complex)
-        own = np.linalg.qr(rng.standard_normal((4, 2, 2, 2)))[0].astype(complex)
-        psi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        out = apply_local_batch([shared, own], psi, 2)
-        np.testing.assert_array_equal(
-            out, apply_local_batch([np.repeat(shared, 4, axis=0), own], psi, 2))
 
 
 class TestCheckOps:
@@ -395,7 +300,7 @@ class TestDensityOperations:
         psi = random_state(rng, shape)
         ops = [random_su2(rng), random_su2(rng)]
         via_density = dense.conjugate(ops, dense.density(psi.amplitudes))
-        via_pure = dense.density(moved(ops, psi))
+        via_pure = dense.density(dense.tensor(ops) @ psi.amplitudes)
         np.testing.assert_allclose(via_density, via_pure, atol=1e-12)
 
     def test_global_phase_invariance(self):

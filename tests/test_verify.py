@@ -20,22 +20,22 @@ def by_name(results):
 
 
 def record_draws(monkeypatch):
-    """Spy on the suite's kernel and dense calls; returns their argument lists."""
-    kernel_calls, dense_calls = [], []
-    kernel, dense = verify.apply_local_batch, verify._dense_trace_residual
+    """Spy on the suite's core and dense calls; returns their argument lists."""
+    core_calls, dense_calls = [], []
+    core, dense = verify.protocol_amplitudes, verify._dense_trace_residual
 
-    def spy_kernel(moves, amplitudes, d):
-        # recorded as (B, n, k, d, d) per-row profiles, the draws in row order
-        kernel_calls.append((np.stack(moves, axis=1), amplitudes))
-        return kernel(moves, amplitudes, d)
+    def spy_core(game, moves):
+        # recorded as (B, n, d, d) per-row profiles, the draws in row order
+        core_calls.append((np.stack(moves, axis=1),))
+        return core(game, moves)
 
     def spy_dense(ops, psi, fs):
         dense_calls.append((ops, psi, fs))
         return dense(ops, psi, fs)
 
-    monkeypatch.setattr(verify, "apply_local_batch", spy_kernel)
+    monkeypatch.setattr(verify, "protocol_amplitudes", spy_core)
     monkeypatch.setattr(verify, "_dense_trace_residual", spy_dense)
-    return kernel_calls, dense_calls
+    return core_calls, dense_calls
 
 
 def concatenated(calls):
@@ -44,24 +44,24 @@ def concatenated(calls):
 
 
 class TestPropertySuite:
-    def test_every_draw_goes_through_the_kernel(self, monkeypatch):
-        kernel_calls, dense_calls = record_draws(monkeypatch)
+    def test_every_draw_goes_through_the_core(self, monkeypatch):
+        core_calls, dense_calls = record_draws(monkeypatch)
         assert all(result.passed for result in verify.check_property_suites())
-        assert sum(len(ops) for ops, _ in kernel_calls) == 999
+        assert sum(len(ops) for ops, in core_calls) == 999
         assert sum(len(fs) for _, _, fs in dense_calls) == 252
 
     @pytest.mark.parametrize("budget", [1 << 10, 1 << 16])
     def test_sample_does_not_depend_on_the_budget(self, monkeypatch, budget):
-        kernel_calls, dense_calls = record_draws(monkeypatch)
+        core_calls, dense_calls = record_draws(monkeypatch)
         default = by_name(verify.check_property_suites())
-        default_draws = concatenated(kernel_calls) + concatenated(dense_calls)
-        kernel_calls.clear()
+        default_draws = concatenated(core_calls) + concatenated(dense_calls)
+        core_calls.clear()
         dense_calls.clear()
         monkeypatch.setattr(states, "BATCH_BUDGET", budget)
         patched = by_name(verify.check_property_suites())
         for name in PRESERVATION:
-            assert abs(patched[name].observed - default[name].observed) <= 1e-15
-        patched_draws = concatenated(kernel_calls) + concatenated(dense_calls)
+            assert patched[name].observed == default[name].observed
+        patched_draws = concatenated(core_calls) + concatenated(dense_calls)
         for left, right in zip(default_draws, patched_draws, strict=True):
             np.testing.assert_array_equal(left, right)
 
@@ -75,10 +75,10 @@ class TestPropertySuite:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_kernel_that_scales_its_output_fails_the_norm_check(self, monkeypatch):
-        kernel = verify.apply_local_batch
-        monkeypatch.setattr(verify, "apply_local_batch",
-                            lambda ops, amplitudes, d: kernel(ops, amplitudes, d) * (1 + 1e-6))
+    def test_core_that_scales_its_output_fails_the_norm_check(self, monkeypatch):
+        core = verify.protocol_amplitudes
+        monkeypatch.setattr(verify, "protocol_amplitudes",
+                            lambda game, moves: core(game, moves) * (1 + 1e-6))
         results = by_name(verify.check_property_suites())
         assert not results["state-norm-preservation"].passed
 
